@@ -44,11 +44,9 @@ from .estimator import (
 from .fock import (
     DensityMatrix,
     FockState,
-    PhaseSpacePoint,
     ResourceCapError,
     coherent_displacement,
     fidelity,
-    generalized_displacement,
     hermitian_eigensolve,
     ladder_matrices,
     quadrature_matrices,

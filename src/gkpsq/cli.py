@@ -113,21 +113,16 @@ def cmd_ground_sweep(args) -> int:
     for name in args.topology:
         grid = preset_grid(name)
         for dim in dims:
-            gs = ground_state(build_operator(grid, dim, args.oversample))
+            gs = ground_state(build_operator(grid, dim))
             rows.append((name, dim, gs.xi_min, db(gs.xi_min), gs.degeneracy))
-    _write_csv(
-        args.output,
-        ("topology", "N", "xi_min", "xi_min_db", "degeneracy"),
-        rows,
-        preamble=[f"oversample={args.oversample}"],
-    )
+    _write_csv(args.output, ("topology", "N", "xi_min", "xi_min_db", "degeneracy"), rows)
     return EXIT_OK
 
 
 def cmd_wigner(args) -> int:
     dim = args.dims[0]
     grid = preset_grid(args.topology[0])
-    gs = ground_state(build_operator(grid, dim, args.oversample))
+    gs = ground_state(build_operator(grid, dim))
     if args.resolution < 1:
         raise ValueError("--resolution must be >= 1")
     axis = np.linspace(-args.extent, args.extent, args.resolution) if args.resolution > 1 else np.array([0.0])
@@ -140,8 +135,7 @@ def cmd_wigner(args) -> int:
         rows,
         preamble=[
             f"topology={args.topology[0]} N={dim} extent={_fmt(float(args.extent))} "
-            f"resolution={args.resolution} oversample={args.oversample} "
-            f"xi_min={_fmt(gs.xi_min)}"
+            f"resolution={args.resolution} xi_min={_fmt(gs.xi_min)}"
         ],
     )
     return EXIT_OK
@@ -328,17 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, topologies=True, multi_topology=True):
-        if topologies:
-            nargs = "+" if multi_topology else 1
-            p.add_argument("--topology", nargs=nargs, default=None, help="preset grid name(s)")
-        p.add_argument("--oversample", type=int, default=10, help="build-dimension factor")
-        p.add_argument("--output", default=None, help="output path ('-' or omitted: stdout)")
-
     p = sub.add_parser("ground-sweep", help="minimal xi per topology and dimension, CSV")
     p.add_argument("--topology", nargs="+", default=["q0", "q1", "s0", "s1", "hex"])
     p.add_argument("--dims", type=int, nargs="+", required=True, help="ascending dimensions")
-    p.add_argument("--oversample", type=int, default=10)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_ground_sweep)
 
@@ -347,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, nargs=1, required=True)
     p.add_argument("--extent", type=float, default=6.0, help="half-width of the grid")
     p.add_argument("--resolution", type=int, default=81, help="points per axis")
-    p.add_argument("--oversample", type=int, default=10)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_wigner)
 

@@ -5,13 +5,14 @@ variance <x^2> = 1/2, i.e. x = (a + a^dag)/sqrt(2) and
 p = -i(a - a^dag)/sqrt(2).  All operators are dense numpy arrays over the
 photon-number basis |0>, ..., |N-1>.
 
-Exponentials of quadrature combinations do not act inside a truncated
-basis, so `generalized_displacement` builds them on an oversampled
-dimension and keeps the top-left block.  The kept block is therefore not
-unitary; callers must not assume unitarity.  Exact matrix elements of the
-coherent displacement operator are available separately
-(`coherent_displacement`) and are used where truncation error matters,
-e.g. Wigner sampling.
+Exponentials of quadrature combinations are coherent displacements,
+exp(i(cx*x + cp*p)) = D(alpha) with alpha = (-cp + i*cx)/sqrt(2), and
+`coherent_displacement` returns their exact matrix elements <m|D|n> for
+m, n < N.  An operator assembled from these blocks is therefore the exact
+compression of the untruncated one onto the first N number states.  The
+block is not unitary; callers must not assume unitarity.  Its cost is two
+dense Hermite tables of about 15 N^2 floats, so the dimension N is capped
+(`GKPSQ_MAX_BUILD_DIM`, default 2000, about 1 GB of tables at the cap).
 """
 
 from __future__ import annotations
@@ -19,33 +20,26 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_OVERSAMPLE = 10
-# Build-then-truncate floor: tiny target dimensions still need enough
-# headroom for the kept corner of the exponential to converge.
-MIN_BUILD_DIM = 64
-DEFAULT_BUILD_DIM_CAP = 5000
+DEFAULT_BUILD_DIM_CAP = 2000
 BUILD_DIM_CAP_ENV = "GKPSQ_MAX_BUILD_DIM"
 
 NORM_ATOL = 1e-10
 HERM_ATOL = 1e-10
 PSD_FLOOR = -1e-9
+# exp(-q^2/2) is 1e-222 here, far above the float underflow near q = 37.6.
+HERMITE_SEED_LIMIT = 32.0
+_MANTISSA_LIMIT = 2.0 ** 500
 
 
 class ResourceCapError(RuntimeError):
-    """Requested build dimension exceeds the configured cap."""
-
-
-class PhaseSpacePoint(NamedTuple):
-    x: float
-    p: float
+    """Requested Fock dimension exceeds the configured cap."""
 
 
 def build_dim_cap() -> int:
-    """Cap on oversampled build dimensions, overridable via environment."""
+    """Cap on the dense Fock dimension, overridable via environment."""
     raw = os.environ.get(BUILD_DIM_CAP_ENV)
     if raw is None:
         return DEFAULT_BUILD_DIM_CAP
@@ -56,15 +50,6 @@ def build_dim_cap() -> int:
     if cap < 1:
         raise ValueError(f"{BUILD_DIM_CAP_ENV} must be positive, got {cap}")
     return cap
-
-
-def planned_build_dim(dim: int, oversample: int = DEFAULT_OVERSAMPLE) -> int:
-    """Dimension actually used when building a truncated exponential block."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
-    return max(dim * oversample, MIN_BUILD_DIM)
 
 
 @dataclass
@@ -168,36 +153,6 @@ def quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return x, p
 
 
-def generalized_displacement(
-    cx: float,
-    cp: float,
-    d: float = 0.0,
-    dim: int = 1,
-    oversample: int = DEFAULT_OVERSAMPLE,
-) -> np.ndarray:
-    """Top-left dim x dim block of exp(i*(cx*x + cp*p + d)).
-
-    The exponential is evaluated by spectral decomposition of its Hermitian
-    generator on the oversampled dimension, then cut down.  The returned
-    block is generally not unitary.
-    """
-    build = planned_build_dim(dim, oversample)
-    cap = build_dim_cap()
-    if build > cap:
-        raise ResourceCapError(
-            f"build dimension {build} exceeds cap {cap}; "
-            f"raise {BUILD_DIM_CAP_ENV} to override"
-        )
-    x, p = quadrature_matrices(build)
-    gen = cx * x + cp * p
-    vals, vecs = np.linalg.eigh(gen)
-    full = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-    block = full[:dim, :dim]
-    if d != 0.0:
-        block = block * complex(math.cos(d), math.sin(d))
-    return block
-
-
 def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> for m, n < dim.
 
@@ -208,10 +163,17 @@ def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     phase rotation e^{i theta n} then supplies the complex direction.
     Because the block holds the untruncated operator's matrix elements, it
     is exact for any alpha, and expectations against states supported
-    inside the truncation carry no truncation error.
+    inside the truncation carry no truncation error.  Every dense Fock
+    block in the package comes from here, so this is where `dim` is checked
+    against `build_dim_cap()` (ResourceCapError above it).
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
+    cap = build_dim_cap()
+    if dim > cap:
+        raise ResourceCapError(
+            f"dimension {dim} exceeds cap {cap}; raise {BUILD_DIM_CAP_ENV} to override"
+        )
     beta = complex(alpha)
     r = abs(beta)
     if r == 0.0:
@@ -266,7 +228,10 @@ def hermite_functions(n_max: int, q: np.ndarray) -> np.ndarray:
 
     These are the position wavefunctions of the number states in the
     vacuum-variance-1/2 convention; the stable normalized recurrence avoids
-    factorial overflow.
+    factorial overflow.  Past |q| = HERMITE_SEED_LIMIT the Gaussian seed
+    would underflow before orders with turning point sqrt(2n + 1) beyond
+    that point (n above about 700) grow back to O(1), so those points are
+    recomputed with a per-point exponent.
     """
     q = np.asarray(q, dtype=float)
     h = np.empty((n_max + 1, q.size))
@@ -274,8 +239,32 @@ def hermite_functions(n_max: int, q: np.ndarray) -> np.ndarray:
     if n_max >= 1:
         h[1] = math.sqrt(2.0) * q * h[0]
     for n in range(2, n_max + 1):
-        h[n] = math.sqrt(2.0 / n) * q * h[n - 1] - math.sqrt((n - 1.0) / n) * h[n - 2]
+        # h[n] = sqrt(2/n) q h[n-1] - sqrt((n-1)/n) h[n-2], written in place
+        row = np.multiply(q, math.sqrt(2.0 / n), out=h[n])
+        row *= h[n - 1]
+        row -= math.sqrt((n - 1.0) / n) * h[n - 2]
+    if q.size and max(q.max(), -q.min()) > HERMITE_SEED_LIMIT:
+        far = np.flatnonzero(np.abs(q) > HERMITE_SEED_LIMIT)
+        _hermite_rescaled(h, q[far], far)
     return h
+
+
+def _hermite_rescaled(h: np.ndarray, q: np.ndarray, cols: np.ndarray) -> None:
+    """Overwrite columns `cols` of `h` by the recurrence on scaled mantissas."""
+    log_scale = -0.5 * q * q - 0.25 * math.log(math.pi)
+    scale = np.exp(log_scale)
+    prev = np.zeros_like(q)
+    cur = np.ones_like(q)
+    h[0, cols] = scale
+    for n in range(1, h.shape[0]):
+        prev, cur = cur, math.sqrt(2.0 / n) * q * cur - math.sqrt((n - 1.0) / n) * prev
+        big = np.abs(cur) > _MANTISSA_LIMIT
+        if big.any():
+            cur[big] /= _MANTISSA_LIMIT
+            prev[big] /= _MANTISSA_LIMIT
+            log_scale[big] += math.log(_MANTISSA_LIMIT)
+            scale[big] = np.exp(log_scale[big])
+        h[n, cols] = cur * scale
 
 
 @dataclass

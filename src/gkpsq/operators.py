@@ -4,11 +4,12 @@ A grid specifies the Hermitian positive-semidefinite observable
 
     Q = 2 sin^2(c11*x + c12*p + d1) + 2 sin^2(c21*x + c22*p + d2),
 
-built in a truncated Fock basis by expanding each sin^2 over displacement
-exponentials.  The module also provides Gaussian reshaping of grids,
-ground-state extraction per dimension, expectations, approximate grid
-states, and a loss/thermal-noise channel used as a density-matrix oracle
-for the closed forms in `analytic`.
+built in a truncated Fock basis by expanding each sin^2 over exact
+displacement blocks, so the truncation is the exact compression of Q.
+The module also provides Gaussian reshaping of grids, ground-state
+extraction per dimension, expectations, approximate grid states, and a
+loss/thermal-noise channel used as a density-matrix oracle for the closed
+forms in `analytic`.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    DEFAULT_OVERSAMPLE,
     DensityMatrix,
     FockState,
     coherent_displacement,
-    generalized_displacement,
     hermitian_eigensolve,
     hermite_functions,
-    planned_build_dim,
 )
 
 GKP_DET = math.pi / 2.0
@@ -173,27 +171,41 @@ class TruncatedOperator:
 
     matrix: np.ndarray
     grid: GridSpec
-    build_dim: int
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def build_operator(grid: GridSpec, dim: int, oversample: int = DEFAULT_OVERSAMPLE) -> TruncatedOperator:
+def _row_exponential(c1: float, c2: float, d: float, dim: int) -> np.ndarray:
+    """Exact block of exp(2i(c1*x + c2*p + d)) = e^{2id} D(alpha).
+
+    With the package convention exp(i(cx*x + cp*p)) = D((-cp + i*cx)/sqrt(2)),
+    the doubled row gives alpha = sqrt(2)*(-c2 + i*c1).
+    """
+    alpha = math.sqrt(2.0) * complex(-c2, c1)
+    block = coherent_displacement(alpha, dim)
+    if d != 0.0:
+        block = block * complex(math.cos(2.0 * d), math.sin(2.0 * d))
+    return block
+
+
+def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     """Fock-basis matrix of the grid operator.
 
-    Each 2 sin^2(u) term expands as I - (e^{2iu} + e^{-2iu})/2, so the
-    displacement arguments are twice the grid coefficients.  The block is
-    re-Hermitized after truncation.
+    Each 2 sin^2(u) term expands as I - (e^{2iu} + e^{-2iu})/2, and every
+    exponential is an exact displacement block, so the result is the
+    compression P Q P of the untruncated operator onto the first `dim`
+    number states: its minimal eigenvalue is a variational value of Q and
+    cannot increase with `dim`.  The block is re-Hermitized to remove
+    rounding asymmetry.
     """
-    d1 = generalized_displacement(2.0 * grid.c11, 2.0 * grid.c12, 2.0 * grid.d1, dim, oversample)
-    d2 = generalized_displacement(2.0 * grid.c21, 2.0 * grid.c22, 2.0 * grid.d2, dim, oversample)
     mat = 2.0 * np.eye(dim, dtype=complex)
-    mat -= 0.5 * (d1 + d1.conj().T)
-    mat -= 0.5 * (d2 + d2.conj().T)
+    for c1, c2, d in grid.rows():
+        block = _row_exponential(c1, c2, d, dim)
+        mat -= 0.5 * (block + block.conj().T)
     mat = 0.5 * (mat + mat.conj().T)
-    return TruncatedOperator(matrix=mat, grid=grid, build_dim=planned_build_dim(dim, oversample))
+    return TruncatedOperator(matrix=mat, grid=grid)
 
 
 @dataclass
@@ -229,23 +241,20 @@ def expectation(op: TruncatedOperator, state: FockState | DensityMatrix) -> floa
 
 
 def sin2_expectation(state: FockState | DensityMatrix, c1: float, c2: float, d: float = 0.0) -> float:
-    """<sin^2(c1*x + c2*p + d)> via exact displacement matrix elements.
+    """<sin^2(c1*x + c2*p + d)> = (1 - Re<exp(2i(c1*x + c2*p + d))>)/2.
 
-    Independent of the build-then-truncate route: exp(2i(c1*x + c2*p)) is a
-    coherent displacement D(alpha) with alpha = sqrt(2)*(-c2 + i*c1), whose
-    block is exact for states supported inside the truncation.
+    Uses the same exact displacement block as `build_operator`, so it is
+    exact for states supported inside the truncation.
     """
-    alpha = math.sqrt(2.0) * complex(-c2, c1)
     if isinstance(state, FockState):
-        block = coherent_displacement(alpha, state.dim)
+        block = _row_exponential(c1, c2, d, state.dim)
         mean = complex(np.vdot(state.amplitudes, block @ state.amplitudes))
     elif isinstance(state, DensityMatrix):
-        block = coherent_displacement(alpha, state.dim)
+        block = _row_exponential(c1, c2, d, state.dim)
         mean = complex(np.trace(state.entries @ block))
     else:
         raise TypeError(f"expected FockState or DensityMatrix, got {type(state)!r}")
-    phase = complex(math.cos(2.0 * d), math.sin(2.0 * d))
-    return 0.5 * (1.0 - (phase * mean).real)
+    return 0.5 * (1.0 - mean.real)
 
 
 @dataclass(frozen=True)

@@ -194,8 +194,13 @@ def test_config_error_exit_codes(tmp_path):
 
 def test_resource_cap_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "50")
-    assert main(["ground-sweep", "--topology", "q0", "--dims", "20",
+    assert main(["ground-sweep", "--topology", "q0", "--dims", "60",
                  "--output", str(tmp_path / "x.csv")]) == 3
+
+
+def test_oversample_flag_is_rejected(tmp_path):
+    assert main(["ground-sweep", "--topology", "q0", "--dims", "3", "--oversample", "10",
+                 "--output", str(tmp_path / "x.csv")]) == 2
 
 
 def test_thresholds_json(tmp_path):

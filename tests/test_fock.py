@@ -10,7 +10,6 @@ from gkpsq.fock import (
     coherent_displacement,
     fidelity,
     fix_phases,
-    generalized_displacement,
     hermite_functions,
     hermitian_eigensolve,
     ladder_matrices,
@@ -18,6 +17,7 @@ from gkpsq.fock import (
     quadrature_pdf,
     wigner,
 )
+from gkpsq.operators import GridSpec, build_operator, preset_grid
 from oracles import (
     hermite_wavefunction_direct,
     laguerre_displacement_element,
@@ -59,8 +59,9 @@ def test_vacuum_quadrature_moments():
 
 
 def test_displacement_identity_case():
-    block = generalized_displacement(0.0, 0.0, 0.0, dim=6)
-    assert np.abs(block - np.eye(6)).max() < 1e-12
+    assert np.abs(coherent_displacement(0.0, 6) - np.eye(6)).max() < 1e-12
+    # the quadrature path, not only the alpha == 0 shortcut
+    assert np.abs(coherent_displacement(1e-13, 6) - np.eye(6)).max() < 1e-12
 
 
 def test_vacuum_characteristic_function():
@@ -68,52 +69,59 @@ def test_vacuum_characteristic_function():
     u = 1.0
     target = vacuum_characteristic(u)
     assert target == pytest.approx(math.exp(-0.25), abs=1e-12)
-    block = generalized_displacement(u, 0.0, 0.0, dim=20, oversample=10)
+    block = coherent_displacement(1j * u / math.sqrt(2.0), 20)
     assert block[0, 0].real == pytest.approx(target, abs=1e-8)
     assert abs(block[0, 0].imag) < 1e-10
+
+
+def laguerre_block(alpha, dim):
+    return np.array([[laguerre_displacement_element(alpha, m, n) for n in range(dim)] for m in range(dim)])
 
 
 @pytest.mark.parametrize("cx,cp", [(0.7, 0.0), (0.0, -1.1), (0.9, 0.4), (-1.3, 0.8)])
 def test_displacement_matches_laguerre_oracle(cx, cp):
     # exp(i(cx x + cp p)) = D(alpha) with alpha = (-cp + i cx)/sqrt(2)
     alpha = complex(-cp, cx) / math.sqrt(2.0)
-    block = generalized_displacement(cx, cp, 0.0, dim=11, oversample=10)
     exact = coherent_displacement(alpha, 11)
-    for m in range(11):
-        for n in range(11):
-            ref = laguerre_displacement_element(alpha, m, n)
-            assert block[m, n] == pytest.approx(ref, abs=1e-8)
-            assert exact[m, n] == pytest.approx(ref, abs=1e-11)
+    ref = laguerre_block(alpha, 11)
+    assert np.abs(exact - ref).max() < 1e-11
+    # the operator assembled from the same exponential (rows are halved
+    # because each sin^2 term doubles its argument)
+    grid = GridSpec(cx / 2.0, cp / 2.0, 0.35, -0.2, d1=0.25)
+    second = laguerre_block(math.sqrt(2.0) * complex(0.2, 0.35), 11)
+    first = np.exp(0.5j) * ref
+    expected = 2.0 * np.eye(11) - 0.5 * (first + first.conj().T) - 0.5 * (second + second.conj().T)
+    assert np.abs(build_operator(grid, 11).matrix - expected).max() < 1e-11
 
 
 def test_displacement_phase_offset():
-    d = 0.8
-    plain = generalized_displacement(0.5, -0.2, 0.0, dim=8)
-    shifted = generalized_displacement(0.5, -0.2, d, dim=8)
-    assert np.abs(shifted - plain * np.exp(1j * d)).max() < 1e-12
+    d = 0.4
+    plain = build_operator(GridSpec(0.5, -0.2, 0.0, 1.0), 8).matrix
+    shifted = build_operator(GridSpec(0.5, -0.2, 0.0, 1.0, d1=d), 8).matrix
+    block = coherent_displacement(math.sqrt(2.0) * complex(0.2, 0.5), 8)
+    # only the first row's exponential picks up the phase e^{2id}
+    change = -0.5 * ((np.exp(2j * d) - 1.0) * block)
+    change = change + change.conj().T
+    assert np.abs(shifted - plain - change).max() < 1e-12
 
 
 def test_truncated_block_is_not_unitary():
     c = 2.0 * math.sqrt(math.pi)
-    block = generalized_displacement(c, 0.0, 0.0, dim=10)
+    block = coherent_displacement(1j * c / math.sqrt(2.0), 10)
     defect = np.abs(block.conj().T @ block - np.eye(10)).max()
     assert defect > 1e-3  # callers must not assume unitarity
 
 
-def test_oversample_convergence():
-    for cx, cp in [(2.0 * math.sqrt(math.pi), 0.0), (1.5, -1.5), (0.0, 2.5)]:
-        b10 = generalized_displacement(cx, cp, 0.3, dim=30, oversample=10)
-        b20 = generalized_displacement(cx, cp, 0.3, dim=30, oversample=20)
-        assert np.abs(b10 - b20).max() < 1e-8
-
-
 def test_resource_cap(monkeypatch):
     monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "100")
+    assert coherent_displacement(0.5, 100).shape == (100, 100)
     with pytest.raises(ResourceCapError):
-        generalized_displacement(1.0, 0.0, 0.0, dim=20, oversample=10)
+        coherent_displacement(0.5, 101)
+    with pytest.raises(ResourceCapError):
+        build_operator(preset_grid("q0"), 101)
     monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "not-a-number")
     with pytest.raises(ValueError):
-        generalized_displacement(1.0, 0.0, 0.0, dim=20)
+        coherent_displacement(0.5, 20)
 
 
 def test_coherent_displacement_large_amplitude_column():
@@ -249,6 +257,14 @@ def test_hermite_functions_orthonormal():
     h = hermite_functions(14, q)
     gram = h @ h.T * (q[1] - q[0])
     assert np.abs(gram - np.eye(15)).max() < 1e-8
+
+
+def test_hermite_functions_orthonormal_past_seed_underflow():
+    # turning points sqrt(2n + 1) of n >= 700 lie where exp(-q^2/2) underflows
+    q = np.linspace(-50.0, 50.0, 8001)
+    top = hermite_functions(900, q)[650:]
+    gram = top @ top.T * (q[1] - q[0])
+    assert np.abs(gram - np.eye(251)).max() < 1e-10
 
 
 def test_state_validation():

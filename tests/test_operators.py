@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpsq.fock import DensityMatrix, FockState
 from gkpsq.operators import (
@@ -130,7 +132,6 @@ def test_single_entry_matches_vacuum_value():
     op = build_operator(s0, 1)
     assert op.matrix.shape == (1, 1)
     assert op.matrix[0, 0].real == pytest.approx(target, abs=1e-8)
-    assert op.build_dim >= 64
 
     for a, b in [(0.6, 1.3), (1.0, 1.0), (SQRT_PI_2, SQRT_PI_2)]:
         grid = preset_grid("general", a=a, b=b)
@@ -149,6 +150,44 @@ def test_operator_invariants(name, dim):
     vals = np.linalg.eigvalsh(op.matrix)
     assert vals.min() > -1e-6
     assert vals.max() < 4.0 + 1e-6
+
+
+def _reshaped_q0(r, th1, th2, shift):
+    def rot(t):
+        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+
+    A = rot(th1) @ np.diag([math.exp(r), math.exp(-r)]) @ rot(th2)
+    return transform_grid(preset_grid("q0"), A, shift)
+
+
+reshaped_grids = st.builds(
+    _reshaped_q0,
+    st.floats(-0.5, 0.5),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+nested_dims = st.integers(1, 59).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 60)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=reshaped_grids, dims=nested_dims)
+def test_truncations_are_exact_compressions(grid, dims):
+    # exact blocks make the N-truncation the corner of the M-truncation, so
+    # the ground values interlace and inherit positivity from Q
+    n, m = dims
+    assert grid.gkp_valid
+    small, large = build_operator(grid, n), build_operator(grid, m)
+    assert np.abs(large.matrix[:n, :n] - small.matrix).max() < 1e-12
+    xi_n, xi_m = ground_state(small).xi_min, ground_state(large).xi_min
+    assert xi_m <= xi_n + 1e-12
+    assert xi_m >= -1e-12
+
+
+def test_hex_ground_sweep_reaches_dimension_400():
+    grid = preset_grid("hex")
+    xis = [ground_state(build_operator(grid, n)).xi_min for n in (50, 200, 400)]
+    assert xis[0] > xis[1] > xis[2] > 0.0
 
 
 def test_ground_state_q1_beats_gaussian_bound_at_dim_3():
@@ -199,7 +238,7 @@ def test_expectation_dimension_mismatch():
 
 
 def test_two_displacement_routes_agree(rng):
-    # build-then-truncate against exact displacement matrix elements
+    # assembled operator against the per-row sin^2 expectations
     state = FockState.normalized((rng.normal(size=20) + 1j * rng.normal(size=20)) * np.exp(-np.arange(20) / 4))
     for grid in (preset_grid("hex"), preset_grid("q1"), GridSpec(0.83, -0.41, 0.37, 0.64, d1=0.3, d2=1.1)):
         direct = expectation(build_operator(grid, 20), state)

@@ -1,0 +1,121 @@
+"""Paired before/after benchmark: alternate `bench/run.py` over two checkouts.
+
+    python3 tools/bench_pairs.py --before DIR --after DIR \
+        --pairs sweeps=10 channel=3 estimate=3 --seed 4200 --out BENCH_topic.json
+
+Each pair runs `bench/run.py --workload W --report FILE` once in the
+`before` checkout and once in the `after` checkout, with the same seed, and
+alternates which side goes first; the seed is `--seed` plus the pair index,
+so every pair of a workload sees new inputs.  Running the two sides back to
+back keeps both in the same machine-speed regime.  The output
+holds, per workload and metric, both sides' medians and quartiles, how
+many pairs the `after` side won, every run's checks, and every `xi` value
+both sides computed with the largest difference between them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def run_once(root: Path, workload: str, seed: int, report: Path) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--report", str(report)]
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited with {proc.returncode}")
+    return json.loads(report.read_text())
+
+
+def numeric_leaves(value, prefix: str = "") -> dict[str, float]:
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            out.update(numeric_leaves(item, f"{prefix}.{key}" if prefix else str(key)))
+        return out
+    if isinstance(value, list):
+        out = {}
+        for index, item in enumerate(value):
+            out.update(numeric_leaves(item, f"{prefix}[{index}]"))
+        return out
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return {prefix: float(value)}
+    return {}
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "values": values}
+
+
+def compare(runs: list[tuple[dict, dict]]) -> dict:
+    sides = {"before": [b for b, _ in runs], "after": [a for _, a in runs]}
+    metrics = {}
+    for name, first in runs[0][0]["metrics"].items():
+        before = [r["metrics"][name]["value"] for r in sides["before"]]
+        after = [r["metrics"][name]["value"] for r in sides["after"]]
+        metrics[name] = {
+            "unit": first["unit"],
+            "before": spread(before),
+            "after": spread(after),
+            "after_wins": sum(a < b for b, a in zip(before, after)),
+            "pairs": len(runs),
+        }
+    xi_before = [numeric_leaves(r["xi"]) for r in sides["before"]]
+    xi_after = [numeric_leaves(r["xi"]) for r in sides["after"]]
+    diffs = [abs(b[k] - a[k]) for b, a in zip(xi_before, xi_after) for k in b.keys() & a.keys()]
+    return {
+        "metrics": metrics,
+        "checks": {
+            side: [{"seed": r["seed"], "attempted": r["attempted"], "failed": r["failed"],
+                    "failures": sorted(set(r["failures"]))} for r in results]
+            for side, results in sides.items()
+        },
+        "xi": {"before": [r["xi"] for r in sides["before"]], "after": [r["xi"] for r in sides["after"]]},
+        "xi_max_abs_diff": max(diffs, default=0.0),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--after", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
+    parser.add_argument("--seed", type=int, required=True, help="first seed; pair i uses seed + i")
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args(argv)
+
+    plan = []
+    for item in args.pairs:
+        workload, _, count = item.partition("=")
+        plan.append((workload, int(count)))
+    roots = {"before": args.before.resolve(), "after": args.after.resolve()}
+    out: dict = {"seed": args.seed, "pairs": dict(plan), "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, count in plan:
+            runs = []
+            for index in range(count):
+                seed = args.seed + index
+                # alternate which side runs first
+                order = ("before", "after") if index % 2 == 0 else ("after", "before")
+                done = {side: run_once(roots[side], workload, seed, Path(tmp) / f"{side}.json") for side in order}
+                pair = (done["before"], done["after"])
+                if index == 0:
+                    out.setdefault("provenance", {})[workload] = {
+                        side: report["provenance"] for side, report in zip(("before", "after"), pair)
+                    }
+                runs.append(tuple(report["workloads"][workload] for report in pair))
+                print(f"{workload} pair {index + 1}/{count} done", file=sys.stderr, flush=True)
+            out["workloads"][workload] = compare(runs)
+    args.out.write_text(json.dumps(out, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
