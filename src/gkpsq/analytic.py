@@ -145,18 +145,18 @@ class ApproxGKPParams:
         if self.logical_bit not in (0, 1):
             raise ValueError(f"logical_bit must be 0 or 1, got {self.logical_bit}")
 
-
-def _peak_centers_weights(params: ApproxGKPParams) -> tuple[np.ndarray, np.ndarray]:
-    if params.s_max is None:
-        # include every peak whose Gaussian weight clears the cutoff
-        bound = math.sqrt(-2.0 * math.log(PEAK_WEIGHT_CUTOFF) / params.g)
-        s_max = max(1, int(math.ceil((bound / params.a + 1.0) / 2.0)))
-    else:
-        s_max = params.s_max
-    s = np.arange(-s_max, s_max + 1)
-    centers = (2.0 * s + (1.0 if params.logical_bit else 0.0)) * params.a
-    weights = np.exp(-0.5 * params.g * centers**2)
-    return centers, weights
+    def peak_centers_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Peak centres (2s + bit) * a and Gaussian weights exp(-g/2 * centre^2)."""
+        if self.s_max is None:
+            # include every peak whose Gaussian weight clears the cutoff
+            bound = math.sqrt(-2.0 * math.log(PEAK_WEIGHT_CUTOFF) / self.g)
+            s_max = max(1, int(math.ceil((bound / self.a + 1.0) / 2.0)))
+        else:
+            s_max = self.s_max
+        s = np.arange(-s_max, s_max + 1)
+        centers = (2.0 * s + (1.0 if self.logical_bit else 0.0)) * self.a
+        weights = np.exp(-0.5 * self.g * centers**2)
+        return centers, weights
 
 
 def approx_state_displacement_mean(params: ApproxGKPParams, u: float, quadrature: str = "x") -> complex:
@@ -167,7 +167,7 @@ def approx_state_displacement_mean(params: ApproxGKPParams, u: float, quadrature
     exp(-u^2 g/4 - (x1-x2)^2/(4g) + i u (x1+x2)/2), for p it contributes
     exp(-(u + x1 - x2)^2 / (4g)).
     """
-    centers, weights = _peak_centers_weights(params)
+    centers, weights = params.peak_centers_weights()
     x1, x2 = np.meshgrid(centers, centers, indexing="ij")
     ww = np.outer(weights, weights)
     overlap0 = np.exp(-((x1 - x2) ** 2) / (4.0 * params.g))

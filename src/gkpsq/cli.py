@@ -363,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=float, nargs=6, default=None,
                    metavar=("C11", "C12", "C21", "C22", "D1", "D2"))
     p.add_argument("--optimize", action="store_true", help="minimize over measured-angle grids")
-    p.add_argument("--gkp-valid", action="store_true", default=True)
     p.add_argument("--no-gkp-valid", dest="gkp_valid", action="store_false")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--angle-tolerance", type=float, default=1e-6)

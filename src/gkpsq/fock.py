@@ -52,6 +52,13 @@ def build_dim_cap() -> int:
     return cap
 
 
+def check_build_dim(dim: int) -> None:
+    """Raise ResourceCapError when a dense Fock dimension exceeds the cap."""
+    cap = build_dim_cap()
+    if dim > cap:
+        raise ResourceCapError(f"dimension {dim} exceeds cap {cap}; raise {BUILD_DIM_CAP_ENV} to override")
+
+
 @dataclass
 class FockState:
     """Normalized pure state, complex amplitudes over photon numbers."""
@@ -163,17 +170,13 @@ def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     phase rotation e^{i theta n} then supplies the complex direction.
     Because the block holds the untruncated operator's matrix elements, it
     is exact for any alpha, and expectations against states supported
-    inside the truncation carry no truncation error.  Every dense Fock
+    inside the truncation carry no truncation error.  Every displacement
     block in the package comes from here, so this is where `dim` is checked
     against `build_dim_cap()` (ResourceCapError above it).
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    cap = build_dim_cap()
-    if dim > cap:
-        raise ResourceCapError(
-            f"dimension {dim} exceeds cap {cap}; raise {BUILD_DIM_CAP_ENV} to override"
-        )
+    check_build_dim(dim)
     beta = complex(alpha)
     r = abs(beta)
     if r == 0.0:

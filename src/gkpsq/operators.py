@@ -7,9 +7,10 @@ A grid specifies the Hermitian positive-semidefinite observable
 built in a truncated Fock basis by expanding each sin^2 over exact
 displacement blocks, so the truncation is the exact compression of Q.
 The module also provides Gaussian reshaping of grids, ground-state
-extraction per dimension, expectations, approximate grid states, and a
-loss/thermal-noise channel used as a density-matrix oracle for the closed
-forms in `analytic`.
+extraction per dimension, expectations, approximate grid states, and an
+exact loss/thermal-noise channel (closed-form binomial weights of pure loss
+and a quantum-limited amplifier, no quadrature) used as a density-matrix
+oracle for the closed forms in `analytic`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .fock import (
     DensityMatrix,
     FockState,
+    check_build_dim,
     coherent_displacement,
     hermitian_eigensolve,
     hermite_functions,
@@ -37,7 +39,7 @@ PRESET_NAMES = ("q0", "q1", "s0", "s1", "hex")
 
 
 class ChannelConvergenceWarning(RuntimeWarning):
-    """Channel output drifted from trace one more than expected."""
+    """Channel output leaked more than 1e-4 of its trace past the cutoff."""
 
 
 @dataclass(frozen=True)
@@ -283,67 +285,67 @@ class ChannelParams:
         )
 
 
-def _apply_loss(mat: np.ndarray, eta: float) -> np.ndarray:
-    """Photon-loss Kraus family with transmission eta (exact, trace-preserving)."""
+def _binomial_shift(mat: np.ndarray, ln_t: float, ln_rest: float, up: bool) -> np.ndarray:
+    """Sum over j of the j-step diagonal shift of `mat`, binomially weighted.
+
+    With ln_t = ln t and ln_rest = ln(1 - t), entry (m, n) of the unshifted
+    side carries the weight sqrt(C(m+j, j) C(n+j, j)) t^((m+n)/2) (1-t)^j,
+    the outer product of one real vector with itself.  `up=False` moves
+    |m+j><n+j| -> |m><n| (pure loss with transmission t); `up=True` moves
+    |m><n| -> |m+j><n+j| and drops whatever passes the last level.
+    """
     dim = mat.shape[0]
-    ln_eta = math.log(eta)
-    ln_loss = math.log1p(-eta)
-    lgam = [math.lgamma(n + 1) for n in range(dim)]
+    lfact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    half_ln_t = 0.5 * ln_t
+    half_ln_rest = 0.5 * ln_rest
+    m = np.arange(dim)
     out = np.zeros_like(mat)
-    for k in range(dim):
-        ns = np.arange(k, dim)
-        log_amp_sq = (
-            np.array([lgam[n] - lgam[n - k] for n in ns])
-            - lgam[k]
-            + (ns - k) * ln_eta
-            + k * ln_loss
+    for j in range(dim):
+        k = dim - j
+        v = np.exp(
+            0.5 * (lfact[j:] - lfact[:k] - lfact[j]) + half_ln_t * m[:k] + half_ln_rest * j
         )
-        kraus = np.zeros((dim, dim))
-        kraus[ns - k, ns] = np.exp(0.5 * log_amp_sq)
-        out += kraus @ mat @ kraus.T
+        if up:
+            out[j:, j:] += np.outer(v, v) * mat[:k, :k]
+        else:
+            out[:k, :k] += np.outer(v, v) * mat[j:, j:]
     return out
 
 
-def _apply_displacement_noise(mat: np.ndarray, variance: float, order: int) -> np.ndarray:
-    """Isotropic Gaussian random-displacement average, Gauss-Hermite product rule."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    weights = weights / math.sqrt(math.pi)
-    shifts = math.sqrt(2.0 * variance) * nodes
-    dim = mat.shape[0]
-    out = np.zeros_like(mat)
-    for i in range(order):
-        for j in range(order):
-            alpha = complex(shifts[i], shifts[j]) / math.sqrt(2.0)
-            disp = coherent_displacement(alpha, dim)
-            out += (weights[i] * weights[j]) * (disp @ mat @ disp.conj().T)
-    return out
+def apply_channel(rho: DensityMatrix, ch: ChannelParams, cutoff: int) -> DensityMatrix:
+    """Loss followed by additive thermal noise, exactly, in the Fock basis.
 
+    Additive Gaussian noise of variance V = n_thermal per quadrature is pure
+    loss with transmission 1/G followed by a quantum-limited amplifier of
+    gain G = 1 + V, so the channel is amp(G) after loss(eta/G).  Both are
+    phase-covariant with closed-form binomial weights (`_binomial_shift`;
+    the amplifier's weights are those of loss 1/G, divided by G).
 
-def apply_channel(
-    rho: DensityMatrix,
-    ch: ChannelParams,
-    cutoff: int,
-    quad_order: int = 21,
-) -> DensityMatrix:
-    """Loss followed by additive thermal noise, in the Fock basis.
-
-    The input is zero-padded to `cutoff` for headroom; displacement noise can
-    leak population past the cutoff, so the output trace is monitored and a
-    ChannelConvergenceWarning is emitted when the defect tops 1e-4 before
-    renormalization.
+    The input is zero-padded to `cutoff`.  Loss never leaves that space, so
+    the result before renormalization is the exact compression of the
+    channel output onto the first `cutoff` number states, and its trace
+    defect is exactly the amplifier's leakage past the cutoff.  A
+    ChannelConvergenceWarning is emitted when that defect tops 1e-4.
+    Raises ResourceCapError when `cutoff` exceeds the dimension cap.
     """
     if cutoff < rho.dim:
         raise ValueError(f"cutoff {cutoff} smaller than input dimension {rho.dim}")
-    mat = rho.padded(cutoff).entries if cutoff > rho.dim else rho.entries.copy()
-    if ch.eta < 1.0:
-        mat = _apply_loss(mat, ch.eta)
+    check_build_dim(cutoff)
+    mat = np.zeros((cutoff, cutoff), dtype=complex)
+    mat[: rho.dim, : rho.dim] = rho.entries
+    # t = eta / G and 1 - t = (1 - eta + V) / G, in logs so that a V far
+    # below the rounding of 1 + V still gives a proper amplifier.
+    ln_gain = math.log1p(ch.n_thermal)
+    lost = 1.0 - ch.eta + ch.n_thermal
+    if lost > 0.0:
+        mat = _binomial_shift(mat, math.log(ch.eta) - ln_gain, math.log(lost) - ln_gain, up=False)
     if ch.n_thermal > 0.0:
-        mat = _apply_displacement_noise(mat, ch.n_thermal, quad_order)
+        amplified = _binomial_shift(mat, -ln_gain, math.log(ch.n_thermal) - ln_gain, up=True)
+        mat = amplified / (1.0 + ch.n_thermal)
     trace = float(np.trace(mat).real)
     if abs(trace - 1.0) > 1e-4:
         warnings.warn(
-            f"channel output trace drifted to {trace:.6f}; cutoff or quadrature "
-            f"order likely insufficient",
+            f"channel output trace drifted to {trace:.6f}; cutoff too small",
             ChannelConvergenceWarning,
         )
     mat = mat / trace
@@ -354,21 +356,16 @@ def apply_channel(
 def approx_gkp_state(params, dim: int) -> FockState:
     """Finite superposition of displaced squeezed peaks, as a Fock vector.
 
-    Peak s sits at (2s + bit) * a with Gaussian weight exp(-g/2 * center^2)
-    and normalized quadrature variance g.  The wavefunction is projected
-    onto the number basis by dense quadrature and renormalized after
-    truncation, so `dim` must generously cover the state's support for the
-    vector to be faithful.
+    `params` is an `analytic.ApproxGKPParams`; its `peak_centers_weights`
+    places peak s at (2s + bit) * a with Gaussian weight exp(-g/2 * center^2)
+    (all peaks above the weight cutoff when `s_max` is None), each of
+    normalized quadrature variance g.  The wavefunction is projected onto
+    the number basis by dense quadrature and renormalized after truncation,
+    so `dim` must generously cover the state's support for the vector to be
+    faithful.
     """
     g = params.g
-    a = params.a
-    if g <= 0 or a <= 0:
-        raise ValueError(f"need g > 0 and a > 0, got g={g}, a={a}")
-    if params.s_max is None or params.s_max < 0:
-        raise ValueError(f"s_max must be a nonnegative integer, got {params.s_max}")
-    s = np.arange(-params.s_max, params.s_max + 1)
-    centers = (2.0 * s + (1.0 if params.logical_bit else 0.0)) * a
-    weights = np.exp(-0.5 * g * centers**2)
+    centers, weights = params.peak_centers_weights()
     width = math.sqrt(g)
     span = float(np.max(np.abs(centers))) + max(8.0 * width, 6.0)
     step = min(width / 8.0, math.pi / (8.0 * math.sqrt(2.0 * dim + 1.0)))

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, genlaguerre
+from scipy.special import eval_genlaguerre, gammaln, genlaguerre
 
 
 def laguerre_displacement_element(beta: complex, m: int, n: int) -> complex:
@@ -20,6 +20,52 @@ def laguerre_displacement_element(beta: complex, m: int, n: int) -> complex:
         return pref * beta ** (m - n) * genlaguerre(n, m - n)(x)
     pref = math.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)) - 0.5 * x)
     return pref * (-beta.conjugate()) ** (n - m) * genlaguerre(m, n - m)(x)
+
+
+def laguerre_displacement_matrix(beta: complex, dim: int) -> np.ndarray:
+    """<m|D(beta)|n> for m, n < dim, the Laguerre closed form on whole arrays."""
+    m, n = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+    low, gap = np.minimum(m, n), np.abs(m - n)
+    x = abs(beta) ** 2
+    pref = np.exp(0.5 * (gammaln(low + 1) - gammaln(np.maximum(m, n) + 1)) - 0.5 * x)
+    step = np.where(m >= n, beta, -np.conj(beta))
+    return pref * step**gap * eval_genlaguerre(low, gap, x)
+
+
+def gauss_hermite_channel(rho: np.ndarray, eta: float, n_thermal: float, order: int = 21) -> np.ndarray:
+    """Loss, then additive Gaussian noise, on a density matrix; renormalized.
+
+    Loss is a loop of dense binomial Kraus matmuls.  Noise of variance
+    `n_thermal` per quadrature averages D(alpha) rho D(alpha)^dag over an
+    `order` x `order` Gauss-Hermite product rule, with every block from
+    `laguerre_displacement_matrix`.  Both act on the first rho.shape[0]
+    number states, so population pushed past them is dropped before the
+    trace is restored.  Exact up to the quadrature error of the rule.
+    """
+    dim = rho.shape[0]
+    out = np.asarray(rho, dtype=complex)
+    if eta < 1.0:
+        lost = np.zeros_like(out)
+        for k in range(dim):
+            ns = np.arange(k, dim)
+            log_amp_sq = (gammaln(ns + 1) - gammaln(ns - k + 1) - gammaln(k + 1)
+                          + (ns - k) * math.log(eta) + k * math.log1p(-eta))
+            kraus = np.zeros((dim, dim))
+            kraus[ns - k, ns] = np.exp(0.5 * log_amp_sq)
+            lost += kraus @ out @ kraus.T
+        out = lost
+    if n_thermal > 0.0:
+        nodes, weights = np.polynomial.hermite.hermgauss(order)
+        weights = weights / math.sqrt(math.pi)
+        shifts = math.sqrt(2.0 * n_thermal) * nodes
+        noisy = np.zeros_like(out)
+        for i in range(order):
+            for j in range(order):
+                disp = laguerre_displacement_matrix(complex(shifts[i], shifts[j]) / math.sqrt(2.0), dim)
+                noisy += (weights[i] * weights[j]) * (disp @ out @ disp.conj().T)
+        out = noisy
+    out = out / np.trace(out).real
+    return 0.5 * (out + out.conj().T)
 
 
 def vacuum_sin2_integral(a: float) -> float:

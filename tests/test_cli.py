@@ -176,6 +176,30 @@ def test_estimate_command_optimize(tmp_path):
     assert report["notes"]
 
 
+def test_no_gkp_valid_reaches_optimizer(tmp_path, monkeypatch):
+    import gkpsq.cli as cli
+
+    seen = []
+    real = cli.optimize_xi
+
+    def spy(samples, **kwargs):
+        seen.append(kwargs["constrain_gkp_valid"])
+        return real(samples, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_xi", spy)
+    samples = synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 2000, seed=41)
+    path = tmp_path / "vac.csv"
+    save_samples(samples, path)
+    args = ["estimate", "--input", str(path), "--optimize", "--restarts", "1",
+            "--output", str(tmp_path / "report.json")]
+    assert main(args + ["--no-gkp-valid"]) == 0
+    assert main(args) == 0
+    assert seen == [False, True]
+    # the redundant store-true spelling is gone
+    assert main(args + ["--gkp-valid"]) == 2
+    assert seen == [False, True]
+
+
 def test_estimate_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("angle,value\n0.0,nope\n")

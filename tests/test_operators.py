@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkpsq.fock import DensityMatrix, FockState
+from gkpsq.fock import DensityMatrix, FockState, ResourceCapError
 from gkpsq.operators import (
     GKP_DET,
     KAPPA_MINUS,
@@ -24,7 +24,7 @@ from gkpsq.operators import (
     transform_grid,
 )
 from gkpsq.analytic import ApproxGKPParams, channel_output_xi, xi_finite_superposition
-from oracles import vacuum_sin2_integral
+from oracles import gauss_hermite_channel, vacuum_sin2_integral
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
@@ -320,6 +320,74 @@ def test_apply_channel_cutoff_precondition():
         apply_channel(rho, ChannelParams(eta=0.9), cutoff=4)
 
 
+@pytest.mark.parametrize("ch", [ChannelParams(eta=0.9), ChannelParams(eta=1.0, n_thermal=0.1),
+                                ChannelParams(eta=0.9, n_thermal=0.1)],
+                         ids=["loss", "noise", "composed"])
+def test_apply_channel_resource_cap(monkeypatch, ch):
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "20")
+    rho = FockState.number_state(1, 4).density_matrix()
+    assert apply_channel(rho, ch, cutoff=20).dim == 20
+    with pytest.raises(ResourceCapError):
+        apply_channel(rho, ch, cutoff=21)
+
+
+def test_apply_channel_matches_gauss_hermite_oracle(rng):
+    # The rule's error grows with the noise variance; each order below
+    # resolves its variance to rounding (order 21 alone is off by 4e-10 at
+    # n_thermal 0.3 and 4e-4 at 1.0).
+    cases = [(ChannelParams(1.0, 0.05), 21), (ChannelParams(0.9, 0.1), 21),
+             (ChannelParams(0.7, 0.3), 41), (ChannelParams(0.95, 1.0), 61)]
+    cutoff = 30
+    for _ in range(2):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho = FockState.normalized(raw).density_matrix().padded(cutoff)
+        for ch, order in cases:
+            expected = gauss_hermite_channel(rho.entries, ch.eta, ch.n_thermal, order)
+            got = apply_channel(rho, ch, cutoff).entries
+            assert np.abs(got - expected).max() < 1e-12, (ch, order)
+
+
+# Up to four photons and cutoff 40: every channel drawn below (and any
+# composition of two) leaks less than 1e-13 of the trace past the cutoff.
+CHANNEL_CUTOFF = 40
+low_photon_states = st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=4
+).filter(lambda amps: sum(re * re + im * im for re, im in amps) > 1e-2).map(
+    lambda amps: FockState.normalized([complex(re, im) for re, im in amps])
+    .density_matrix()
+    .padded(CHANNEL_CUTOFF)
+)
+channels = st.builds(ChannelParams, eta=st.floats(0.3, 1.0), n_thermal=st.floats(0.0, 0.25))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rho=low_photon_states, c1=channels, c2=channels)
+def test_apply_channel_composes(rho, c1, c2):
+    twice = apply_channel(apply_channel(rho, c1, CHANNEL_CUTOFF), c2, CHANNEL_CUTOFF)
+    once = apply_channel(rho, c1.then(c2), CHANNEL_CUTOFF)
+    assert np.abs(twice.entries - once.entries).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(rho=low_photon_states, ch=channels)
+def test_apply_channel_mean_photon_number(rho, ch):
+    ns = np.arange(CHANNEL_CUTOFF)
+    n_in = float(np.real(np.diag(rho.entries)) @ ns)
+    out = apply_channel(rho, ch, CHANNEL_CUTOFF)
+    n_out = float(np.real(np.diag(out.entries)) @ ns)
+    assert n_out == pytest.approx(ch.eta * n_in + ch.n_thermal, abs=1e-11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rho=low_photon_states, ch=channels, theta=st.floats(-math.pi, math.pi))
+def test_apply_channel_phase_covariant(rho, ch, theta):
+    phase = np.exp(1j * theta * np.arange(CHANNEL_CUTOFF))
+    rotate = np.outer(phase, phase.conj())
+    rotated_in = DensityMatrix(rotate * rho.entries)
+    out = apply_channel(rho, ch, CHANNEL_CUTOFF).entries
+    assert np.abs(apply_channel(rotated_in, ch, CHANNEL_CUTOFF).entries - rotate * out).max() < 1e-13
+
+
 def test_approx_state_matches_peak_sum():
     params = ApproxGKPParams(g=0.35, a=SQRT_PI_2, s_max=1)
     state = approx_gkp_state(params, 50)
@@ -337,3 +405,13 @@ def test_approx_state_logical_bit_shifts_peaks():
     n_even = float(np.sum(ns * np.abs(even.amplitudes) ** 2))
     n_odd = float(np.sum(ns * np.abs(odd.amplitudes) ** 2))
     assert n_odd > n_even
+
+
+def test_approx_state_default_peak_count():
+    params = ApproxGKPParams(g=0.3, a=SQRT_PI_2)
+    centers, _ = params.peak_centers_weights()
+    s_max = (centers.size - 1) // 2
+    # the 1e-12 weight cutoff keeps |centre| <= sqrt(2 ln(1e12) / g) = 13.6
+    assert s_max == 6
+    explicit = approx_gkp_state(ApproxGKPParams(g=0.3, a=SQRT_PI_2, s_max=s_max), 60)
+    assert np.array_equal(approx_gkp_state(params, 60).amplitudes, explicit.amplitudes)
