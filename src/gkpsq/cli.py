@@ -214,7 +214,6 @@ def cmd_estimate(args) -> int:
         result = optimize_xi(
             samples,
             constrain_gkp_valid=args.gkp_valid,
-            restarts=args.restarts,
             angle_tolerance=args.angle_tolerance,
         )
         report = estimate_xi(samples, result.best_grid, args.angle_tolerance,
@@ -364,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("C11", "C12", "C21", "C22", "D1", "D2"))
     p.add_argument("--optimize", action="store_true", help="minimize over measured-angle grids")
     p.add_argument("--no-gkp-valid", dest="gkp_valid", action="store_false")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="accepted and ignored: the optimizer is a fixed scan with closed-form offsets")
     p.add_argument("--angle-tolerance", type=float, default=1e-6)
     p.add_argument("--bootstrap", type=int, default=None,
                    help="resample count for bootstrap error bars (default: delta method)")

@@ -11,11 +11,12 @@ end-to-end tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 
 from .analytic import classify_xi, db
 from .fock import FockState, quadrature_pdf
@@ -28,6 +29,8 @@ DEFAULT_ANGLE_TOLERANCE = 1e-6
 # so the empirical objective only rewards fitting noise; boxing the split
 # keeps the search inside the statistically identifiable family.
 MAX_LOG_SCALE = 2.0
+# Points of the fixed log-scale scan whose best bracket the Brent step polishes.
+SCAN_POINTS = 101
 
 
 class UnmeasurableGridError(ValueError):
@@ -40,10 +43,6 @@ class UnmeasurableGridError(ValueError):
 
 class SampleParseError(ValueError):
     """Sample file is malformed; message carries the line number."""
-
-
-class OptimizationError(RuntimeError):
-    """All optimizer starts failed; message carries the attempt log."""
 
 
 @dataclass
@@ -248,105 +247,92 @@ def estimate_grid_squeezing(values: np.ndarray, u: float) -> GridSqueezingEstima
     return GridSqueezingEstimate(delta_sq=delta_sq, std_error=se, reliable=True)
 
 
-def _distinct_angle_pairs(samples: QuadratureSamples) -> list[tuple[int, int]]:
+def _distinct_angle_pairs(samples: QuadratureSamples, tolerance: float) -> list[tuple[int, int]]:
+    """Index pairs of records whose angles differ by more than the tolerance (mod pi)."""
     pairs = []
     for i in range(len(samples.records)):
         for j in range(i + 1, len(samples.records)):
             ai, aj = samples.records[i][0], samples.records[j][0]
-            if abs(math.sin(aj - ai)) > 1e-9:
+            delta = abs(aj - ai)
+            if delta > tolerance and math.pi - delta > tolerance:
                 pairs.append((i, j) if aj > ai else (j, i))
     return pairs
+
+
+def _char_fn(values: np.ndarray, u: float) -> complex:
+    """Empirical characteristic function phi(u) = mean exp(i u q)."""
+    return complex(np.mean(np.exp(1j * u * values)))
+
+
+def _closed_form_offset(phi: complex) -> float:
+    """The d in [0, pi) minimizing mean 2 sin^2(z q + d) = 1 - Re(e^{2id} phi(2z))."""
+    return (-0.5 * cmath.phase(phi)) % math.pi
+
+
+def _minimize_on_box(f) -> tuple[float, float]:
+    """Minimize f over the log-scale box: fixed scan, then Brent on the best bracket."""
+    scan = np.linspace(-MAX_LOG_SCALE, MAX_LOG_SCALE, SCAN_POINTS)
+    values = [f(r) for r in scan]
+    k = int(np.argmin(values))
+    bracket = (scan[max(k - 1, 0)], scan[min(k + 1, scan.size - 1)])
+    res = minimize_scalar(f, bounds=bracket, method="bounded", options={"xatol": 1e-10})
+    if res.fun < values[k]:
+        return float(res.x), float(res.fun)
+    return float(scan[k]), values[k]
 
 
 def optimize_xi(
     samples: QuadratureSamples,
     constrain_gkp_valid: bool = True,
-    restarts: int = 8,
     angle_tolerance: float = DEFAULT_ANGLE_TOLERANCE,
 ) -> OptimizeResult:
     """Minimize the estimated squeezing over grids with measured directions.
 
     Rows are z1 * x(phi1) + d1 and z2 * x(phi2) + d2 with (phi1, phi2)
-    running over measured angle pairs.  With the GKP-validity constraint,
-    z1 z2 sin(phi2 - phi1) = pi/2 leaves (r, d1, d2) free where
-    z_i = base * exp(+-r); without it the scales decouple into a 4-vector.
-    The log scales are boxed at MAX_LOG_SCALE (see above).  Each pair is
-    attacked by a multistart Nelder-Mead simplex (offsets are pi-periodic,
-    hence the multistarts).  Returns the negative-log monotone
-    m_gkp = -ln(xi_opt) alongside the winning grid.
+    running over measured angle pairs.  A row's mean of 2 sin^2(z q + d) is
+    1 - Re(e^{2id} phi(2z)) with phi the empirical characteristic function,
+    so its best offset is d = -arg(phi(2z))/2 mod pi, leaving 1 - |phi(2z)|.
+    With the GKP-validity constraint, z1 z2 sin(phi2 - phi1) = pi/2 and
+    z_i = base * exp(+-r) leave the 1-D profile
+    xi(r) = 2 - |phi1(2 z1)| - |phi2(2 z2)|; without it each row is its own
+    1-D search over its log scale.  Log scales are boxed at MAX_LOG_SCALE
+    (see above) and searched by `_minimize_on_box`.  Returns the
+    negative-log monotone m_gkp = -ln(xi_opt) alongside the winning grid.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    pairs = _distinct_angle_pairs(samples)
+    pairs = _distinct_angle_pairs(samples, angle_tolerance)
     if not pairs:
         raise UnmeasurableGridError(
             "optimization needs samples at two distinct angles (mod pi)",
             required_angles=(),
         )
-    offset_combos = ((0.0, 0.0), (math.pi / 2.0, 0.0), (0.0, math.pi / 2.0), (math.pi / 2.0, math.pi / 2.0))
-    r_starts = np.linspace(-1.5, 1.5, restarts) if restarts > 1 else np.array([0.0])
 
     best = None
-    failures = []
     for i, j in pairs:
         phi1, q1 = samples.records[i]
         phi2, q2 = samples.records[j]
-        sin_delta = math.sin(phi2 - phi1)
-        base = math.sqrt(GKP_DET / sin_delta)
+        base = math.sqrt(GKP_DET / math.sin(phi2 - phi1))
+
+        def sharpness(values, r):
+            return abs(_char_fn(values, 2.0 * base * math.exp(r)))
 
         if constrain_gkp_valid:
-
-            def objective(theta, q1=q1, q2=q2, base=base):
-                r, d1, d2 = theta
-                if abs(r) > MAX_LOG_SCALE:
-                    return 4.0 + abs(r)  # push the simplex back into the box
-                t1 = np.mean(np.sin(base * math.exp(r) * q1 + d1) ** 2)
-                t2 = np.mean(np.sin(base * math.exp(-r) * q2 + d2) ** 2)
-                return 2.0 * (t1 + t2)
-
-            starts = [(r0, *offset_combos[k % 4]) for k, r0 in enumerate(r_starts)]
+            r, xi = _minimize_on_box(lambda r: 2.0 - sharpness(q1, r) - sharpness(q2, -r))
+            r1, r2 = r, -r
         else:
+            r1, xi1 = _minimize_on_box(lambda r: 1.0 - sharpness(q1, r))
+            r2, xi2 = _minimize_on_box(lambda r: 1.0 - sharpness(q2, r))
+            xi = xi1 + xi2
+        if best is None or xi < best[0]:
+            best = (xi, phi1, phi2, q1, q2, base * math.exp(r1), base * math.exp(r2))
 
-            def objective(theta, q1=q1, q2=q2, base=base):
-                u1, u2, d1, d2 = theta
-                if abs(u1) > MAX_LOG_SCALE or abs(u2) > MAX_LOG_SCALE:
-                    return 4.0 + abs(u1) + abs(u2)
-                t1 = np.mean(np.sin(base * math.exp(u1) * q1 + d1) ** 2)
-                t2 = np.mean(np.sin(base * math.exp(u2) * q2 + d2) ** 2)
-                return 2.0 * (t1 + t2)
-
-            starts = [(r0, -r0, *offset_combos[k % 4]) for k, r0 in enumerate(r_starts)]
-
-        for x0 in starts:
-            res = minimize(
-                objective,
-                np.asarray(x0, dtype=float),
-                method="Nelder-Mead",
-                options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 2000},
-            )
-            if not np.isfinite(res.fun):
-                failures.append(f"pair ({phi1:.4f}, {phi2:.4f}) start {x0}: {res.message}")
-                continue
-            if best is None or res.fun < best[0]:
-                best = (float(res.fun), res.x, phi1, phi2, base, constrain_gkp_valid)
-
-    if best is None:
-        raise OptimizationError("all optimizer starts failed:\n" + "\n".join(failures))
-
-    _, theta, phi1, phi2, base, constrained = best
-    if constrained:
-        z1, z2 = base * math.exp(theta[0]), base * math.exp(-theta[0])
-        d1, d2 = theta[1] % math.pi, theta[2] % math.pi
-    else:
-        z1, z2 = base * math.exp(theta[0]), base * math.exp(theta[1])
-        d1, d2 = theta[2] % math.pi, theta[3] % math.pi
+    _, phi1, phi2, q1, q2, z1, z2 = best
     grid = GridSpec(
         z1 * math.cos(phi1),
         z1 * math.sin(phi1),
         z2 * math.cos(phi2),
         z2 * math.sin(phi2),
-        d1=d1,
-        d2=d2,
+        d1=_closed_form_offset(_char_fn(q1, 2.0 * z1)),
+        d2=_closed_form_offset(_char_fn(q2, 2.0 * z2)),
         label="optimized",
     )
     report = estimate_xi(samples, grid, angle_tolerance)

@@ -244,7 +244,7 @@ def test_criterion_8_estimator_end_to_end():
     worst = -math.inf
     for seed in range(100, 150):
         trial = synthesize_samples(vac, [0.0, math.pi / 2.0], 10**4, seed=seed)
-        res = optimize_xi(trial, restarts=8)
+        res = optimize_xi(trial)
         worst = max(worst, (1.0 - res.xi_opt) / res.std_error)
     assert worst < 3.0, f"false non-Gaussianity at {worst:.2f} sigma"
     print(f"criterion 8 PASS: vacuum and ground-state estimates in 3-sigma, optimizer worst z={worst:.2f}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpsq.analytic import ApproxGKPParams
 from gkpsq.estimator import (
@@ -9,6 +11,8 @@ from gkpsq.estimator import (
     QuadratureSamples,
     SampleParseError,
     UnmeasurableGridError,
+    _closed_form_offset,
+    _term_mean_se,
     estimate_displacement_mean,
     estimate_grid_squeezing,
     estimate_xi,
@@ -175,35 +179,64 @@ def test_grid_squeezing_estimate_unreliable_flag(rng):
 def test_optimizer_requires_two_angles():
     with pytest.raises(UnmeasurableGridError):
         optimize_xi(QuadratureSamples([(0.1, np.zeros(10))]))
-    with pytest.raises(ValueError):
-        optimize_xi(vacuum_samples(100), restarts=0)
+
+
+def test_optimizer_rejects_near_coincident_angles():
+    # records closer than the angle tolerance (mod pi) measure one direction
+    # and cannot span a grid; estimate_xi would score both rows on one record
+    values = vacuum_samples(200).records[0][1]
+    for second in (5e-7, math.pi - 5e-7):
+        samples = QuadratureSamples([(0.0, values), (second, values[::-1])])
+        with pytest.raises(UnmeasurableGridError):
+            optimize_xi(samples)
+    optimize_xi(QuadratureSamples([(0.0, values), (5e-7, values[::-1])]), angle_tolerance=1e-7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=50).map(np.array),
+    r=st.floats(-MAX_LOG_SCALE, MAX_LOG_SCALE),
+    d=st.floats(-10.0, 10.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_offset_closed_form(values, r, d, sign):
+    # mean 2 sin^2(z q + d) = 1 - Re(e^{2id} phi(2z)), phi(u) = mean e^{iuq},
+    # so the closed-form offset reaches the minimum 1 - |phi(2z)| over d
+    z = SQRT_PI_2 * math.exp(r)
+    phi = complex(np.mean(np.exp(2j * z * sign * values)))
+    mean, _ = _term_mean_se(values, z, d, sign)
+    assert mean == pytest.approx(1.0 - (np.exp(2j * d) * phi).real, abs=1e-12)
+    best, _ = _term_mean_se(values, z, _closed_form_offset(phi), sign)
+    assert best == pytest.approx(1.0 - abs(phi), abs=1e-12)
+    assert best <= mean + 1e-12
 
 
 def test_optimizer_vacuum_is_sound():
     samples = vacuum_samples(10**4, seed=301)
-    res = optimize_xi(samples, restarts=8)
-    assert res.best_grid.gkp_valid
     # independent oracle: offsets minimized in closed form through the
-    # empirical characteristic function, scales scanned densely in the box
-    best = math.inf
+    # empirical characteristic function, scales scanned densely in the box;
+    # without the GKP constraint the rows are two independent scans
     base = math.sqrt(math.pi / 2.0)
     q1 = samples.records[0][1]
     q2 = samples.records[1][1]
-    for r in np.linspace(-MAX_LOG_SCALE, MAX_LOG_SCALE, 4001):
-        z1, z2 = base * math.exp(r), base * math.exp(-r)
-        m1 = abs(np.exp(2j * z1 * q1).mean())
-        m2 = abs(np.exp(2j * z2 * q2).mean())
-        best = min(best, 2.0 - m1 - m2)
-    assert res.xi_opt >= best - 1e-9
+    rs = np.linspace(-MAX_LOG_SCALE, MAX_LOG_SCALE, 4001)
+    m1 = np.array([abs(np.exp(2j * base * math.exp(r) * q1).mean()) for r in rs])
+    m2 = np.array([abs(np.exp(2j * base * math.exp(-r) * q2).mean()) for r in rs])
+    oracles = {True: 2.0 - (m1 + m2).max(), False: 2.0 - m1.max() - m2.max()}
+    results = {constrained: optimize_xi(samples, constrain_gkp_valid=constrained) for constrained in oracles}
+    for constrained, res in results.items():
+        assert oracles[constrained] - 1e-9 <= res.xi_opt <= oracles[constrained] + 1e-9
+        assert res.m_gkp == pytest.approx(-math.log(res.xi_opt), abs=1e-12)
+    res = results[True]
+    assert res.best_grid.gkp_valid
     # no false non-Gaussianity verdict
     assert res.xi_opt + 3.0 * res.std_error > 1.0
-    assert res.m_gkp == pytest.approx(-math.log(res.xi_opt), abs=1e-12)
 
 
 def test_optimizer_recovers_matched_grid():
     gs = ground_state(build_operator(preset_grid("s0"), 20))
     samples = synthesize_samples(gs.state, [0.0, math.pi / 2.0], 2 * 10**5, seed=21)
-    res = optimize_xi(samples, restarts=8)
+    res = optimize_xi(samples)
     z1 = math.hypot(res.best_grid.c11, res.best_grid.c12)
     z2 = math.hypot(res.best_grid.c21, res.best_grid.c22)
     assert abs(z1 - SQRT_PI_2) / SQRT_PI_2 < 0.02
@@ -214,8 +247,8 @@ def test_optimizer_recovers_matched_grid():
 
 def test_optimizer_unconstrained_can_only_improve():
     samples = vacuum_samples(5000, seed=55)
-    con = optimize_xi(samples, constrain_gkp_valid=True, restarts=4)
-    unc = optimize_xi(samples, constrain_gkp_valid=False, restarts=4)
+    con = optimize_xi(samples, constrain_gkp_valid=True)
+    unc = optimize_xi(samples, constrain_gkp_valid=False)
     assert unc.xi_opt <= con.xi_opt + 1e-9
 
 
