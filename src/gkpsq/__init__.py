@@ -14,7 +14,6 @@ Modules:
 from .analytic import (
     THRESHOLDS,
     ApproxGKPParams,
-    GridSqueezingPair,
     Thresholds,
     breeding_step_xi,
     channel_affine_xi,

@@ -18,16 +18,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .operators import ChannelParams, GridSpec
+from .operators import ChannelParams, GridSpec, preset_grid
 
 LN2 = math.log(2.0)
 
-U_SYMMETRIC = math.sqrt(2.0 * math.pi)  # stabilizer spacing, s0 grid
-U_Q0_X = math.sqrt(math.pi)
-U_Q0_P = 2.0 * math.sqrt(math.pi)
-
 # Fault-tolerance bands are quoted to two significant figures.
 GRID_FT_DELTA_SQ = 0.089
+# Pinned row of the pessimistic scenario, as grid squeezing on q0's second
+# row (half the band once converted to the s0 grid).
 PESSIMISTIC_FIXED_P_SQ = GRID_FT_DELTA_SQ / 4.0
 PEAK_WEIGHT_CUTOFF = 1e-12
 
@@ -51,9 +49,6 @@ class Thresholds:
     grid_ft_delta_sq: float = GRID_FT_DELTA_SQ
     grid_ft_db: float = -10.5
 
-    def classical_bound(self, grid: GridSpec) -> float:
-        return classical_bound_grid(grid)
-
 
 THRESHOLDS = Thresholds()
 
@@ -73,9 +68,14 @@ def classical_bound_grid(grid: GridSpec) -> float:
     A coherent state can always cancel both offsets, so the floor depends
     only on the Euclidean length of each coefficient row.
     """
-    r1 = grid.c11**2 + grid.c12**2
-    r2 = grid.c21**2 + grid.c22**2
+    r1, r2 = _row_lengths_sq(grid)
     return 2.0 - math.exp(-r1) - math.exp(-r2)
+
+
+def _row_lengths_sq(grid: GridSpec) -> tuple[float, float]:
+    """Squared lengths z_i^2 = c1^2 + c2^2 of the two coefficient rows."""
+    (c11, c12, _), (c21, c22, _) = grid.rows()
+    return c11**2 + c12**2, c21**2 + c22**2
 
 
 def _gaussian_value(a: float, b: float, g: float) -> float:
@@ -217,111 +217,75 @@ def grid_squeezing(mean_disp: complex, u: float) -> float:
     return -4.0 / (u * u) * math.log(r)
 
 
-@dataclass(frozen=True)
-class GridSqueezingPair:
-    """Grid squeezing in both quadratures with their grid constants."""
-
-    delta_x_sq: float
-    delta_p_sq: float
-    u_x: float
-    u_p: float
-
-    @classmethod
-    def for_s0(cls, delta_x_sq: float, delta_p_sq: float) -> "GridSqueezingPair":
-        return cls(delta_x_sq, delta_p_sq, U_SYMMETRIC, U_SYMMETRIC)
-
-    @classmethod
-    def for_q0(cls, delta_x_sq: float, delta_p_sq: float) -> "GridSqueezingPair":
-        return cls(delta_x_sq, delta_p_sq, U_Q0_X, U_Q0_P)
-
-
 class XiFromGrid(NamedTuple):
     xi: float
     xi_linear: float  # high-squeezing approximation
 
 
-def xi_from_grid_squeezing(pair: GridSqueezingPair, grid: str) -> XiFromGrid:
-    """Squeezing value implied by a grid-squeezing pair on s0 or q0."""
-    name = grid.lower()
-    if name == "s0":
-        _require_u(pair, U_SYMMETRIC, U_SYMMETRIC)
-        xi = 2.0 - math.exp(-math.pi / 2.0 * pair.delta_x_sq) - math.exp(-math.pi / 2.0 * pair.delta_p_sq)
-        lin = math.pi / 2.0 * (pair.delta_x_sq + pair.delta_p_sq)
-    elif name == "q0":
-        _require_u(pair, U_Q0_X, U_Q0_P)
-        xi = 2.0 - math.exp(-math.pi / 4.0 * pair.delta_x_sq) - math.exp(-math.pi * pair.delta_p_sq)
-        lin = math.pi / 4.0 * pair.delta_x_sq + math.pi * pair.delta_p_sq
-    else:
-        raise ValueError(f"grid must be 's0' or 'q0', got {grid!r}")
-    return XiFromGrid(xi=xi, xi_linear=lin)
+def _as_grid(grid: GridSpec | str) -> GridSpec:
+    return preset_grid(grid) if isinstance(grid, str) else grid
 
 
-def _require_u(pair: GridSqueezingPair, ux: float, up: float) -> None:
-    if abs(pair.u_x - ux) > 1e-9 or abs(pair.u_p - up) > 1e-9:
-        raise ValueError(
-            f"grid constants (u_x={pair.u_x:g}, u_p={pair.u_p:g}) do not match "
-            f"the requested grid (expected {ux:g}, {up:g})"
-        )
+def xi_from_grid_squeezing(delta_sq: tuple[float, float], grid: GridSpec | str) -> XiFromGrid:
+    """Squeezing value implied by the grid squeezing of each row of `grid`.
+
+    `delta_sq` holds (Delta_1^2, Delta_2^2), each the grid squeezing at
+    u = 2 z_i for the row of length z_i = hypot(c1, c2).  With the best
+    offset a row contributes 1 - |<exp(2i z_i q)>| = 1 - exp(-z_i^2 Delta_i^2),
+    so xi = 2 - exp(-z1^2 Delta_1^2) - exp(-z2^2 Delta_2^2).  A preset name
+    is resolved through `preset_grid`.
+    """
+    rows = _row_lengths_sq(_as_grid(grid))
+    terms = [z_sq * d for z_sq, d in zip(rows, delta_sq, strict=True)]
+    return XiFromGrid(xi=2.0 - sum(math.exp(-t) for t in terms), xi_linear=sum(terms))
 
 
 @dataclass(frozen=True)
 class GridSqueezingBounds:
-    """Per-quadrature upper bounds on grid squeezing implied by xi."""
+    """Upper bounds on the grid squeezing of each row implied by xi.
 
-    grid: str
+    `x` names the first row and `p` the second, as on axis-aligned grids.
+    """
+
+    grid: str | None
     max_delta_x_sq: float
     max_delta_p_sq: float
     symmetric_delta_sq: float
     pessimistic_delta_x_sq: float | None
-    pessimistic_fixed_p_sq: float | None
+    pessimistic_fixed_p_sq: float
 
 
-def grid_squeezing_bounds_from_xi(xi: float, grid: str) -> GridSqueezingBounds:
-    """Upper bounds on each grid squeezing for a given xi in [0, 1).
+def grid_squeezing_bounds_from_xi(xi: float, grid: GridSpec | str) -> GridSqueezingBounds:
+    """Upper bounds on each row's grid squeezing for a given xi in [0, 1).
 
-    Each one-sided bound assumes the other quadrature is ideal.  The
-    symmetric scenario splits xi evenly; the pessimistic q0 scenario pins
-    the p quadrature at grid_ft/4 (its squeeze-converted partner then sits
-    at half the fault-tolerance band) and tracks the x quadrature.
+    Each one-sided bound assumes the other row is ideal: -ln(1 - xi) / z_i^2.
+    The symmetric scenario gives both rows the same Delta^2.  The
+    pessimistic scenario pins the second row at the sharpness
+    exp(-pi * PESSIMISTIC_FIXED_P_SQ) and tracks the first row; it is None
+    when the pinned row alone already exceeds xi.  A preset name is
+    resolved through `preset_grid`.
     """
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"bounds are defined for xi in [0, 1), got {xi}")
-    name = grid.lower()
+    grid = _as_grid(grid)
+    z1_sq, z2_sq = _row_lengths_sq(grid)
     lg = math.log1p(-xi)
-    if name == "q0":
-        max_x = -4.0 / math.pi * lg
-        max_p = -1.0 / math.pi * lg
-        if xi == 0.0:
-            sym = 0.0
-        else:
-            sym = brentq(
-                lambda d: 2.0 - math.exp(-math.pi / 4.0 * d) - math.exp(-math.pi * d) - xi,
-                0.0,
-                max_x + 1.0,
-            )
-        floor = math.exp(-math.pi * PESSIMISTIC_FIXED_P_SQ)
-        arg = 2.0 - xi - floor
-        pess = -4.0 / math.pi * math.log(arg) if 0.0 < arg < 1.0 else None
-        return GridSqueezingBounds(
-            grid="q0",
-            max_delta_x_sq=max_x,
-            max_delta_p_sq=max_p,
-            symmetric_delta_sq=float(sym),
-            pessimistic_delta_x_sq=pess,
-            pessimistic_fixed_p_sq=PESSIMISTIC_FIXED_P_SQ,
-        )
-    if name == "s0":
-        bound = -2.0 / math.pi * lg
-        sym = -2.0 / math.pi * math.log1p(-xi / 2.0)
-        return GridSqueezingBounds(
-            grid="s0",
-            max_delta_x_sq=bound,
-            max_delta_p_sq=bound,
-            symmetric_delta_sq=sym,
-            pessimistic_delta_x_sq=None,
-            pessimistic_fixed_p_sq=None,
-        )
-    raise ValueError(f"grid must be 's0' or 'q0', got {grid!r}")
+    max_1, max_2 = -lg / z1_sq, -lg / z2_sq
+    sym = brentq(
+        lambda d: 2.0 - math.exp(-z1_sq * d) - math.exp(-z2_sq * d) - xi,
+        0.0,
+        max(max_1, max_2) + 1.0,
+    )
+    floor = math.exp(-math.pi * PESSIMISTIC_FIXED_P_SQ)
+    arg = 2.0 - xi - floor
+    return GridSqueezingBounds(
+        grid=grid.label,
+        max_delta_x_sq=max_1,
+        max_delta_p_sq=max_2,
+        symmetric_delta_sq=float(sym),
+        pessimistic_delta_x_sq=-math.log(arg) / z1_sq if arg < 1.0 else None,
+        pessimistic_fixed_p_sq=math.pi * PESSIMISTIC_FIXED_P_SQ / z2_sq,
+    )
 
 
 def fidelity_bounds(f: float, g: float) -> tuple[float, float]:
@@ -426,6 +390,6 @@ def classify_xi(xi: float, grid: GridSpec, thresholds: Thresholds = THRESHOLDS) 
         return "ft-possible"
     if xi <= thresholds.gaussian_bound:
         return "sub-Gaussian"
-    if xi <= thresholds.classical_bound(grid):
+    if xi <= classical_bound_grid(grid):
         return "sub-classical"
     return "none"

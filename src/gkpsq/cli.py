@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -249,7 +250,6 @@ def cmd_estimate(args) -> int:
 def cmd_thresholds(args) -> int:
     grid = _grid_from_args(args)
     classical = classical_bound_grid(grid)
-    bounds_grid = grid.label if grid.label in ("q0", "s0") else "q0"
     payload = {
         "schema_version": 1,
         "command": "thresholds",
@@ -276,7 +276,9 @@ def cmd_thresholds(args) -> int:
                 "delta_p_sq(u=sqrt(2 pi))  <= -(2/pi) ln(1 - xi)",
             ],
         },
-        "bounds_at_ft_symmetric": _bounds_dict(THRESHOLDS.ft_symmetric_xi0, bounds_grid),
+        "bounds_at_ft_symmetric": dataclasses.asdict(
+            grid_squeezing_bounds_from_xi(THRESHOLDS.ft_symmetric_xi0, grid)
+        ),
         "notes": THRESHOLD_NOTES,
     }
     if args.json:
@@ -300,18 +302,6 @@ def cmd_thresholds(args) -> int:
         lines.append(f"  - {note}")
     _write_lines(args.output, lines)
     return EXIT_OK
-
-
-def _bounds_dict(xi: float, grid_name: str) -> dict:
-    b = grid_squeezing_bounds_from_xi(xi, grid_name)
-    return {
-        "grid": b.grid,
-        "max_delta_x_sq": b.max_delta_x_sq,
-        "max_delta_p_sq": b.max_delta_p_sq,
-        "symmetric_delta_sq": b.symmetric_delta_sq,
-        "pessimistic_delta_x_sq": b.pessimistic_delta_x_sq,
-        "pessimistic_fixed_p_sq": b.pessimistic_fixed_p_sq,
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:

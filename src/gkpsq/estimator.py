@@ -130,14 +130,23 @@ def _canonical_direction(phi: float) -> tuple[float, float]:
 def _match_angle(
     phi: float, samples: QuadratureSamples, tolerance: float
 ) -> tuple[np.ndarray, float, float]:
-    """Find the sample record measuring direction phi (mod pi, signed)."""
+    """Find the one sample record measuring direction phi (mod pi, signed)."""
     phi_c, sign = _canonical_direction(phi)
+    matches = []
     for angle, values in samples.records:
         delta = abs(angle - phi_c)
         if delta <= tolerance:
-            return values, sign, angle
-        if abs(delta - math.pi) <= tolerance:  # wraparound, opposite orientation
-            return values, -sign, angle
+            matches.append((values, sign, angle))
+        elif abs(delta - math.pi) <= tolerance:  # wraparound, opposite orientation
+            matches.append((values, -sign, angle))
+    if len(matches) == 1:
+        return matches[0]
+    if matches:
+        raise UnmeasurableGridError(
+            f"{len(matches)} measured angles lie within {tolerance:g} rad of {phi_c:.9f} "
+            f"({sorted(angle for _, _, angle in matches)}); merge or drop the duplicates",
+            required_angles=(phi_c,),
+        )
     raise UnmeasurableGridError(
         f"no measured angle within {tolerance:g} rad of {phi_c:.9f} "
         f"(measured: {sorted(samples.angles)})",
@@ -248,14 +257,22 @@ def estimate_grid_squeezing(values: np.ndarray, u: float) -> GridSqueezingEstima
 
 
 def _distinct_angle_pairs(samples: QuadratureSamples, tolerance: float) -> list[tuple[int, int]]:
-    """Index pairs of records whose angles differ by more than the tolerance (mod pi)."""
+    """Index pairs of all records, each ordered by angle.
+
+    Two records within the tolerance (mod pi) measure one direction, which
+    `_match_angle` cannot resolve, so they raise UnmeasurableGridError.
+    """
     pairs = []
     for i in range(len(samples.records)):
         for j in range(i + 1, len(samples.records)):
             ai, aj = samples.records[i][0], samples.records[j][0]
             delta = abs(aj - ai)
-            if delta > tolerance and math.pi - delta > tolerance:
-                pairs.append((i, j) if aj > ai else (j, i))
+            if delta <= tolerance or math.pi - delta <= tolerance:
+                raise UnmeasurableGridError(
+                    f"measured angles {ai!r} and {aj!r} coincide within {tolerance:g} rad (mod pi); "
+                    "merge or drop the duplicates"
+                )
+            pairs.append((i, j) if aj > ai else (j, i))
     return pairs
 
 

@@ -140,31 +140,16 @@ def transform_grid(grid: GridSpec, A, alpha=(0.0, 0.0)) -> GridSpec:
 def gaussian_route_from_q0(target: str) -> tuple[np.ndarray, np.ndarray]:
     """(A, alpha) pair carrying the q0 grid onto a named preset.
 
-    The hex route is a squeeze along a rotated axis with r = ln(3)/4,
-    arranged for the row-vector coefficient convention used by
-    `transform_grid`.
+    Solves C_q0 A = C_target and C_q0 alpha = d_target - d_q0, the
+    `transform_grid` rules.  On q0 -> s0 this is the squeeze
+    S = diag(sqrt 2, 1/sqrt 2).  On q0 -> hex it is S followed by a squeeze
+    with r = ln(3)/4 along the diagonals, H = [[cosh r, -sinh r],
+    [-sinh r, cosh r]], so A = S H (C' = C A composes left to right).
     """
-    name = target.lower()
-    sp = math.sqrt(math.pi)
-    eye = np.eye(2)
-    squeeze = np.diag([math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
-    if name == "q1":
-        return eye, np.array([sp, 0.0])
-    if name == "s0":
-        return squeeze, np.zeros(2)
-    if name == "s1":
-        return squeeze, np.array([sp, 0.0])
-    if name == "hex":
-        r = math.log(3.0) / 4.0
-        ch, sh = math.cosh(r), math.sinh(r)
-        A = np.array(
-            [
-                [math.sqrt(2.0) * ch, -math.sqrt(2.0) * sh],
-                [-sh / math.sqrt(2.0), ch / math.sqrt(2.0)],
-            ]
-        )
-        return A, np.zeros(2)
-    raise ValueError(f"no route from q0 to {target!r}")
+    q0, goal = preset_grid("q0"), preset_grid(target)
+    A = np.linalg.solve(q0.coefficient_matrix, goal.coefficient_matrix)
+    alpha = np.linalg.solve(q0.coefficient_matrix, goal.offsets - q0.offsets)
+    return A, alpha
 
 
 @dataclass

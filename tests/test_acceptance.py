@@ -175,7 +175,7 @@ def test_criterion_6_channel_consistency():
     assert worst < 1e-4, worst
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
-    print(f"criterion 6 PASS: analytic map vs Kraus oracle, worst gap {worst:.2e} ({elapsed:.0f} s)")
+    print(f"criterion 6 PASS: analytic map vs apply_channel, worst gap {worst:.2e} ({elapsed:.0f} s)")
 
 
 def _breeding_simulation(psi: FockState, a_out: float, b_out: float) -> float:

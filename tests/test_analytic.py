@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from gkpsq.analytic import (
+    CLASSIFICATIONS,
     THRESHOLDS,
     ApproxGKPParams,
-    GridSqueezingPair,
     UnphysicalEstimateWarning,
     UnsupportedGridError,
     approx_state_displacement_mean,
@@ -30,6 +32,7 @@ from gkpsq.analytic import (
 )
 from gkpsq.operators import ChannelParams, GridSpec, preset_grid
 from oracles import peak_superposition_xi_bruteforce, vacuum_sin2_integral
+from strategies import reshaped_grids
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 
@@ -144,23 +147,22 @@ def test_grid_squeezing_of_peak_superposition_is_g():
 
 def test_xi_from_grid_squeezing_consistency():
     g = 0.17
-    pair = GridSqueezingPair.for_s0(g, g)
-    res = xi_from_grid_squeezing(pair, "s0")
+    res = xi_from_grid_squeezing((g, g), "s0")
     assert res.xi == pytest.approx(xi_approx_symmetric(g), abs=1e-14)
-    zero = xi_from_grid_squeezing(GridSqueezingPair.for_s0(0.0, 0.0), "s0")
+    zero = xi_from_grid_squeezing((0.0, 0.0), "s0")
     assert zero.xi == 0.0
-    small = xi_from_grid_squeezing(GridSqueezingPair.for_s0(1e-4, 1e-4), "s0")
+    small = xi_from_grid_squeezing((1e-4, 1e-4), "s0")
     assert small.xi_linear == pytest.approx(small.xi, rel=1e-3)
+    with pytest.raises(ValueError):
+        xi_from_grid_squeezing((g,), "s0")  # one value per row
 
 
 def test_xi_from_grid_squeezing_q0_reference_point():
-    res = xi_from_grid_squeezing(GridSqueezingPair.for_q0(0.089, 0.089), "q0")
+    res = xi_from_grid_squeezing((0.089, 0.089), "q0")
     assert res.xi == pytest.approx(2 - math.exp(-math.pi * 0.089 / 4) - math.exp(-math.pi * 0.089), abs=1e-14)
     assert res.xi == pytest.approx(0.3114285, abs=1e-6)
     # quoted to two significant figures as 0.312
     assert res.xi == pytest.approx(0.312, abs=7.5e-4)
-    with pytest.raises(ValueError):
-        xi_from_grid_squeezing(GridSqueezingPair.for_s0(0.1, 0.1), "q0")
 
 
 def test_grid_squeezing_bounds_zero_and_formulas():
@@ -171,14 +173,28 @@ def test_grid_squeezing_bounds_zero_and_formulas():
     assert b.max_delta_x_sq == pytest.approx(-4 / math.pi * math.log1p(-xi), abs=1e-14)
     assert b.max_delta_p_sq == pytest.approx(-1 / math.pi * math.log1p(-xi), abs=1e-14)
     # symmetric scenario solves back to xi
-    back = xi_from_grid_squeezing(
-        GridSqueezingPair.for_q0(b.symmetric_delta_sq, b.symmetric_delta_sq), "q0"
-    )
+    back = xi_from_grid_squeezing((b.symmetric_delta_sq, b.symmetric_delta_sq), "q0")
     assert back.xi == pytest.approx(xi, abs=1e-10)
     s = grid_squeezing_bounds_from_xi(xi, "s0")
     assert s.max_delta_x_sq == s.max_delta_p_sq == pytest.approx(-2 / math.pi * math.log1p(-xi), abs=1e-14)
+    # the pinned row sits at half the fault-tolerance band on s0
+    assert s.pessimistic_fixed_p_sq == pytest.approx(THRESHOLDS.grid_ft_delta_sq / 2, rel=1e-15)
     with pytest.raises(ValueError):
         grid_squeezing_bounds_from_xi(1.0, "q0")
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=reshaped_grids, xi=st.floats(0.0, 0.9))
+def test_bounds_solve_back_to_xi_on_any_grid(grid, xi):
+    # every bound is a grid-squeezing pair on the grid's own rows whose
+    # implied squeezing value is xi again
+    b = grid_squeezing_bounds_from_xi(xi, grid)
+    sym = b.symmetric_delta_sq
+    pairs = [(sym, sym), (b.max_delta_x_sq, 0.0), (0.0, b.max_delta_p_sq)]
+    if b.pessimistic_delta_x_sq is not None:
+        pairs.append((b.pessimistic_delta_x_sq, b.pessimistic_fixed_p_sq))
+    for pair in pairs:
+        assert xi_from_grid_squeezing(pair, grid).xi == pytest.approx(xi, abs=1e-10)
 
 
 def test_pessimistic_scenario_crosses_band_at_ft_sufficient():
@@ -295,3 +311,17 @@ def test_classification_bands():
     assert classify_xi(1.0, s0) == "sub-Gaussian"
     assert classify_xi(1.3, s0) == "sub-classical"
     assert classify_xi(1.7, s0) == "none"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.tuples(*[st.floats(-3.0, 3.0)] * 4).filter(
+        lambda c: (c[0], c[1]) != (0.0, 0.0) and (c[2], c[3]) != (0.0, 0.0)
+    ),
+    xis=st.tuples(st.floats(-1.0, 5.0), st.floats(-1.0, 5.0)).map(sorted),
+)
+def test_classification_monotone_in_xi(rows, xis):
+    # a smaller xi never lands in a weaker band, whatever the grid's floor
+    grid = GridSpec(*rows)
+    lower, higher = (CLASSIFICATIONS.index(classify_xi(xi, grid)) for xi in xis)
+    assert lower >= higher

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gkpsq.cli import main
-from gkpsq.estimator import save_samples, synthesize_samples
+from gkpsq.estimator import QuadratureSamples, save_samples, synthesize_samples
 from gkpsq.fock import FockState
 from gkpsq.operators import build_operator, ground_state, preset_grid
 
@@ -200,6 +200,16 @@ def test_no_gkp_valid_reaches_optimizer(tmp_path, monkeypatch):
     assert seen == [False, True]
 
 
+def test_estimate_rejects_near_duplicate_records(tmp_path):
+    vac = synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 500, seed=42)
+    samples = QuadratureSamples([vac.records[0], (5e-7, np.zeros(500)), vac.records[1]])
+    path = tmp_path / "dup.csv"
+    save_samples(samples, path)
+    for extra in ([], ["--optimize"]):
+        assert main(["estimate", "--input", str(path), "--topology", "q0",
+                     "--output", str(tmp_path / "r.json")] + extra) == 2
+
+
 def test_estimate_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("angle,value\n0.0,nope\n")
@@ -249,3 +259,14 @@ def test_thresholds_text(capsys):
     assert "classical bound: 1.584241" in text
     assert "-8.70 dB" in text
     assert "notes:" in text
+
+
+def test_thresholds_bounds_follow_requested_grid(tmp_path):
+    out = tmp_path / "t.json"
+    assert main(["thresholds", "--topology", "hex", "--json", "--output", str(out)]) == 0
+    bounds = json.loads(out.read_text())["bounds_at_ft_symmetric"]
+    assert bounds["grid"] == "hex"
+    # both hex rows have squared length pi / sqrt(3)
+    expected = -math.log1p(-0.068) * math.sqrt(3.0) / math.pi
+    assert bounds["max_delta_x_sq"] == pytest.approx(expected, rel=1e-12)
+    assert bounds["max_delta_p_sq"] == pytest.approx(expected, rel=1e-12)

@@ -1,8 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkpsq.analytic import ApproxGKPParams
@@ -192,6 +194,18 @@ def test_optimizer_rejects_near_coincident_angles():
     optimize_xi(QuadratureSamples([(0.0, values), (5e-7, values[::-1])]), angle_tolerance=1e-7)
 
 
+def test_near_duplicate_records_are_rejected():
+    # a third record within the tolerance of another makes that direction
+    # ambiguous: every route that would pick one of the two must refuse
+    values = vacuum_samples(200).records
+    samples = QuadratureSamples([values[0], (5e-7, np.zeros(200)), values[1]])
+    with pytest.raises(UnmeasurableGridError):
+        estimate_xi(samples, preset_grid("q0"))
+    with pytest.raises(UnmeasurableGridError):
+        optimize_xi(samples)
+    estimate_xi(samples, preset_grid("q0"), angle_tolerance=1e-7)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=50).map(np.array),
@@ -288,6 +302,31 @@ def test_sample_file_roundtrip(tmp_path):
     for (a1, v1), (a2, v2) in zip(samples.records, loaded.records):
         assert a1 == a2
         assert np.array_equal(v1, v2)  # bit-identical round trip
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(
+            st.floats(0.0, math.pi, exclude_max=True),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
+        ),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda rec: rec[0],
+    )
+)
+@example(records=[(0.0, [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.0])])
+def test_sample_file_roundtrip_is_bit_identical(records):
+    samples = QuadratureSamples(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.csv"
+        save_samples(samples, path)
+        loaded = load_samples(path)
+    assert len(loaded.records) == len(samples.records)
+    for (a1, v1), (a2, v2) in zip(samples.records, loaded.records):
+        assert np.float64(a1).view(np.int64) == np.float64(a2).view(np.int64)
+        assert np.array_equal(v1.view(np.int64), v2.view(np.int64))
 
 
 def test_sample_file_errors(tmp_path):

@@ -25,6 +25,7 @@ from gkpsq.operators import (
 )
 from gkpsq.analytic import ApproxGKPParams, channel_output_xi, xi_finite_superposition
 from oracles import gauss_hermite_channel, vacuum_sin2_integral
+from strategies import reshaped_grids
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
@@ -83,6 +84,9 @@ def test_transform_identity_displacement_gives_q1():
     assert out.d1 == pytest.approx(q1.d1, abs=1e-12)
     assert out.d2 == pytest.approx(0.0, abs=1e-12)
     assert out.coefficient_matrix == pytest.approx(q1.coefficient_matrix)
+    A, alpha = gaussian_route_from_q0("q1")
+    assert np.abs(A - np.eye(2)).max() < 1e-12
+    assert alpha == pytest.approx([SQRT_PI, 0.0], abs=1e-12)
 
 
 def test_transform_squeeze_gives_s0_s1():
@@ -104,6 +108,11 @@ def test_transform_hex_route():
     ref = preset_grid("hex")
     assert np.abs(out.coefficient_matrix - ref.coefficient_matrix).max() < 1e-10
     assert out.gkp_valid
+    # the q0 -> s0 squeeze, then a squeeze by ln(3)/4 along the diagonals
+    r = math.log(3.0) / 4.0
+    diagonal = np.array([[math.cosh(r), -math.sinh(r)], [-math.sinh(r), math.cosh(r)]])
+    assert np.abs(A - np.diag([math.sqrt(2.0), 1.0 / math.sqrt(2.0)]) @ diagonal).max() < 1e-12
+    assert not alpha.any()
 
 
 def test_transform_rejects_nonsymplectic():
@@ -152,21 +161,6 @@ def test_operator_invariants(name, dim):
     assert vals.max() < 4.0 + 1e-6
 
 
-def _reshaped_q0(r, th1, th2, shift):
-    def rot(t):
-        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
-
-    A = rot(th1) @ np.diag([math.exp(r), math.exp(-r)]) @ rot(th2)
-    return transform_grid(preset_grid("q0"), A, shift)
-
-
-reshaped_grids = st.builds(
-    _reshaped_q0,
-    st.floats(-0.5, 0.5),
-    st.floats(0.0, 2.0 * math.pi),
-    st.floats(0.0, 2.0 * math.pi),
-    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-)
 nested_dims = st.integers(1, 59).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 60)))
 
 
