@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .operators import ChannelParams, GridSpec, preset_grid
 
@@ -30,10 +30,6 @@ PESSIMISTIC_FIXED_P_SQ = GRID_FT_DELTA_SQ / 4.0
 PEAK_WEIGHT_CUTOFF = 1e-12
 
 
-class UnsupportedGridError(ValueError):
-    """Grid outside the domain of a closed form (use the Fock route)."""
-
-
 class UnphysicalEstimateWarning(RuntimeWarning):
     """Stabilizer mean magnitude above one cannot come from a quantum state."""
 
@@ -42,7 +38,6 @@ class UnphysicalEstimateWarning(RuntimeWarning):
 class Thresholds:
     """Reference constants for classifying a squeezing value."""
 
-    gaussian_bound: float = 1.0
     ft_sufficient_xi0: float = 0.135
     ft_necessary_xi0: float = 0.312
     ft_symmetric_xi0: float = 0.068
@@ -86,37 +81,34 @@ def gaussian_bound(a: float, b: float, g_range: tuple[float, float] | None = Non
     """Minimum of <Q_general(a,b)> over Gaussian states.
 
     Minimizes 2 - exp(-a^2/g) - exp(-b^2*g) over the squeezed-peak variance
-    g.  Unrestricted and with a*b >= ln 2 the infimum is the limiting value
-    1; otherwise (or with a finite g_range, the finite-squeezing relaxation)
-    the 1-d minimum is found numerically.
+    g.  With g = (a/b) e^t the objective is even in t: from 2 - 2 exp(-ab)
+    at the balanced point g = a/b it falls monotonically towards 1 when
+    ab >= 1, and otherwise rises to one maximum before falling towards 1.
+    So the minimum over a range of g (the finite-squeezing relaxation) sits
+    at an end or at the balanced point, and the unrestricted infimum is
+    1 when ab >= ln 2, else 2 - 2 exp(-ab).
     """
     if a <= 0 or b <= 0:
         raise ValueError(f"need a > 0 and b > 0, got a={a}, b={b}")
     if g_range is None:
-        if a * b >= LN2:
-            return 1.0
-        lo, hi = 1e-12, 1e12
-    else:
-        lo, hi = float(g_range[0]), float(g_range[1])
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"g_range must satisfy 0 < lo <= hi, got {g_range}")
-    if lo == hi:
-        return _gaussian_value(a, b, lo)
-    # dense log-grid prescan, then a bounded polish around the best bracket
-    # (the objective is nearly flat over most of a wide range, which starves
-    # golden-section search on its own)
-    ts = np.linspace(math.log(lo), math.log(hi), 2001)
-    vals = 2.0 - np.exp(-a * a / np.exp(ts)) - np.exp(-b * b * np.exp(ts))
-    k = int(np.argmin(vals))
-    t_lo = ts[max(k - 1, 0)]
-    t_hi = ts[min(k + 1, ts.size - 1)]
-    res = minimize_scalar(
-        lambda t: _gaussian_value(a, b, math.exp(t)),
-        bounds=(t_lo, t_hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return min(float(res.fun), float(vals.min()), _gaussian_value(a, b, lo), _gaussian_value(a, b, hi))
+        return 1.0 if a * b >= LN2 else 2.0 - 2.0 * math.exp(-a * b)
+    lo, hi = float(g_range[0]), float(g_range[1])
+    if not (0.0 < lo <= hi):
+        raise ValueError(f"g_range must satisfy 0 < lo <= hi, got {g_range}")
+    candidates = [lo, hi] + ([a / b] if lo <= a / b <= hi else [])
+    return min(_gaussian_value(a, b, g) for g in candidates)
+
+
+def gaussian_bound_grid(grid: GridSpec) -> float:
+    """Gaussian floor for an arbitrary grid: gaussian_bound(1, |det C|).
+
+    On a Gaussian state with the best offsets a row contributes
+    1 - exp(-2 Var(c . zeta)).  By Robertson the row variances obey
+    Var_1 Var_2 >= det^2 / 4, and squeezed states reach it.  Every
+    GKP-valid grid has the floor 1; a singular grid has the floor 0.
+    """
+    det = abs(grid.det)
+    return gaussian_bound(1.0, det) if det > 0.0 else 0.0
 
 
 def xi_approx_symmetric(g: float) -> float:
@@ -159,42 +151,35 @@ class ApproxGKPParams:
         return centers, weights
 
 
-def approx_state_displacement_mean(params: ApproxGKPParams, u: float, quadrature: str = "x") -> complex:
-    """<exp(i u q)> on the peak superposition, q = x or p.
+def approx_state_displacement_mean(params: ApproxGKPParams, c1: float, c2: float) -> complex:
+    """<exp(i(c1 x + c2 p))> on the peak superposition.
 
-    Double sums over peak pairs using the Gaussian overlap formulas; for
-    the x quadrature each pair contributes
-    exp(-u^2 g/4 - (x1-x2)^2/(4g) + i u (x1+x2)/2), for p it contributes
-    exp(-(u + x1 - x2)^2 / (4g)).
+    By BCH, exp(i(c1 x + c2 p)) = e^{i c1 x} e^{i c2 p} e^{i c1 c2/2}.  The
+    translation e^{i c2 p} moves each peak by -c2, and the midpoint phase of
+    the shifted Gaussian overlap cancels the BCH phase, so the peak pair
+    (x_j, x_k) contributes
+    exp(-c1^2 g/4 - (c2 + x_j - x_k)^2/(4g) + i c1 (x_j + x_k)/2).
     """
     centers, weights = params.peak_centers_weights()
     x1, x2 = np.meshgrid(centers, centers, indexing="ij")
     ww = np.outer(weights, weights)
-    overlap0 = np.exp(-((x1 - x2) ** 2) / (4.0 * params.g))
-    norm = float(np.sum(ww * overlap0))
-    if quadrature == "x":
-        val = math.exp(-u * u * params.g / 4.0) * np.sum(
-            ww * overlap0 * np.exp(1j * u * (x1 + x2) / 2.0)
-        )
-    elif quadrature == "p":
-        val = np.sum(ww * np.exp(-((u + x1 - x2) ** 2) / (4.0 * params.g)))
-    else:
-        raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
+    norm = float(np.sum(ww * np.exp(-((x1 - x2) ** 2) / (4.0 * params.g))))
+    val = math.exp(-c1 * c1 * params.g / 4.0) * np.sum(
+        ww * np.exp(-((c2 + x1 - x2) ** 2) / (4.0 * params.g) + 0.5j * c1 * (x1 + x2))
+    )
     return complex(val / norm)
 
 
 def xi_finite_superposition(params: ApproxGKPParams, grid: GridSpec) -> float:
-    """<Q_grid> on a finite peak superposition, axis-aligned grids only."""
-    if abs(grid.c12) > 1e-12 or abs(grid.c21) > 1e-12:
-        raise UnsupportedGridError(
-            "peak-superposition closed form needs an axis-aligned grid "
-            "(c12 = c21 = 0); build the state in the Fock basis instead"
-        )
-    mean_x = approx_state_displacement_mean(params, 2.0 * grid.c11, "x")
-    mean_p = approx_state_displacement_mean(params, 2.0 * grid.c22, "p")
-    phase1 = complex(math.cos(2.0 * grid.d1), math.sin(2.0 * grid.d1))
-    phase2 = complex(math.cos(2.0 * grid.d2), math.sin(2.0 * grid.d2))
-    return 2.0 - (phase1 * mean_x).real - (phase2 * mean_p).real
+    """<Q_grid> on a finite peak superposition, for any grid.
+
+    Each row (c1, c2, d) contributes 1 - Re(e^{2id} <exp(2i(c1 x + c2 p))>).
+    """
+    xi = 2.0
+    for c1, c2, d in grid.rows():
+        mean = approx_state_displacement_mean(params, 2.0 * c1, 2.0 * c2)
+        xi -= (complex(math.cos(2.0 * d), math.sin(2.0 * d)) * mean).real
+    return xi
 
 
 def grid_squeezing(mean_disp: complex, u: float) -> float:
@@ -312,21 +297,19 @@ def channel_output_xi(
     ch: ChannelParams,
     grid: GridSpec,
 ) -> float:
-    """Squeezing after loss and noise from rescaled input expectations.
+    """Squeezing after loss and noise from rescaled input expectations, on any grid.
 
-    input_terms are (<sin^2(a sqrt(eta) x)>, <sin^2(b sqrt(eta) p)>) of the
-    *input* state on the matched rescaled grid; the channel damps each term
-    by gamma = exp(-2 c^2 V) and adds the (1 - gamma) noise floor.
+    input_terms hold each row's <sin^2(sqrt(eta)(c1 x + c2 p) + d)> on the
+    *input* state.  The channel is phase-covariant, so it damps a row of
+    length z only through gamma = exp(-2 z^2 V), and the row contributes
+    2 gamma t + (1 - gamma).
     """
-    if not grid.axis_aligned:
-        raise UnsupportedGridError("channel closed form needs an axis-aligned grid")
-    tx, tp = input_terms
-    if not (-1e-9 <= tx <= 1.0 + 1e-9 and -1e-9 <= tp <= 1.0 + 1e-9):
+    t1, t2 = input_terms
+    if not (-1e-9 <= t1 <= 1.0 + 1e-9 and -1e-9 <= t2 <= 1.0 + 1e-9):
         raise ValueError(f"sin^2 expectations must lie in [0, 1], got {input_terms}")
     v = ch.noise_variance
-    gx = math.exp(-2.0 * grid.c11**2 * v)
-    gp = math.exp(-2.0 * grid.c22**2 * v)
-    return 2.0 * gx * tx + 2.0 * gp * tp + 2.0 - gx - gp
+    g1, g2 = (math.exp(-2.0 * z_sq * v) for z_sq in _row_lengths_sq(grid))
+    return 2.0 * g1 * t1 + 2.0 * g2 * t2 + 2.0 - g1 - g2
 
 
 def channel_affine_xi(xi_in: float, eta: float | None = None, v: float | None = None) -> float:
@@ -380,15 +363,18 @@ def db(xi: float) -> float:
 def classify_xi(xi: float, grid: GridSpec, thresholds: Thresholds = THRESHOLDS) -> str:
     """Band containing xi, with inclusive boundaries.
 
-    Bands from strongest to weakest: ft-guaranteed, ft-possible,
-    sub-Gaussian, sub-classical (below the grid's classical floor but not
+    Bands from strongest to weakest: ft-guaranteed and ft-possible (on
+    GKP-valid grids only, where the constants were derived), sub-Gaussian
+    (at or below the grid's Gaussian floor, 1 on GKP-valid grids; never on a
+    singular grid), sub-classical (below the grid's classical floor but not
     the Gaussian one), none.
     """
-    if xi <= thresholds.ft_sufficient_xi0:
-        return "ft-guaranteed"
-    if xi <= thresholds.ft_necessary_xi0:
-        return "ft-possible"
-    if xi <= thresholds.gaussian_bound:
+    if grid.gkp_valid:
+        if xi <= thresholds.ft_sufficient_xi0:
+            return "ft-guaranteed"
+        if xi <= thresholds.ft_necessary_xi0:
+            return "ft-possible"
+    if grid.det != 0.0 and xi <= gaussian_bound_grid(grid):
         return "sub-Gaussian"
     if xi <= classical_bound_grid(grid):
         return "sub-classical"

@@ -24,6 +24,7 @@ from .analytic import (
     classical_bound_grid,
     db,
     fidelity_bounds,
+    gaussian_bound_grid,
     grid_squeezing_bounds_from_xi,
     loss_to_noise_variance,
     min_eta_for_band,
@@ -150,6 +151,7 @@ def cmd_fidelity_sweep(args) -> int:
     f_values = np.linspace(start, stop, count)
     s0 = preset_grid("s0")
     classical = classical_bound_grid(s0)
+    gaussian = gaussian_bound_grid(s0)
     rows = []
     for g in args.g:
         xi1 = xi_approx_symmetric(g)
@@ -163,7 +165,7 @@ def cmd_fidelity_sweep(args) -> int:
                     upper,
                     xi1,
                     classical,
-                    THRESHOLDS.gaussian_bound,
+                    gaussian,
                     THRESHOLDS.ft_sufficient_xi0,
                     THRESHOLDS.ft_necessary_xi0,
                 )
@@ -250,14 +252,16 @@ def cmd_estimate(args) -> int:
 def cmd_thresholds(args) -> int:
     grid = _grid_from_args(args)
     classical = classical_bound_grid(grid)
+    gaussian = gaussian_bound_grid(grid)
+    gaussian_db = db(gaussian)  # -inf on a singular grid, whose floor is 0
     payload = {
         "schema_version": 1,
         "command": "thresholds",
         "grid": _grid_dict(grid),
         "classical_bound": classical,
         "classical_bound_db": db(classical),
-        "gaussian_bound": THRESHOLDS.gaussian_bound,
-        "gaussian_bound_db": db(THRESHOLDS.gaussian_bound),
+        "gaussian_bound": gaussian,
+        "gaussian_bound_db": gaussian_db if math.isfinite(gaussian_db) else None,
         "ft_sufficient_xi0": THRESHOLDS.ft_sufficient_xi0,
         "ft_sufficient_db": db(THRESHOLDS.ft_sufficient_xi0),
         "ft_necessary_xi0": THRESHOLDS.ft_necessary_xi0,
@@ -267,13 +271,9 @@ def cmd_thresholds(args) -> int:
         "grid_ft_delta_sq": THRESHOLDS.grid_ft_delta_sq,
         "grid_ft_db": THRESHOLDS.grid_ft_db,
         "bound_formulas": {
-            "q0": [
-                "delta_x_sq(u=sqrt(pi))    <= -(4/pi) ln(1 - xi)",
-                "delta_p_sq(u=2 sqrt(pi))  <= -(1/pi) ln(1 - xi)",
-            ],
-            "s0": [
-                "delta_x_sq(u=sqrt(2 pi))  <= -(2/pi) ln(1 - xi)",
-                "delta_p_sq(u=sqrt(2 pi))  <= -(2/pi) ln(1 - xi)",
+            grid.label or "custom": [
+                f"delta_{i}_sq(u={2.0 * z:.6f}) <= -ln(1 - xi) / {z * z:.6f}"
+                for i, (z, _, _) in enumerate(grid.row_waves(), start=1)
             ],
         },
         "bounds_at_ft_symmetric": dataclasses.asdict(
@@ -287,7 +287,7 @@ def cmd_thresholds(args) -> int:
     lines = [
         f"grid: {grid.label or 'custom'} (gkp_valid={grid.gkp_valid})",
         f"classical bound: {classical:.6f} ({db(classical):+.2f} dB)",
-        f"gaussian bound:  {THRESHOLDS.gaussian_bound:.6f} ({db(THRESHOLDS.gaussian_bound):+.2f} dB)",
+        f"gaussian bound:  {gaussian:.6f} ({gaussian_db:+.2f} dB)",
         f"ft sufficient:   {THRESHOLDS.ft_sufficient_xi0:.3f} ({db(THRESHOLDS.ft_sufficient_xi0):+.2f} dB)",
         f"ft necessary:    {THRESHOLDS.ft_necessary_xi0:.3f} ({db(THRESHOLDS.ft_necessary_xi0):+.2f} dB)",
         f"ft symmetric:    {THRESHOLDS.ft_symmetric_xi0:.3f} ({db(THRESHOLDS.ft_symmetric_xi0):+.2f} dB)",

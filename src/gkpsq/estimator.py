@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .analytic import classify_xi, db
+from .analytic import classify_xi, db, grid_squeezing
 from .fock import FockState, quadrature_pdf
 from .operators import GKP_DET, GridSpec
 
@@ -212,21 +212,25 @@ def estimate_xi(
     )
 
 
-def estimate_displacement_mean(values: np.ndarray, u: float) -> DisplacementMeanEstimate:
-    """Sample estimate of <exp(-i u q)> = mean cos(u q) - i mean sin(u q)."""
+def _phasor_moments(values: np.ndarray, u: float) -> tuple[complex, np.ndarray]:
+    """Sample mean of exp(-i u q) and the covariance of its (real, imag) parts."""
     vals = np.asarray(values, dtype=float).reshape(-1)
     if vals.size == 0:
         raise ValueError("need at least one sample")
-    c = np.cos(u * vals)
-    s = np.sin(u * vals)
+    parts = np.vstack([np.cos(u * vals), -np.sin(u * vals)])
     n = vals.size
-    se_c = float(np.std(c, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    se_s = float(np.std(s, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    cov = np.cov(parts, ddof=1) / n if n > 1 else np.full((2, 2), np.inf)
+    return complex(np.mean(parts[0]), np.mean(parts[1])), cov
+
+
+def estimate_displacement_mean(values: np.ndarray, u: float) -> DisplacementMeanEstimate:
+    """Sample estimate of <exp(-i u q)> = mean cos(u q) - i mean sin(u q)."""
+    mean, cov = _phasor_moments(values, u)
     return DisplacementMeanEstimate(
-        mean=complex(np.mean(c), -np.mean(s)),
-        se_real=se_c,
-        se_imag=se_s,
-        n=n,
+        mean=mean,
+        se_real=math.sqrt(cov[0, 0]),
+        se_imag=math.sqrt(cov[1, 1]),
+        n=np.size(values),
     )
 
 
@@ -237,23 +241,17 @@ def estimate_grid_squeezing(values: np.ndarray, u: float) -> GridSqueezingEstima
     logarithm is unbounded, so the infinite-squeezing sentinel is returned
     with reliable=False.
     """
-    vals = np.asarray(values, dtype=float).reshape(-1)
-    est = estimate_displacement_mean(vals, u)
-    a, b = est.mean.real, est.mean.imag
+    mean, cov = _phasor_moments(values, u)
+    a, b = mean.real, mean.imag
     r_sq = a * a + b * b
     r = math.sqrt(r_sq)
-    n = vals.size
-    c = np.cos(u * vals)
-    s = -np.sin(u * vals)
-    cov = np.cov(np.vstack([c, s]), ddof=1) / n if n > 1 else np.full((2, 2), np.inf)
     # se of r = |mean| via the gradient (a, b)/r
     var_r = (a * a * cov[0, 0] + b * b * cov[1, 1] + 2.0 * a * b * cov[0, 1]) / r_sq if r > 0 else math.inf
     se_r = math.sqrt(max(var_r, 0.0))
     if r <= 3.0 * se_r:
         return GridSqueezingEstimate(delta_sq=math.inf, std_error=math.inf, reliable=False)
-    delta_sq = -4.0 / (u * u) * math.log(r)
     se = 4.0 / (u * u) * se_r / r  # d/dr of -ln r is -1/r
-    return GridSqueezingEstimate(delta_sq=delta_sq, std_error=se, reliable=True)
+    return GridSqueezingEstimate(delta_sq=grid_squeezing(mean, u), std_error=se, reliable=True)
 
 
 def _distinct_angle_pairs(samples: QuadratureSamples, tolerance: float) -> list[tuple[int, int]]:

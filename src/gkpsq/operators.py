@@ -80,10 +80,6 @@ class GridSpec:
         """True iff the coefficient matrix is sqrt(pi/2) times a symplectic one."""
         return abs(self.det - GKP_DET) < 1e-9
 
-    @property
-    def axis_aligned(self) -> bool:
-        return self.c12 == 0.0 and self.c21 == 0.0
-
     def rows(self) -> list[tuple[float, float, float]]:
         """[(c1, c2, d), ...] for the two sin^2 arguments."""
         return [(self.c11, self.c12, self.d1), (self.c21, self.c22, self.d2)]

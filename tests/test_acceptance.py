@@ -220,8 +220,8 @@ def test_criterion_7_breeding_step():
     # formula-level scan: one step never improves on the matched input value
     for g in np.linspace(0.05, 1.0, 24):
         params = ApproxGKPParams(g=float(g), a=SQRT_PI_2)
-        tx = 0.5 * (1.0 - approx_state_displacement_mean(params, 2 * SQRT_PI_2, "x").real)
-        tp = 0.5 * (1.0 - approx_state_displacement_mean(params, 2 * SQRT_PI_2, "p").real)
+        tx = 0.5 * (1.0 - approx_state_displacement_mean(params, 2 * SQRT_PI_2, 0.0).real)
+        tp = 0.5 * (1.0 - approx_state_displacement_mean(params, 0.0, 2 * SQRT_PI_2).real)
         assert breeding_step_xi(tx, tp) >= 2 * tx + 2 * tp - 1e-12
     print("criterion 7 PASS: two-mode simulation matches the one-step formula; no improvement over g scan")
 

@@ -11,7 +11,6 @@ from gkpsq.analytic import (
     THRESHOLDS,
     ApproxGKPParams,
     UnphysicalEstimateWarning,
-    UnsupportedGridError,
     approx_state_displacement_mean,
     breeding_step_xi,
     channel_affine_xi,
@@ -22,6 +21,7 @@ from gkpsq.analytic import (
     db,
     fidelity_bounds,
     gaussian_bound,
+    gaussian_bound_grid,
     grid_squeezing,
     grid_squeezing_bounds_from_xi,
     loss_to_noise_variance,
@@ -30,7 +30,7 @@ from gkpsq.analytic import (
     xi_finite_superposition,
     xi_from_grid_squeezing,
 )
-from gkpsq.operators import ChannelParams, GridSpec, preset_grid
+from gkpsq.operators import ChannelParams, GridSpec, approx_gkp_state, build_operator, expectation, preset_grid
 from oracles import peak_superposition_xi_bruteforce, vacuum_sin2_integral
 from strategies import reshaped_grids
 
@@ -86,6 +86,25 @@ def test_gaussian_bound_restricted_range():
         gaussian_bound(a, b, g_range=(2.0, 0.5))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.05, 3.0),
+    b=st.floats(0.05, 3.0),
+    g_range=st.none() | st.tuples(st.floats(-6.0, 6.0), st.floats(0.0, 8.0)).map(
+        lambda t: (math.exp(t[0]), math.exp(t[0] + t[1]))
+    ),
+)
+def test_gaussian_bound_matches_dense_scan(a, b, g_range):
+    # independent oracle: the objective on a dense log grid of g, wide
+    # enough unrestricted for the limiting value 1 to show to 1e-6
+    lo, hi = g_range if g_range is not None else (1e-9, 1e9)
+    gs = np.exp(np.linspace(math.log(lo), math.log(hi), 20001))
+    scan = float(np.min(2 - np.exp(-a * a / gs) - np.exp(-b * b * gs)))
+    got = gaussian_bound(a, b, g_range)
+    assert got <= scan + 1e-12
+    assert got == pytest.approx(scan, abs=1e-6)
+
+
 def test_xi_approx_symmetric():
     assert xi_approx_symmetric(0.1) == pytest.approx(0.2907280016935332, abs=1e-12)
     assert xi_approx_symmetric(0.1) == pytest.approx(0.2908, abs=1e-4)
@@ -120,9 +139,31 @@ def test_finite_superposition_converges_to_closed_form():
     assert abs(at6 - xi_approx_symmetric(0.1)) < 1e-6
 
 
-def test_finite_superposition_rejects_tilted_grid():
-    with pytest.raises(UnsupportedGridError):
-        xi_finite_superposition(ApproxGKPParams(g=0.2, a=SQRT_PI_2, s_max=2), preset_grid("hex"))
+FOCK_PEAK_DIM = 160
+
+
+@pytest.fixture(scope="module")
+def peak_states():
+    """Peak superpositions at g = 0.1 and 0.2 with their Fock vectors."""
+    params = [ApproxGKPParams(g=g, a=SQRT_PI_2, s_max=3) for g in (0.1, 0.2)]
+    return [(p, approx_gkp_state(p, FOCK_PEAK_DIM)) for p in params]
+
+
+def _fock_gap(peak_states, grid):
+    op = build_operator(grid, FOCK_PEAK_DIM)
+    return max(abs(xi_finite_superposition(p, grid) - expectation(op, state)) for p, state in peak_states)
+
+
+def test_finite_superposition_matches_fock_route_on_hex(peak_states):
+    assert _fock_gap(peak_states, preset_grid("hex")) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=reshaped_grids)
+def test_finite_superposition_matches_fock_route_on_any_grid(peak_states, grid):
+    # rotated, squeezed and displaced rows read the peak characteristic
+    # function off-axis; the exact Fock expectation is the oracle
+    assert _fock_gap(peak_states, grid) < 1e-10
 
 
 def test_grid_squeezing_values():
@@ -140,8 +181,8 @@ def test_grid_squeezing_of_peak_superposition_is_g():
     g = 0.08
     u = math.sqrt(2 * math.pi)
     params = ApproxGKPParams(g=g, a=SQRT_PI_2)  # auto peak count
-    for quad in ("x", "p"):
-        mean = approx_state_displacement_mean(params, -u, quad)
+    for c1, c2 in ((-u, 0.0), (0.0, -u)):
+        mean = approx_state_displacement_mean(params, c1, c2)
         assert grid_squeezing(mean, u) == pytest.approx(g, abs=1e-5)
 
 
@@ -285,8 +326,8 @@ def test_breeding_step_never_improves_matched_input():
     a_in = SQRT_PI_2
     for g in np.linspace(0.05, 1.0, 20):
         params = ApproxGKPParams(g=float(g), a=a_in)
-        tx = 0.5 * (1.0 - approx_state_displacement_mean(params, 2 * a_in, "x").real)
-        tp = 0.5 * (1.0 - approx_state_displacement_mean(params, 2 * a_in, "p").real)
+        tx = 0.5 * (1.0 - approx_state_displacement_mean(params, 2 * a_in, 0.0).real)
+        tp = 0.5 * (1.0 - approx_state_displacement_mean(params, 0.0, 2 * a_in).real)
         xi_in = 2 * tx + 2 * tp
         xi_out = breeding_step_xi(tx, tp)
         assert xi_out >= xi_in - 1e-12
@@ -311,6 +352,31 @@ def test_classification_bands():
     assert classify_xi(1.0, s0) == "sub-Gaussian"
     assert classify_xi(1.3, s0) == "sub-classical"
     assert classify_xi(1.7, s0) == "none"
+
+
+def test_gaussian_floor_follows_grid_determinant():
+    for name in ("q0", "q1", "s0", "s1", "hex"):
+        assert gaussian_bound_grid(preset_grid(name)) == 1.0
+    # |det| < ln 2: the balanced squeeze gives the floor 2 - 2 exp(-|det|)
+    small = GridSpec(0.5, 0.0, 0.0, 0.5)
+    assert gaussian_bound_grid(small) == pytest.approx(2 - 2 * math.exp(-0.25), abs=1e-9)
+    tilted = GridSpec(0.3, 0.4, -0.2, 0.5)  # det 0.23, rows not orthogonal
+    assert gaussian_bound_grid(tilted) == pytest.approx(2 - 2 * math.exp(-0.23), abs=1e-9)
+    assert gaussian_bound_grid(tilted) < classical_bound_grid(tilted)
+    assert gaussian_bound_grid(GridSpec(1.0, 2.0, 0.5, 1.0)) == 0.0  # singular
+
+
+def test_classification_uses_grid_floors():
+    # ft bands hold on GKP-valid grids only, and "sub-Gaussian" means below
+    # the grid's own Gaussian floor
+    small = GridSpec(0.5, 0.0, 0.0, 0.5)
+    floor = gaussian_bound_grid(small)
+    assert classify_xi(0.05, small) == "sub-Gaussian"
+    assert classify_xi(floor, small) == "sub-Gaussian"
+    assert classify_xi(0.9, small) == "none"
+    singular = GridSpec(1.0, 2.0, 0.5, 1.0)
+    assert classify_xi(0.0, singular) == "sub-classical"
+    assert classify_xi(0.05, preset_grid("hex")) == "ft-guaranteed"
 
 
 @settings(max_examples=200, deadline=None)

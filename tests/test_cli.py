@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gkpsq.analytic import THRESHOLDS
 from gkpsq.cli import main
 from gkpsq.estimator import QuadratureSamples, save_samples, synthesize_samples
 from gkpsq.fock import FockState
@@ -176,6 +177,21 @@ def test_estimate_command_optimize(tmp_path):
     assert report["notes"]
 
 
+def test_unconstrained_optimize_on_vacuum_is_not_fault_tolerant(tmp_path):
+    # the free scales shrink the grid until the vacuum sits near both floors;
+    # the ft bands belong to GKP-valid grids and must not be reported here
+    samples = synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 2 * 10**4, seed=5)
+    path = tmp_path / "vac.csv"
+    save_samples(samples, path)
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--input", str(path), "--optimize", "--no-gkp-valid",
+                 "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["grid"]["gkp_valid"] is False
+    assert report["xi"] < THRESHOLDS.ft_sufficient_xi0
+    assert report["classification"] in {"none", "sub-classical"}
+
+
 def test_no_gkp_valid_reaches_optimizer(tmp_path, monkeypatch):
     import gkpsq.cli as cli
 
@@ -270,3 +286,34 @@ def test_thresholds_bounds_follow_requested_grid(tmp_path):
     expected = -math.log1p(-0.068) * math.sqrt(3.0) / math.pi
     assert bounds["max_delta_x_sq"] == pytest.approx(expected, rel=1e-12)
     assert bounds["max_delta_p_sq"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_thresholds_report_the_requested_grid(tmp_path):
+    out = tmp_path / "t.json"
+    assert main(["thresholds", "--grid", "0.5", "0", "0", "0.5", "0", "0", "--json",
+                 "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    # |det| = 1/4 < ln 2: the Gaussian floor drops below 1; on these equal
+    # orthogonal rows the vacuum is the best Gaussian state
+    assert payload["gaussian_bound"] == pytest.approx(2 - 2 * math.exp(-0.25), abs=1e-12)
+    assert payload["gaussian_bound"] == pytest.approx(payload["classical_bound"], abs=1e-12)
+    assert payload["bound_formulas"] == {
+        "custom": [
+            "delta_1_sq(u=1.000000) <= -ln(1 - xi) / 0.250000",
+            "delta_2_sq(u=1.000000) <= -ln(1 - xi) / 0.250000",
+        ]
+    }
+    # a singular grid (parallel rows) has the floor 0, reported without -Infinity
+    assert main(["thresholds", "--grid", "1", "2", "0.5", "1", "0", "0", "--json",
+                 "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["gaussian_bound"], payload["gaussian_bound_db"]) == (0.0, None)
+    assert main(["thresholds", "--topology", "q0", "--json", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["gaussian_bound"] == 1.0
+    assert payload["bound_formulas"] == {
+        "q0": [
+            "delta_1_sq(u=1.772454) <= -ln(1 - xi) / 0.785398",
+            "delta_2_sq(u=3.544908) <= -ln(1 - xi) / 3.141593",
+        ]
+    }

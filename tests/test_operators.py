@@ -23,7 +23,7 @@ from gkpsq.operators import (
     sin2_expectation,
     transform_grid,
 )
-from gkpsq.analytic import ApproxGKPParams, channel_output_xi, xi_finite_superposition
+from gkpsq.analytic import ApproxGKPParams, channel_affine_xi, channel_output_xi, xi_finite_superposition
 from oracles import gauss_hermite_channel, vacuum_sin2_integral
 from strategies import reshaped_grids
 
@@ -380,6 +380,33 @@ def test_apply_channel_phase_covariant(rho, ch, theta):
     rotated_in = DensityMatrix(rotate * rho.entries)
     out = apply_channel(rho, ch, CHANNEL_CUTOFF).entries
     assert np.abs(apply_channel(rotated_in, ch, CHANNEL_CUTOFF).entries - rotate * out).max() < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(rho=low_photon_states, ch=channels, grid=reshaped_grids)
+def test_channel_output_xi_matches_apply_channel_on_any_grid(rho, ch, grid):
+    # the channel is phase-covariant, so a tilted or displaced row is damped
+    # by its length alone; scored against the exact channel and operator
+    scale = math.sqrt(ch.eta)
+    terms = tuple(sin2_expectation(rho, scale * c1, scale * c2, d) for c1, c2, d in grid.rows())
+    measured = expectation(build_operator(grid, CHANNEL_CUTOFF), apply_channel(rho, ch, CHANNEL_CUTOFF))
+    assert channel_output_xi(terms, ch, grid) == pytest.approx(measured, abs=1e-12)
+
+
+def test_channel_sweep_map_on_ground_states():
+    # channel-sweep's scaled-basis map xi_out = gamma xi_in + 2 (1 - gamma)
+    # on real s0 ground states, read out on the grid stretched by 1/sqrt(eta)
+    s0 = preset_grid("s0")
+    cutoff = 200
+    for dim in (20, 50):
+        gs = ground_state(build_operator(s0, dim))
+        rho = gs.state.density_matrix().padded(cutoff)
+        for eta, nbar in ((1.0, 0.0), (0.95, 0.0), (0.9, 0.0), (0.8, 0.0), (0.9, 0.1)):
+            c = s0.c11 / math.sqrt(eta)
+            op = build_operator(GridSpec(c, 0.0, 0.0, c), cutoff)
+            measured = expectation(op, apply_channel(rho, ChannelParams(eta, nbar), cutoff))
+            v = (1.0 - eta) / (2.0 * eta) + nbar / eta
+            assert channel_affine_xi(gs.xi_min, v=v) == pytest.approx(measured, abs=1e-12), (dim, eta, nbar)
 
 
 def test_approx_state_matches_peak_sum():
