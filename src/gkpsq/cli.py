@@ -122,15 +122,16 @@ def cmd_ground_sweep(args) -> int:
 
 
 def cmd_wigner(args) -> int:
+    if not (math.isfinite(args.extent) and args.extent > 0.0):
+        raise ValueError(f"--extent must be finite and > 0, got {args.extent!r}")
+    if args.resolution < 1:
+        raise ValueError(f"--resolution must be >= 1, got {args.resolution}")
     dim = args.dims[0]
     grid = preset_grid(args.topology[0])
     gs = ground_state(build_operator(grid, dim))
-    if args.resolution < 1:
-        raise ValueError("--resolution must be >= 1")
     axis = np.linspace(-args.extent, args.extent, args.resolution) if args.resolution > 1 else np.array([0.0])
-    points = [(x, p) for p in axis for x in axis]
-    values = wigner(gs.state, points)
-    rows = [(x, p, w) for (x, p), w in zip(points, values)]
+    values = wigner(gs.state, axis, axis)
+    rows = [(x, p, w) for p, column in zip(axis, values.T) for x, w in zip(axis, column)]
     _write_csv(
         args.output,
         ("x", "p", "w"),

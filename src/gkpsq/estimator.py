@@ -154,9 +154,13 @@ def _match_angle(
     )
 
 
-def _term_mean_se(values: np.ndarray, z: float, d: float, sign: float) -> tuple[float, float]:
-    """Mean and standard error of 2 sin^2(z q + d) over the samples."""
-    term = 2.0 * np.sin(z * (sign * values) + d) ** 2
+def _sin2_terms(values: np.ndarray, z: float, d: float, sign: float) -> np.ndarray:
+    """Per-sample 2 sin^2(z q + d), with q the outcomes oriented by `sign`."""
+    return 2.0 * np.sin(z * (sign * values) + d) ** 2
+
+
+def _term_mean_se(term: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a per-sample term array."""
     n = term.size
     mean = float(np.mean(term))
     if n > 1:
@@ -184,18 +188,17 @@ def estimate_xi(
     """
     total = 0.0
     var = 0.0
-    matched = []
+    terms = []
     for z, phi, d in grid.row_waves():
         values, sign, _ = _match_angle(phi, samples, angle_tolerance)
-        matched.append((values, z, d, sign))
-        mean, se = _term_mean_se(values, z, d, sign)
+        terms.append(_sin2_terms(values, z, d, sign))
+        mean, se = _term_mean_se(terms[-1])
         total += mean
         var += se * se
     if bootstrap is not None:
         if bootstrap < 2:
             raise ValueError(f"bootstrap resample count must be >= 2, got {bootstrap}")
         rng = np.random.default_rng(seed)
-        terms = [2.0 * np.sin(z * (sign * values) + d) ** 2 for values, z, d, sign in matched]
         resampled = np.empty(bootstrap)
         for b in range(bootstrap):
             resampled[b] = sum(float(np.mean(rng.choice(t, size=t.size, replace=True))) for t in terms)

@@ -13,6 +13,11 @@ compression of the untruncated one onto the first N number states.  The
 block is not unitary; callers must not assume unitarity.  Its cost is two
 dense Hermite tables of about 15 N^2 floats, so the dimension N is capped
 (`GKPSQ_MAX_BUILD_DIM`, default 2000, about 1 GB of tables at the cap).
+
+`wigner` needs no displacement blocks: it evaluates the Wigner-Weyl
+integral on a product grid from one Hermite table on a lattice that holds
+every x +- y it needs.  It checks the same cap and keeps its arrays within
+15 cap^2 floats.
 """
 
 from __future__ import annotations
@@ -172,7 +177,8 @@ def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     is exact for any alpha, and expectations against states supported
     inside the truncation carry no truncation error.  Every displacement
     block in the package comes from here, so this is where `dim` is checked
-    against `build_dim_cap()` (ResourceCapError above it).
+    against `build_dim_cap()` (ResourceCapError above it); `wigner`, which
+    builds no blocks, checks it itself.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -297,22 +303,85 @@ def quadrature_pdf(state: FockState, angle: float, q_grid: np.ndarray) -> Quadra
     return QuadraturePdf(density=density, mass=mass, grid_too_narrow=mass < 1.0 - 1e-6)
 
 
-def wigner(state: FockState, points) -> np.ndarray:
-    """Wigner function at phase-space points, displaced-parity form.
+def wigner(state: FockState, xs, ps) -> np.ndarray:
+    """Wigner function W[i, j] = W(xs[i], ps[j]) on a product grid.
 
-    W(x, p) = (1/pi) <psi| D(alpha) Pi D(-alpha) |psi> with
-    alpha = (x + i p)/sqrt(2) and Pi the photon-number parity.  Conjugating
-    the parity collapses this to (1/pi) <psi| D(2 alpha) Pi |psi>, which is
-    evaluated with exact displacement matrix elements, so |W| <= 1/pi holds
-    rigorously for any normalized input.
+    Evaluates the Wigner-Weyl integral
+    W(x, p) = (1/pi) int psi*(x + y) psi(x - y) e^{2ipy} dy
+    by the trapezoid rule in y.  `xs` must be evenly spaced and increasing;
+    `ps` is any axis.  The y step dy = dx/m is the first integer fraction of
+    the x step below the alias limit pi/(reach + max|p|), with
+    reach = sqrt(2N + 1) + 6, so every x_i +- y_k lies on one lattice
+    xs[0] + l*dy and psi is tabulated there by one `hermite_functions` call.
+    The integrand's spectrum lies within 2(reach + |p|) up to Gaussian
+    tails, so by Poisson summation the rule is exact up to an exponentially
+    small alias; |y| <= reach covers every point where both factors are
+    non-negligible.
+
+    Bound: by Cauchy-Schwarz the y sum is at most the product of the square
+    roots of two lattice sums of |psi|^2 (at x + y_k and at x - y_k).  At
+    this step the trapezoid makes each of them ||psi||^2 = 1, up to the
+    same alias and the tail past the reach, so |W| <= 1/pi for any
+    normalized input.
+
+    The state's dimension is checked against `build_dim_cap()`.  The
+    lattice table, the y-by-row products and the phase matrix are kept
+    within 15 cap^2 floats, about what one displacement block at the cap
+    holds, by processing x rows in chunks; a grid whose single row does not
+    fit raises ResourceCapError.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    check_build_dim(state.dim)
+    xs = _wigner_axis(xs, "xs")
+    ps = _wigner_axis(ps, "ps")
+    reach = math.sqrt(2.0 * state.dim + 1.0) + 6.0
+    limit = math.pi / (reach + float(np.abs(ps).max()))
+    if xs.size > 1:
+        dx = (xs[-1] - xs[0]) / (xs.size - 1)
+        if not dx > 0.0 or np.abs(np.diff(xs) - dx).max() > 1e-9 * dx:
+            raise ValueError("xs must be increasing and evenly spaced")
+        m = math.floor(dx / limit) + 1
+        dy = dx / m
+    else:
+        m, dy = 1, 0.5 * limit
+    half = math.ceil(reach / dy)
+    ks = np.arange(-half, half + 1)
+    rows = _wigner_rows_per_chunk(state.dim, m, ks.size, ps.size)
+    phases = np.exp(2j * np.outer(ks * dy, ps))
     amps = state.amplitudes
-    parity = np.where(np.arange(state.dim) % 2 == 0, 1.0, -1.0)
-    flipped = parity * amps
-    out = np.empty(pts.shape[0])
-    for i, (x, p) in enumerate(pts):
-        beta = math.sqrt(2.0) * complex(x, p)  # 2*alpha
-        block = coherent_displacement(beta, state.dim)
-        out[i] = (np.vdot(amps, block @ flipped)).real / math.pi
+    out = np.empty((xs.size, ps.size))
+    for start in range(0, xs.size, rows):
+        stop = min(start + rows, xs.size)
+        lattice = xs[0] + np.arange(start * m - half, (stop - 1) * m + half + 1) * dy
+        h = hermite_functions(state.dim - 1, lattice)
+        psi = amps.real @ h + 1j * (amps.imag @ h)
+        centres = (np.arange(stop - start) * m + half)[:, None]
+        f = psi[centres + ks].conj() * psi[centres - ks]
+        out[start:stop] = (f @ phases).real * (dy / math.pi)
     return out
+
+
+def _wigner_axis(values, name: str) -> np.ndarray:
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1 or axis.size < 1 or not np.all(np.isfinite(axis)):
+        raise ValueError(f"{name} must be a non-empty 1-D array of finite values")
+    return axis
+
+
+def _wigner_rows_per_chunk(dim: int, m: int, width: int, n_p: int) -> int:
+    """x rows per chunk so that one chunk's arrays stay within 15 cap^2 floats.
+
+    A chunk of c rows holds a Hermite table of dim x ((c - 1) m + width)
+    floats, three complex c x width arrays (the two psi gathers and F), the
+    complex c x n_p product, and shares the complex width x n_p phases.
+    """
+    cap = build_dim_cap()
+    budget = 15 * cap * cap
+    fixed = dim * (width - m) + 2 * width * n_p
+    per_row = dim * m + 6 * width + 2 * n_p
+    rows = (budget - fixed) // per_row
+    if rows < 1:
+        raise ResourceCapError(
+            f"wigner needs {fixed + per_row} floats for one x row, above the {budget} "
+            f"allowed at cap {cap}; raise {BUILD_DIM_CAP_ENV} or use fewer p points"
+        )
+    return rows

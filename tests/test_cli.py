@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from gkpsq.analytic import THRESHOLDS
+from gkpsq import cli
 from gkpsq.cli import main
 from gkpsq.estimator import QuadratureSamples, save_samples, synthesize_samples
-from gkpsq.fock import FockState
+from gkpsq.fock import FockState, wigner
 from gkpsq.operators import build_operator, ground_state, preset_grid
 
 
@@ -82,6 +83,45 @@ def test_wigner_normalization_and_negativity(tmp_path):
     step = xs[1] - xs[0]
     assert w.sum() * step * step == pytest.approx(1.0, abs=1e-2)
     assert w.min() < 0.0  # non-Gaussian ground state
+
+
+def test_wigner_csv_rows_run_p_outer_x_inner(tmp_path):
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--topology", "q0", "--dims", "6", "--extent", "2",
+                 "--resolution", "5", "--output", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    axis = np.linspace(-2.0, 2.0, 5)
+    w = wigner(ground_state(build_operator(preset_grid("q0"), 6)).state, axis, axis)
+    expected = [[repr(float(x)), repr(float(p)), repr(float(w[i, j]))]
+                for j, p in enumerate(axis) for i, x in enumerate(axis)]
+    assert rows == expected
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--extent", "nan"], "--extent"),
+    (["--extent", "inf"], "--extent"),
+    (["--extent", "0", "--resolution", "3"], "--extent"),
+    (["--extent", "-3"], "--extent"),
+    (["--resolution", "0"], "--resolution"),
+])
+def test_wigner_rejects_bad_grid_before_fock_work(tmp_path, monkeypatch, capsys, flags, named):
+    def no_fock_work(*args, **kwargs):
+        raise AssertionError("ground state built before the grid was checked")
+
+    monkeypatch.setattr(cli, "build_operator", no_fock_work)
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--dims", "5", *flags, "--output", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wigner_resource_cap_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "4")
+    assert main(["wigner", "--dims", "5", "--output", str(tmp_path / "w.csv")]) == 3
+    # N = 5 fits the cap, but one x row's phases for 401 p values do not
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "20")
+    assert main(["wigner", "--dims", "5", "--resolution", "401",
+                 "--output", str(tmp_path / "w.csv")]) == 3
 
 
 def test_fidelity_sweep(tmp_path):

@@ -14,6 +14,7 @@ from gkpsq.estimator import (
     SampleParseError,
     UnmeasurableGridError,
     _closed_form_offset,
+    _sin2_terms,
     _term_mean_se,
     estimate_displacement_mean,
     estimate_grid_squeezing,
@@ -218,9 +219,9 @@ def test_offset_closed_form(values, r, d, sign):
     # so the closed-form offset reaches the minimum 1 - |phi(2z)| over d
     z = SQRT_PI_2 * math.exp(r)
     phi = complex(np.mean(np.exp(2j * z * sign * values)))
-    mean, _ = _term_mean_se(values, z, d, sign)
+    mean, _ = _term_mean_se(_sin2_terms(values, z, d, sign))
     assert mean == pytest.approx(1.0 - (np.exp(2j * d) * phi).real, abs=1e-12)
-    best, _ = _term_mean_se(values, z, _closed_form_offset(phi), sign)
+    best, _ = _term_mean_se(_sin2_terms(values, z, _closed_form_offset(phi), sign))
     assert best == pytest.approx(1.0 - abs(phi), abs=1e-12)
     assert best <= mean + 1e-12
 

@@ -1,8 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
+from gkpsq import fock
 from gkpsq.fock import (
     DensityMatrix,
     FockState,
@@ -19,6 +24,7 @@ from gkpsq.fock import (
 )
 from gkpsq.operators import GridSpec, build_operator, preset_grid
 from oracles import (
+    displaced_parity_wigner,
     hermite_wavefunction_direct,
     laguerre_displacement_element,
     vacuum_characteristic,
@@ -232,15 +238,14 @@ def test_quadrature_pdf_matches_direct_hermite_series(rng):
 def test_wigner_known_points():
     vac = FockState.number_state(0, 2)
     one = FockState.number_state(1, 3)
-    assert wigner(vac, [(0.0, 0.0)])[0] == pytest.approx(1.0 / math.pi, abs=1e-12)
-    assert wigner(one, [(0.0, 0.0)])[0] == pytest.approx(-1.0 / math.pi, abs=1e-12)
+    assert wigner(vac, [0.0], [0.0])[0, 0] == pytest.approx(1.0 / math.pi, abs=1e-12)
+    assert wigner(one, [0.0], [0.0])[0, 0] == pytest.approx(-1.0 / math.pi, abs=1e-12)
 
 
 def test_wigner_normalization(rng):
     state = FockState.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
     ax = np.linspace(-6.5, 6.5, 101)
-    pts = [(x, p) for p in ax for x in ax]
-    w = wigner(state, pts)
+    w = wigner(state, ax, ax)
     dx = ax[1] - ax[0]
     assert w.sum() * dx * dx == pytest.approx(1.0, abs=1e-3)
 
@@ -248,8 +253,109 @@ def test_wigner_normalization(rng):
 def test_wigner_bounded(rng):
     state = FockState.normalized(rng.normal(size=25) + 1j * rng.normal(size=25))
     ax = np.linspace(-7, 7, 29)
-    w = wigner(state, [(x, p) for p in ax for x in ax])
-    assert np.abs(w).max() <= 1.0 / math.pi + 1e-6
+    w = wigner(state, ax, ax)
+    assert np.abs(w).max() <= 1.0 / math.pi + 1e-12
+
+
+def random_state(rng, dim):
+    return FockState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def assert_matches_displaced_parity(state, xs, ps):
+    w = wigner(state, xs, ps)
+    expected = displaced_parity_wigner(state, [(x, p) for x in xs for p in ps])
+    assert w.shape == (len(xs), len(ps))
+    assert np.abs(w.ravel() - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 20, 100])
+def test_wigner_matches_displaced_parity(rng, dim):
+    state = random_state(rng, dim)
+    # off-centre, asymmetric axes of different lengths and steps
+    assert_matches_displaced_parity(state, np.linspace(-2.3, 3.1, 6), np.linspace(-4.1, 1.7, 4))
+    # single-point axes (CLI --resolution 1), alone and against a full axis
+    assert_matches_displaced_parity(state, [0.0], [0.0])
+    assert_matches_displaced_parity(state, [0.4], np.linspace(-1.0, 1.0, 3))
+    assert_matches_displaced_parity(state, np.linspace(-1.0, 1.5, 3), [-0.6])
+
+
+def test_wigner_matches_displaced_parity_large_dim(rng):
+    # 9 points at N = 300, one x row at |x| > 32, where hermite_functions rescales
+    assert_matches_displaced_parity(random_state(rng, 300), np.linspace(-0.7, 33.1, 3), [-1.4, 0.3, 2.0])
+
+
+def test_wigner_origin_is_mean_parity(rng):
+    # W(0, 0) = (1/pi) sum (-1)^n |c_n|^2 exactly
+    for dim in (1, 2, 5, 20, 100, 300):
+        state = random_state(rng, dim)
+        parity = np.sum((-1.0) ** np.arange(dim) * np.abs(state.amplitudes) ** 2)
+        assert wigner(state, [0.0], [0.0])[0, 0] == pytest.approx(parity / math.pi, abs=1e-13)
+
+
+def test_wigner_coherent_state_past_seed_underflow():
+    # a coherent state centred at x0 = 33 needs Hermite orders near 800 at
+    # |q| > 37.6, where exp(-q^2/2) underflows; W is a unit Gaussian there
+    x0, p0, dim = 33.0, -1.5, 800
+    alpha = complex(x0, p0) / math.sqrt(2.0)
+    n = np.arange(dim)
+    log_mag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    state = FockState.normalized(np.exp(log_mag + 1j * n * cmath.phase(alpha)))
+    xs, ps = np.linspace(31.5, 34.5, 7), np.linspace(-3.0, 0.0, 5)
+    expected = np.exp(-((xs[:, None] - x0) ** 2) - (ps[None, :] - p0) ** 2) / math.pi
+    assert np.abs(wigner(state, xs, ps) - expected).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 60),
+    number=st.none() | st.integers(0, 59),
+    seed=st.integers(0, 2**32 - 1),
+    x0=st.floats(-10.0, 10.0),
+    dx=st.floats(0.01, 3.0),
+    nx=st.integers(1, 12),
+    p0=st.floats(-10.0, 10.0),
+    dp=st.floats(0.01, 3.0),
+    n_p=st.integers(1, 12),
+)
+def test_wigner_bounded_property(dim, number, seed, x0, dx, nx, p0, dp, n_p):
+    if number is None:
+        state = random_state(np.random.default_rng(seed), dim)
+    else:
+        state = FockState.number_state(number % dim, dim)
+    w = wigner(state, x0 + dx * np.arange(nx), p0 + dp * np.arange(n_p))
+    assert np.abs(w).max() <= 1.0 / math.pi + 1e-12
+
+
+def test_wigner_rejects_bad_axes():
+    vac = FockState.number_state(0, 2)
+    for xs, ps in [([0.0, 1.0, 3.0], [0.0]), ([1.0, 0.0], [0.0]), ([0.0, 0.0], [0.0]),
+                   ([], [0.0]), ([0.0], []), ([0.0, math.nan], [0.0]), ([0.0], [math.inf]),
+                   ([[0.0, 1.0]], [0.0])]:
+        with pytest.raises(ValueError):
+            wigner(vac, xs, ps)
+
+
+def test_wigner_resource_cap(monkeypatch, rng):
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "100")
+    assert wigner(random_state(rng, 100), [0.0], [0.0]).shape == (1, 1)
+    with pytest.raises(ResourceCapError):
+        wigner(random_state(rng, 101), [0.0], [0.0])
+    state = random_state(rng, 5)
+    xs, ps = np.linspace(-4.0, 4.0, 41), np.linspace(-1.0, 1.0, 3)
+    full = wigner(state, xs, ps)
+    # at cap 20 the 41 x rows no longer fit in 15 cap^2 floats at once
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "20")
+    tables = []
+
+    def recorded(n_max, q):
+        tables.append((n_max + 1) * np.size(q))
+        return hermite_functions(n_max, q)
+
+    monkeypatch.setattr(fock, "hermite_functions", recorded)
+    assert np.abs(wigner(state, xs, ps) - full).max() <= 1e-15
+    assert len(tables) > 1 and max(tables) <= 15 * 20**2
+    with pytest.raises(ResourceCapError):  # one row's phases alone exceed the budget
+        wigner(state, xs, np.linspace(-1.0, 1.0, 200))
 
 
 def test_hermite_functions_orthonormal():

@@ -9,12 +9,20 @@ preset, and `estimate` plain, `--bootstrap 500 --seed 1`, `--optimize` and
 and the vacuum, 2 x 2e4 samples each) that the script writes into OUTDIR
 first.  Commands run inside OUTDIR with relative file names, so the
 reports' `input` fields do not depend on where OUTDIR is.  Run it once per
-tree and compare with `diff -r OUTDIR_A OUTDIR_B`.
+tree and compare with `diff -r OUTDIR_A OUTDIR_B`, or with
+
+    python3 tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
+
+which names the files present on one side only and, for each file that
+differs, prints the largest absolute difference of every numeric CSV column
+or JSON field that changed (with the count of changed values) and every
+non-numeric difference verbatim.  It exits 1 when anything differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -71,7 +79,103 @@ def run(outdir: Path) -> int:
     return 1 if failed else 0
 
 
+def _number(text: str) -> float | None:
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _csv_cells(path: Path) -> tuple[list[str], dict[str, str]]:
+    """Preamble lines, and every body cell keyed by `row <i> <column>`."""
+    lines = path.read_text().splitlines()
+    preamble = [line for line in lines if line.startswith("#")]
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    header = body[0] if body else []
+    cells = {}
+    for index, row in enumerate(body[1:]):
+        for column, cell in zip(header, row):
+            cells[f"row {index} {column}"] = cell
+        if len(row) != len(header):
+            cells[f"row {index} width"] = str(len(row))
+    return preamble, cells
+
+
+def _json_leaves(value, prefix: str = "") -> dict[str, object]:
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {prefix: value}
+    out = {}
+    for key, item in items:
+        out.update(_json_leaves(item, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
+def _compare_values(before: dict, after: dict, group) -> list[str]:
+    """Largest numeric difference per group of keys; other changes verbatim."""
+    worst: dict[str, list] = {}
+    lines = []
+    for key in sorted(before.keys() | after.keys(), key=str):
+        a, b = before.get(key), after.get(key)
+        if a == b:
+            continue
+        num_a = _number(a) if isinstance(a, str) else a
+        num_b = _number(b) if isinstance(b, str) else b
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                      for v in (num_a, num_b))
+        if numeric:
+            entry = worst.setdefault(group(key), [0.0, 0])
+            entry[0] = max(entry[0], abs(num_a - num_b))
+            entry[1] += 1
+        else:
+            lines.append(f"  {key}: {a!r} -> {b!r}")
+    for name, (diff, count) in sorted(worst.items()):
+        lines.append(f"  {name}: max |diff| {diff!r} over {count} changed values")
+    return lines
+
+
+def compare_file(path_a: Path, path_b: Path) -> list[str]:
+    if path_a.suffix == ".csv":
+        pre_a, cells_a = _csv_cells(path_a)
+        pre_b, cells_b = _csv_cells(path_b)
+        lines = [f"  preamble: {a!r} -> {b!r}" for a, b in zip(pre_a, pre_b) if a != b]
+        if len(pre_a) != len(pre_b):
+            lines.append(f"  preamble: {len(pre_a)} lines -> {len(pre_b)} lines")
+        return lines + _compare_values(cells_a, cells_b, lambda key: "column " + key.split(" ", 2)[2])
+    if path_a.suffix == ".json":
+        leaves_a = _json_leaves(json.loads(path_a.read_text()))
+        leaves_b = _json_leaves(json.loads(path_b.read_text()))
+        return _compare_values(leaves_a, leaves_b, lambda key: key)
+    lines_a, lines_b = path_a.read_text().splitlines(), path_b.read_text().splitlines()
+    lines = [f"  line {i + 1}: {a!r} -> {b!r}" for i, (a, b) in enumerate(zip(lines_a, lines_b)) if a != b]
+    if len(lines_a) != len(lines_b):
+        lines.append(f"  {len(lines_a)} lines -> {len(lines_b)} lines")
+    return lines
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    names_a = {p.name for p in dir_a.iterdir() if p.is_file()}
+    names_b = {p.name for p in dir_b.iterdir() if p.is_file()}
+    differs = False
+    for name in sorted(names_a ^ names_b):
+        print(f"only in {dir_a if name in names_a else dir_b}: {name}")
+        differs = True
+    for name in sorted(names_a & names_b):
+        if (dir_a / name).read_bytes() != (dir_b / name).read_bytes():
+            print(f"{name}:")
+            print("\n".join(compare_file(dir_a / name, dir_b / name) or ["  differs in whitespace only"]))
+            differs = True
+    return 1 if differs else 0
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", type=Path)
-    sys.exit(run(parser.parse_args().outdir))
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("outdir", type=Path, nargs="?")
+    mode.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"))
+    args = parser.parse_args()
+    sys.exit(compare(*args.compare) if args.compare else run(args.outdir))
