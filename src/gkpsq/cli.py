@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -131,16 +132,16 @@ def cmd_wigner(args) -> int:
     gs = ground_state(build_operator(grid, dim))
     axis = np.linspace(-args.extent, args.extent, args.resolution) if args.resolution > 1 else np.array([0.0])
     values = wigner(gs.state, axis, axis)
-    rows = [(x, p, w) for p, column in zip(axis, values.T) for x, w in zip(axis, column)]
-    _write_csv(
-        args.output,
-        ("x", "p", "w"),
-        rows,
-        preamble=[
-            f"topology={args.topology[0]} N={dim} extent={_fmt(float(args.extent))} "
-            f"resolution={args.resolution} xi_min={_fmt(gs.xi_min)}"
-        ],
+    # The cells _write_csv would format one by one: x varies fastest, and
+    # repr of a plain float is what _fmt gives.
+    labels = list(map(repr, axis.tolist()))
+    cells = map(repr, values.T.ravel().tolist())
+    preamble = (
+        f"# topology={args.topology[0]} N={dim} extent={_fmt(float(args.extent))} "
+        f"resolution={args.resolution} xi_min={_fmt(gs.xi_min)}"
     )
+    body = [f"{x},{p},{w}" for (p, x), w in zip(itertools.product(labels, labels), cells)]
+    _write_lines(args.output, [preamble, "x,p,w", *body])
     return EXIT_OK
 
 

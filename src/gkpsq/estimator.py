@@ -404,8 +404,8 @@ def save_samples(samples: QuadratureSamples, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("angle,value\n")
         for angle, values in samples.records:
-            for v in values:
-                fh.write(f"{angle!r},{float(v)!r}\n")
+            prefix = f"{angle!r},"
+            fh.write(prefix + f"\n{prefix}".join(map(repr, values.tolist())) + "\n")
 
 
 def load_samples(path) -> QuadratureSamples:

@@ -10,9 +10,11 @@ exp(i(cx*x + cp*p)) = D(alpha) with alpha = (-cp + i*cx)/sqrt(2), and
 `coherent_displacement` returns their exact matrix elements <m|D|n> for
 m, n < N.  An operator assembled from these blocks is therefore the exact
 compression of the untruncated one onto the first N number states.  The
-block is not unitary; callers must not assume unitarity.  Its cost is two
-dense Hermite tables of about 15 N^2 floats, so the dimension N is capped
-(`GKPSQ_MAX_BUILD_DIM`, default 2000, about 1 GB of tables at the cap).
+block is not unitary; callers must not assume unitarity.  Its cost is one
+dense Hermite table of about 3 N^2 floats (4 reach^2/pi points per order,
+reach = sqrt(2N + 1) + 6) and its even and odd halves, so a block peaks
+near 90 N^2 bytes and the dimension N is capped (`GKPSQ_MAX_BUILD_DIM`,
+default 2000, about 0.4 GB per block at the cap).
 
 `wigner` needs no displacement blocks: it evaluates the Wigner-Weyl
 integral on a product grid from one Hermite table on a lattice that holds
@@ -168,11 +170,24 @@ def quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> for m, n < dim.
 
-    A real-amplitude displacement is a position translation, so its matrix
-    elements are overlap integrals of shifted Hermite functions, which a
-    dense trapezoid evaluates to near machine precision without the
-    catastrophic cancellation of recurrence or Laguerre-series routes; the
-    phase rotation e^{i theta n} then supplies the complex direction.
+    A real-amplitude displacement is a position translation by
+    s = sqrt(2)|alpha|, so its matrix elements are the overlap integrals
+    int h_m(t + s/2) h_n(t - s/2) dt of shifted Hermite functions; the
+    phase rotation e^{i theta n} then supplies the complex direction.  One
+    table H[n, l] = h_n(l dt + s/2) for |l dt| <= reach, reach =
+    sqrt(2N + 1) + 6, holds both factors, since by parity
+    h_n(t - s/2) = (-1)^n h_n(-t + s/2) is the column-reversed table.  The
+    trapezoid sum has no catastrophic cancellation, unlike recurrence or
+    Laguerre-series routes.
+
+    Exactness: each factor's Fourier transform lies within sqrt(2N + 1) up
+    to Gaussian tails, so the integrand's lies within 2 sqrt(2N + 1); by
+    Poisson summation the rule at dt = pi/(2 reach) errs only by the
+    integrand's spectrum at 2 pi/dt = 4 reach, an exponentially small
+    alias.  Past |t| = reach one factor is beyond its turning point by 6,
+    so the cut tail is as small.  The table holds about 4 reach^2/pi points
+    per order, whatever the shift.
+
     Because the block holds the untruncated operator's matrix elements, it
     is exact for any alpha, and expectations against states supported
     inside the truncation carry no truncation error.  Every displacement
@@ -190,11 +205,17 @@ def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     theta = math.atan2(beta.imag, beta.real)
     shift = math.sqrt(2.0) * r
     reach = math.sqrt(2.0 * dim + 1.0) + 6.0
-    step = math.pi / (10.0 * math.sqrt(2.0 * dim + 1.0))
-    q = np.arange(-reach, shift + reach + step, step)
-    h = hermite_functions(dim - 1, q)
-    h_shifted = hermite_functions(dim - 1, q - shift)
-    real_block = (h @ h_shifted.T) * step
+    step = math.pi / (2.0 * reach)
+    half = math.floor(reach / step)
+    h = hermite_functions(dim - 1, np.arange(-half, half + 1) * step + 0.5 * shift)
+    # h @ h[:, ::-1].T, from the even and odd parts in l of the table: the
+    # cross terms sum to zero, and each part is one symmetric product over
+    # l >= 0 (column 0 of the even part is halved in weight).
+    right, left = h[:, half:], h[:, half::-1]
+    even, odd = right + left, right - left
+    even[:, 0] *= math.sqrt(0.5)
+    real_block = (even @ even.T - odd @ odd.T) * (0.5 * step)
+    real_block[:, 1::2] *= -1.0
     phases = np.exp(1j * theta * np.arange(dim))
     return phases[:, None] * real_block * phases.conj()[None, :]
 
@@ -326,9 +347,9 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
 
     The state's dimension is checked against `build_dim_cap()`.  The
     lattice table, the y-by-row products and the phase matrix are kept
-    within 15 cap^2 floats, about what one displacement block at the cap
-    holds, by processing x rows in chunks; a grid whose single row does not
-    fit raises ResourceCapError.
+    within 15 cap^2 floats (120 cap^2 bytes, somewhat above the 90 N^2
+    bytes one displacement block peaks at) by processing x rows in chunks;
+    a grid whose single row does not fit raises ResourceCapError.
     """
     check_build_dim(state.dim)
     xs = _wigner_axis(xs, "xs")

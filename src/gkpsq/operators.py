@@ -36,6 +36,8 @@ KAPPA_PLUS = math.sqrt(math.pi / 8.0) * (3.0 ** 0.25 + 3.0 ** -0.25)
 KAPPA_MINUS = math.sqrt(math.pi / 8.0) * (3.0 ** 0.25 - 3.0 ** -0.25)
 
 PRESET_NAMES = ("q0", "q1", "s0", "s1", "hex")
+# |sin(2d)| below this counts as zero: the offset keeps Q parity-symmetric.
+PARITY_ATOL = 1e-13
 
 
 class ChannelConvergenceWarning(RuntimeWarning):
@@ -200,12 +202,41 @@ class GroundState:
     degeneracy: int
 
 
+def _invariant_blocks(grid: GridSpec) -> tuple[slice, ...]:
+    """Index sets of the Fock basis that the grid operator never couples.
+
+    Photon-number parity flips every quadrature, which turns each
+    2 sin^2(u + d) = 1 - cos(2u) cos(2d) + sin(2u) sin(2d) into itself
+    exactly when sin(2d) = 0.  If both rows' offsets satisfy that to
+    rounding, Q has no even-odd matrix elements and the even and odd number
+    states are two blocks; otherwise the whole basis is one.
+    """
+    if all(abs(math.sin(2.0 * d)) < PARITY_ATOL for d in (grid.d1, grid.d2)):
+        return slice(0, None, 2), slice(1, None, 2)
+    return (slice(None),)
+
+
 def ground_state(op: TruncatedOperator) -> GroundState:
-    vals, vecs = hermitian_eigensolve(op.matrix)
-    xi_min = float(vals[0])
+    """Lowest eigenpair of the truncated operator, block by invariant block.
+
+    Each block of `_invariant_blocks` is solved on its own; `degeneracy`
+    counts the eigenvalues of all blocks within a relative 1e-8 of the
+    lowest.  On a tie across blocks the first block's state is returned.
+    """
+    spectra, states = [], []
+    for block in _invariant_blocks(op.grid):
+        sub = op.matrix[block, block]
+        if sub.size:
+            vals, vecs = hermitian_eigensolve(sub)
+            amps = np.zeros(op.dim, dtype=complex)
+            amps[block] = vecs[:, 0]
+            spectra.append(vals)
+            states.append(amps)
+    lowest = int(np.argmin([vals[0] for vals in spectra]))
+    xi_min = float(spectra[lowest][0])
     tol = max(1e-8, 1e-8 * abs(xi_min))
-    degeneracy = int(np.count_nonzero(vals < xi_min + tol))
-    return GroundState(xi_min=xi_min, state=FockState.normalized(vecs[:, 0]), degeneracy=degeneracy)
+    degeneracy = int(np.count_nonzero(np.concatenate(spectra) < xi_min + tol))
+    return GroundState(xi_min=xi_min, state=FockState.normalized(states[lowest]), degeneracy=degeneracy)
 
 
 def expectation(op: TruncatedOperator, state: FockState | DensityMatrix) -> float:

@@ -2,10 +2,13 @@
 
 Nothing here may import computational routines from the package modules it
 checks; everything is built from scipy/numpy primitives or brute-force
-loops so the comparisons stay two-sided.  One exception:
+loops so the comparisons stay two-sided.  Two exceptions:
 `displaced_parity_wigner` uses the package's `coherent_displacement`, which
 `tests/test_fock.py` checks against `laguerre_displacement_element`, because
 the Laguerre series loses the digits a 1e-13 comparison needs at N = 300.
+For the same reason at N = 1000, `trapezoid_displacement` tabulates with the
+package's `hermite_functions`, which `tests/test_fock.py` checks for
+orthonormality past order 700.
 """
 
 import math
@@ -14,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln, genlaguerre
 
-from gkpsq.fock import coherent_displacement
+from gkpsq.fock import coherent_displacement, hermite_functions
 
 
 def laguerre_displacement_element(beta: complex, m: int, n: int) -> complex:
@@ -35,6 +38,36 @@ def laguerre_displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     pref = np.exp(0.5 * (gammaln(low + 1) - gammaln(np.maximum(m, n) + 1)) - 0.5 * x)
     step = np.where(m >= n, beta, -np.conj(beta))
     return pref * step**gap * eval_genlaguerre(low, gap, x)
+
+
+def trapezoid_displacement(beta: complex, dim: int) -> np.ndarray:
+    """<m|D(beta)|n> for m, n < dim from two Hermite tables at a fine step.
+
+    The real block is int h_m(q) h_n(q - s) dq, s = sqrt(2)|beta|, by the
+    trapezoid rule at a tenth of the alias step pi/sqrt(2 dim + 1) over
+    [-reach, s + reach], one table at q and one at q - s; the phase rotation
+    e^{i theta n} gives the direction.
+    """
+    r = abs(beta)
+    if r == 0.0:
+        return np.eye(dim, dtype=complex)
+    theta = math.atan2(beta.imag, beta.real)
+    shift = math.sqrt(2.0) * r
+    reach = math.sqrt(2.0 * dim + 1.0) + 6.0
+    step = math.pi / (10.0 * math.sqrt(2.0 * dim + 1.0))
+    q = np.arange(-reach, shift + reach + step, step)
+    real_block = (hermite_functions(dim - 1, q) @ hermite_functions(dim - 1, q - shift).T) * step
+    phases = np.exp(1j * theta * np.arange(dim))
+    return phases[:, None] * real_block * phases.conj()[None, :]
+
+
+def trapezoid_operator(grid, dim: int) -> np.ndarray:
+    """Q = 2 - sum over rows of (e^{2id} D + h.c.)/2 with D = D(sqrt(2)(-c2 + i c1)) from `trapezoid_displacement`."""
+    mat = 2.0 * np.eye(dim, dtype=complex)
+    for c1, c2, d in grid.rows():
+        block = np.exp(2j * d) * trapezoid_displacement(math.sqrt(2.0) * complex(-c2, c1), dim)
+        mat -= 0.5 * (block + block.conj().T)
+    return 0.5 * (mat + mat.conj().T)
 
 
 def gauss_hermite_channel(rho: np.ndarray, eta: float, n_thermal: float, order: int = 21) -> np.ndarray:

@@ -97,6 +97,23 @@ def test_wigner_csv_rows_run_p_outer_x_inner(tmp_path):
     assert rows == expected
 
 
+def test_wigner_csv_bytes_match_per_cell_formatting(tmp_path):
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--topology", "q0", "--dims", "20", "--extent", "6",
+                 "--resolution", "81", "--output", str(out)]) == 0
+    gs = ground_state(build_operator(preset_grid("q0"), 20))
+    axis = np.linspace(-6.0, 6.0, 81)
+    w = wigner(gs.state, axis, axis)
+    expected = tmp_path / "expected.csv"
+    cli._write_csv(
+        str(expected),
+        ("x", "p", "w"),
+        [(x, p, w[i, j]) for j, p in enumerate(axis) for i, x in enumerate(axis)],
+        preamble=[f"topology=q0 N=20 extent=6.0 resolution=81 xi_min={cli._fmt(gs.xi_min)}"],
+    )
+    assert out.read_bytes() == expected.read_bytes()
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--extent", "nan"], "--extent"),
     (["--extent", "inf"], "--extent"),

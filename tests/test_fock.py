@@ -27,6 +27,7 @@ from oracles import (
     displaced_parity_wigner,
     hermite_wavefunction_direct,
     laguerre_displacement_element,
+    trapezoid_displacement,
     vacuum_characteristic,
 )
 
@@ -98,6 +99,14 @@ def test_displacement_matches_laguerre_oracle(cx, cp):
     first = np.exp(0.5j) * ref
     expected = 2.0 * np.eye(11) - 0.5 * (first + first.conj().T) - 0.5 * (second + second.conj().T)
     assert np.abs(build_operator(grid, 11).matrix - expected).max() < 1e-11
+
+
+def test_displacement_matches_fine_trapezoid_at_dimension_1000():
+    # hex's first row, exp(2i(c1 x + c2 p)) = D(sqrt(2)(-c2 + i c1)): the
+    # Nyquist-step single table against two tables at a tenth of the step
+    c1, c2, _ = preset_grid("hex").rows()[0]
+    beta = math.sqrt(2.0) * complex(-c2, c1)
+    assert np.abs(coherent_displacement(beta, 1000) - trapezoid_displacement(beta, 1000)).max() <= 1e-12
 
 
 def test_displacement_phase_offset():

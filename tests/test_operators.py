@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkpsq.fock import DensityMatrix, FockState, ResourceCapError
@@ -10,9 +11,12 @@ from gkpsq.operators import (
     GKP_DET,
     KAPPA_MINUS,
     KAPPA_PLUS,
+    PRESET_NAMES,
     ChannelConvergenceWarning,
     ChannelParams,
     GridSpec,
+    TruncatedOperator,
+    _invariant_blocks,
     apply_channel,
     approx_gkp_state,
     build_operator,
@@ -24,8 +28,8 @@ from gkpsq.operators import (
     transform_grid,
 )
 from gkpsq.analytic import ApproxGKPParams, channel_affine_xi, channel_output_xi, xi_finite_superposition
-from oracles import gauss_hermite_channel, vacuum_sin2_integral
-from strategies import reshaped_grids
+from oracles import gauss_hermite_channel, trapezoid_operator, vacuum_sin2_integral
+from strategies import reshaped_grids, symplectic_maps
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
@@ -205,6 +209,52 @@ def test_ground_state_eigen_identity():
     op = build_operator(preset_grid("q0"), 12)
     gs = ground_state(op)
     assert expectation(op, gs.state) == pytest.approx(gs.xi_min, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_readme_ground_sweep_matches_fine_trapezoid_operator(name):
+    grid = preset_grid(name)
+    for dim in (3, 5, 10, 20, 50):
+        reference = np.linalg.eigvalsh(trapezoid_operator(grid, dim))[0]
+        assert abs(ground_state(build_operator(grid, dim)).xi_min - reference) <= 1e-12
+
+
+def assert_matches_full_eigensolve(op):
+    vals = np.linalg.eigvalsh(op.matrix)
+    gs = ground_state(op)
+    assert abs(gs.xi_min - vals[0]) <= 1e-12
+    assert gs.degeneracy == np.count_nonzero(vals < vals[0] + max(1e-8, 1e-8 * abs(vals[0])))
+    assert abs(expectation(op, gs.state) - gs.xi_min) <= 1e-12
+
+
+half_pi_offsets = st.tuples(st.sampled_from((0.0, math.pi / 2.0)), st.sampled_from((0.0, math.pi / 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), A=symplectic_maps, offsets=half_pi_offsets, dim=st.integers(1, 40))
+def test_parity_split_matches_full_eigensolve(name, A, offsets, dim):
+    grid = dataclasses.replace(transform_grid(preset_grid(name), A), d1=offsets[0], d2=offsets[1])
+    assert len(_invariant_blocks(grid)) == 2
+    op = build_operator(grid, dim)
+    # the even-odd coupling the split discards
+    assert np.abs(op.matrix[0::2, 1::2]).max(initial=0.0) <= 1e-13
+    assert_matches_full_eigensolve(op)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), A=symplectic_maps,
+       d1=st.floats(-math.pi, math.pi), d2=st.floats(-math.pi, math.pi), dim=st.integers(1, 40))
+def test_general_offsets_solve_one_block(name, A, d1, d2, dim):
+    assume(max(abs(math.sin(2.0 * d1)), abs(math.sin(2.0 * d2))) > 1e-6)
+    grid = dataclasses.replace(transform_grid(preset_grid(name), A), d1=d1, d2=d2)
+    assert _invariant_blocks(grid) == (slice(None),)
+    assert_matches_full_eigensolve(build_operator(grid, dim))
+
+
+def test_degeneracy_counts_both_parity_blocks():
+    gs = ground_state(TruncatedOperator(2.0 * np.eye(7, dtype=complex), preset_grid("q0")))
+    assert gs.xi_min == 2.0
+    assert gs.degeneracy == 7
 
 
 def test_expectation_vacuum_equals_classical_oracle():
