@@ -322,8 +322,8 @@ def channel_affine_xi(xi_in: float, eta: float | None = None, v: float | None = 
         raise ValueError("pass exactly one of eta or v")
     if v is None:
         v = loss_to_noise_variance(eta)
-    if v < 0:
-        raise ValueError(f"noise variance must be >= 0, got {v}")
+    if not (math.isfinite(v) and v >= 0):
+        raise ValueError(f"noise variance must be finite and >= 0, got {v}")
     gamma = math.exp(-math.pi * v)
     return gamma * xi_in + 2.0 * (1.0 - gamma)
 

@@ -41,7 +41,7 @@ from .estimator import (
     optimize_xi,
 )
 from .fock import ResourceCapError, wigner
-from .operators import GridSpec, build_operator, ground_state, preset_grid
+from .operators import GridSpec, TruncatedOperator, build_operator, ground_state, preset_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,13 +110,18 @@ def _grid_dict(grid: GridSpec) -> dict:
 
 def cmd_ground_sweep(args) -> int:
     dims = list(args.dims)
+    if min(dims) < 1:
+        raise ValueError(f"--dims must be >= 1, got {dims}")
     if dims != sorted(dims):
         raise ValueError("--dims must be ascending")
     rows = []
     for name in args.topology:
         grid = preset_grid(name)
+        # Each truncation is the exact compression of Q, hence the corner of
+        # the largest one: build that once and solve its corners.
+        largest = build_operator(grid, dims[-1]).matrix
         for dim in dims:
-            gs = ground_state(build_operator(grid, dim))
+            gs = ground_state(TruncatedOperator(largest[:dim, :dim], grid))
             rows.append((name, dim, gs.xi_min, db(gs.xi_min), gs.degeneracy))
     _write_csv(args.output, ("topology", "N", "xi_min", "xi_min_db", "degeneracy"), rows)
     return EXIT_OK
@@ -182,6 +187,10 @@ def cmd_fidelity_sweep(args) -> int:
 
 
 def cmd_channel_sweep(args) -> int:
+    if not math.isfinite(args.nbar):
+        raise ValueError(f"--nbar must be finite, got {args.nbar!r}")
+    if not all(math.isfinite(value) for value in args.xi_in):
+        raise ValueError(f"--xi-in values must be finite, got {tuple(args.xi_in)!r}")
     start, stop, count = args.xi_in
     count = int(count)
     if count < 1:

@@ -182,14 +182,14 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     exponential is an exact displacement block, so the result is the
     compression P Q P of the untruncated operator onto the first `dim`
     number states: its minimal eigenvalue is a variational value of Q and
-    cannot increase with `dim`.  The block is re-Hermitized to remove
-    rounding asymmetry.
+    cannot increase with `dim`.  Each row subtracts (B + B^H)/2, whose
+    (m, n) entry is the exact conjugate of its (n, m) entry, so the sum is
+    Hermitian entry for entry without a further symmetrization.
     """
     mat = 2.0 * np.eye(dim, dtype=complex)
     for c1, c2, d in grid.rows():
         block = _row_exponential(c1, c2, d, dim)
         mat -= 0.5 * (block + block.conj().T)
-    mat = 0.5 * (mat + mat.conj().T)
     return TruncatedOperator(matrix=mat, grid=grid)
 
 
@@ -281,8 +281,8 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.n_thermal < 0.0:
-            raise ValueError(f"n_thermal must be >= 0, got {self.n_thermal}")
+        if not (math.isfinite(self.n_thermal) and self.n_thermal >= 0.0):
+            raise ValueError(f"n_thermal must be finite and >= 0, got {self.n_thermal}")
 
     @property
     def noise_variance(self) -> float:
@@ -302,25 +302,35 @@ def _binomial_shift(mat: np.ndarray, ln_t: float, ln_rest: float, up: bool) -> n
 
     With ln_t = ln t and ln_rest = ln(1 - t), entry (m, n) of the unshifted
     side carries the weight sqrt(C(m+j, j) C(n+j, j)) t^((m+n)/2) (1-t)^j,
-    the outer product of one real vector with itself.  `up=False` moves
+    the outer product of row j of one real weight table with itself; the
+    table is formed in log space with a single `exp`.  `up=False` moves
     |m+j><n+j| -> |m><n| (pure loss with transmission t); `up=True` moves
     |m><n| -> |m+j><n+j| and drops whatever passes the last level.
+
+    Only the support s of `mat` is read: one past the last row or column
+    holding an exactly nonzero entry, so every term skipped is an exact
+    zero.  Loss runs the shifts j < s on (s - j)-square slices, O(s^3) in
+    all; the amplifier runs every j < cutoff on min(cutoff - j, s)-square
+    slices, O(cutoff s^2).
     """
     dim = mat.shape[0]
-    lfact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    half_ln_t = 0.5 * ln_t
-    half_ln_rest = 0.5 * ln_rest
-    m = np.arange(dim)
+    used = np.flatnonzero(mat.any(axis=0) | mat.any(axis=1))
+    support = int(used[-1]) + 1 if used.size else 0
+    shifts = dim if up else support
+    lfact = np.array([math.lgamma(k + 1.0) for k in range(shifts + support)])
+    js = np.arange(shifts)[:, None]
+    ms = np.arange(support)[None, :]
+    weights = np.exp(
+        0.5 * (lfact[js + ms] - lfact[ms] - lfact[js]) + 0.5 * ln_t * ms + 0.5 * ln_rest * js
+    )
     out = np.zeros_like(mat)
-    for j in range(dim):
-        k = dim - j
-        v = np.exp(
-            0.5 * (lfact[j:] - lfact[:k] - lfact[j]) + half_ln_t * m[:k] + half_ln_rest * j
-        )
+    for j in range(shifts):
+        k = min(dim - j, support) if up else support - j
+        v = weights[j, :k]
         if up:
-            out[j:, j:] += np.outer(v, v) * mat[:k, :k]
+            out[j : j + k, j : j + k] += np.outer(v, v) * mat[:k, :k]
         else:
-            out[:k, :k] += np.outer(v, v) * mat[j:, j:]
+            out[:k, :k] += np.outer(v, v) * mat[j : j + k, j : j + k]
     return out
 
 
@@ -331,7 +341,9 @@ def apply_channel(rho: DensityMatrix, ch: ChannelParams, cutoff: int) -> Density
     loss with transmission 1/G followed by a quantum-limited amplifier of
     gain G = 1 + V, so the channel is amp(G) after loss(eta/G).  Both are
     phase-covariant with closed-form binomial weights (`_binomial_shift`;
-    the amplifier's weights are those of loss 1/G, divided by G).
+    the amplifier's weights are those of loss 1/G, divided by G).  For an
+    input supported on its first s number states, loss costs O(s^3) and
+    the amplifier O(cutoff s^2); loss never widens the support.
 
     The input is zero-padded to `cutoff`.  Loss never leaves that space, so
     the result before renormalization is the exact compression of the

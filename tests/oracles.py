@@ -106,6 +106,32 @@ def gauss_hermite_channel(rho: np.ndarray, eta: float, n_thermal: float, order: 
     return 0.5 * (out + out.conj().T)
 
 
+def binomial_shift_full_slices(mat: np.ndarray, ln_t: float, ln_rest: float, up: bool) -> np.ndarray:
+    """The binomially weighted diagonal shift of `operators._binomial_shift`, over every slice.
+
+    Runs all `dim` shifts on full (dim - j)-square slices whatever the
+    input's support, with one `exp` per shift: entry (m, n) of the unshifted
+    side carries sqrt(C(m+j, j) C(n+j, j)) t^((m+n)/2) (1-t)^j.  `up=False`
+    moves |m+j><n+j| -> |m><n|; `up=True` moves |m><n| -> |m+j><n+j|.
+    """
+    dim = mat.shape[0]
+    lfact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    half_ln_t = 0.5 * ln_t
+    half_ln_rest = 0.5 * ln_rest
+    m = np.arange(dim)
+    out = np.zeros_like(mat)
+    for j in range(dim):
+        k = dim - j
+        v = np.exp(
+            0.5 * (lfact[j:] - lfact[:k] - lfact[j]) + half_ln_t * m[:k] + half_ln_rest * j
+        )
+        if up:
+            out[j:, j:] += np.outer(v, v) * mat[:k, :k]
+        else:
+            out[:k, :k] += np.outer(v, v) * mat[j:, j:]
+    return out
+
+
 def vacuum_sin2_integral(a: float) -> float:
     """<vac|2 sin^2(a x)|vac> by direct Gaussian quadrature."""
     val, _ = quad(lambda q: 2.0 * math.sin(a * q) ** 2 * math.exp(-q * q) / math.sqrt(math.pi),

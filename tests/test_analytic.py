@@ -269,6 +269,12 @@ def test_channel_identity():
     assert channel_affine_xi(0.42, eta=1.0) == pytest.approx(0.42, abs=1e-14)
 
 
+def test_channel_affine_xi_rejects_non_finite_variance():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise variance"):
+            channel_affine_xi(0.5, v=bad)
+
+
 def test_loss_noise_equivalence_numbers():
     v = loss_to_noise_variance(0.9)
     assert v == pytest.approx(1.0 / 18.0, abs=1e-12)

@@ -60,6 +60,25 @@ def test_ground_sweep_rejects_unsorted_dims(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("dims", [["0", "5"], ["-1", "5"]])
+def test_ground_sweep_rejects_nonpositive_dims(tmp_path, capsys, dims):
+    assert main(["ground-sweep", "--topology", "q0", "--dims", *dims,
+                 "--output", str(tmp_path / "x.csv")]) == 2
+    assert "--dims" in capsys.readouterr().err
+
+
+def test_ground_sweep_corners_match_direct_builds(tmp_path):
+    out = tmp_path / "gs.csv"
+    dims = (1, 3, 5, 10, 20, 50)
+    assert main(["ground-sweep", "--dims", *map(str, dims), "--output", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 5 * len(dims)
+    for topo, n, xi, _, degeneracy in rows:
+        direct = ground_state(build_operator(preset_grid(topo), int(n)))
+        assert abs(float(xi) - direct.xi_min) <= 1e-13, (topo, n)
+        assert int(degeneracy) == direct.degeneracy
+
+
 def test_wigner_single_point(tmp_path):
     out = tmp_path / "w.csv"
     code = main(["wigner", "--topology", "q0", "--dims", "5", "--resolution", "1",
@@ -174,6 +193,20 @@ def test_channel_sweep(tmp_path):
             assert v == pytest.approx(0.0555556, abs=1e-6)
     lossy = [row for row in rows if float(row[0]) == 0.9]
     assert float(lossy[0][3]) == pytest.approx(0.3203016, abs=1e-6)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--nbar", "nan"], "--nbar"),
+    (["--nbar", "inf"], "--nbar"),
+    (["--xi-in", "0", "nan", "3"], "--xi-in"),
+    (["--xi-in", "inf", "2", "3"], "--xi-in"),
+    (["--xi-in", "0", "2", "inf"], "--xi-in"),
+])
+def test_channel_sweep_rejects_non_finite_values(tmp_path, capsys, flags, named):
+    out = tmp_path / "c.csv"
+    assert main(["channel-sweep", "--eta", "0.9", *flags, "--output", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_peaks_sweep(tmp_path):

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gkpsq import operators
 from gkpsq.fock import DensityMatrix, FockState, ResourceCapError
 from gkpsq.operators import (
     GKP_DET,
@@ -28,7 +31,7 @@ from gkpsq.operators import (
     transform_grid,
 )
 from gkpsq.analytic import ApproxGKPParams, channel_affine_xi, channel_output_xi, xi_finite_superposition
-from oracles import gauss_hermite_channel, trapezoid_operator, vacuum_sin2_integral
+from oracles import binomial_shift_full_slices, gauss_hermite_channel, trapezoid_operator, vacuum_sin2_integral
 from strategies import reshaped_grids, symplectic_maps
 
 SQRT_PI = math.sqrt(math.pi)
@@ -163,6 +166,13 @@ def test_operator_invariants(name, dim):
     vals = np.linalg.eigvalsh(op.matrix)
     assert vals.min() > -1e-6
     assert vals.max() < 4.0 + 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=st.one_of(st.sampled_from(PRESET_NAMES).map(preset_grid), reshaped_grids), dim=st.integers(1, 60))
+def test_operator_is_hermitian_entry_for_entry(grid, dim):
+    mat = build_operator(grid, dim).matrix
+    assert np.array_equal(mat, mat.conj().T)
 
 
 nested_dims = st.integers(1, 59).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 60)))
@@ -306,6 +316,9 @@ def test_channel_params():
         ChannelParams(eta=0.0)
     with pytest.raises(ValueError):
         ChannelParams(eta=0.5, n_thermal=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_thermal"):
+            ChannelParams(eta=1.0, n_thermal=bad)
 
 
 def test_channel_composition_is_physical():
@@ -402,6 +415,40 @@ low_photon_states = st.lists(
     .padded(CHANNEL_CUTOFF)
 )
 channels = st.builds(ChannelParams, eta=st.floats(0.3, 1.0), n_thermal=st.floats(0.0, 0.25))
+
+
+@st.composite
+def supported_density_matrices(draw):
+    """(rho, cutoff): a mixed state on the first `support` number states, support in 1..cutoff."""
+    cutoff = draw(st.integers(1, 30))
+    support = draw(st.integers(1, cutoff))
+    rank = draw(st.integers(1, support))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=(support, rank)) + 1j * rng.normal(size=(support, rank))
+    mat = amps @ amps.conj().T
+    return DensityMatrix(mat / np.trace(mat).real), cutoff
+
+
+# loss only, noise only, and both
+one_or_both_branches = st.one_of(
+    st.builds(ChannelParams, eta=st.floats(0.3, 0.99)),
+    st.builds(ChannelParams, eta=st.just(1.0), n_thermal=st.floats(1e-3, 0.5)),
+    st.builds(ChannelParams, eta=st.floats(0.3, 0.99), n_thermal=st.floats(1e-3, 0.5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho_cutoff=supported_density_matrices(), ch=one_or_both_branches)
+def test_apply_channel_equals_full_slice_route(rho_cutoff, ch):
+    # the support bound skips only exact zeros and keeps each weight's
+    # arithmetic, so the result is bit-identical to running every shift
+    rho, cutoff = rho_cutoff
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ChannelConvergenceWarning)
+        got = apply_channel(rho, ch, cutoff).entries
+        with mock.patch.object(operators, "_binomial_shift", binomial_shift_full_slices):
+            expected = apply_channel(rho, ch, cutoff).entries
+    assert np.array_equal(got, expected)
 
 
 @settings(max_examples=30, deadline=None)
