@@ -189,6 +189,8 @@ def cmd_fidelity_sweep(args) -> int:
 def cmd_channel_sweep(args) -> int:
     if not math.isfinite(args.nbar):
         raise ValueError(f"--nbar must be finite, got {args.nbar!r}")
+    if args.nbar < 0:
+        raise ValueError(f"--nbar must be >= 0, got {args.nbar!r}")
     if not all(math.isfinite(value) for value in args.xi_in):
         raise ValueError(f"--xi-in values must be finite, got {tuple(args.xi_in)!r}")
     start, stop, count = args.xi_in
@@ -230,8 +232,10 @@ def cmd_estimate(args) -> int:
             constrain_gkp_valid=args.gkp_valid,
             angle_tolerance=args.angle_tolerance,
         )
-        report = estimate_xi(samples, result.best_grid, args.angle_tolerance,
-                             bootstrap=args.bootstrap, seed=args.seed)
+        report = result.report
+        if args.bootstrap is not None:
+            report = estimate_xi(samples, result.best_grid, args.angle_tolerance,
+                                 bootstrap=args.bootstrap, seed=args.seed)
         report_dict.update(
             {
                 "optimized": True,

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,12 @@ DEFAULT_ANGLE_TOLERANCE = 1e-6
 MAX_LOG_SCALE = 2.0
 # Points of the fixed log-scale scan whose best bracket the Brent step polishes.
 SCAN_POINTS = 101
+# ASCII characters that `np.loadtxt` strips from a field as whitespace where
+# the line parser does not: `str.splitlines` ends a line at \x0b, \x0c and
+# \x1c-\x1e, and `float()` rejects \x1c-\x1f.  The non-ASCII line breaks
+# (\x85, \u2028, \u2029) fail the ASCII test first.
+_LOADTXT_WHITESPACE_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_FIRST_LINE = re.compile(rb"[^\r\n]*")
 
 
 class UnmeasurableGridError(ValueError):
@@ -109,12 +118,19 @@ class GridSqueezingEstimate:
 class OptimizeResult:
     """Best grid found over the measured angles and its squeezing value."""
 
-    xi_opt: float
     best_grid: GridSpec
     m_gkp: float
-    std_error: float
     angles_used: tuple[float, float]
+    report: SqueezingReport  # `estimate_xi` on best_grid, delta-method error
     note: str = "grid search restricted to the measured homodyne angles"
+
+    @property
+    def xi_opt(self) -> float:
+        return self.report.xi
+
+    @property
+    def std_error(self) -> float:
+        return self.report.std_error
 
 
 def _canonical_direction(phi: float) -> tuple[float, float]:
@@ -355,13 +371,7 @@ def optimize_xi(
     )
     report = estimate_xi(samples, grid, angle_tolerance)
     m_gkp = -math.log(report.xi) if report.xi > 0 else math.inf
-    return OptimizeResult(
-        xi_opt=report.xi,
-        best_grid=grid,
-        m_gkp=m_gkp,
-        std_error=report.std_error,
-        angles_used=(phi1, phi2),
-    )
+    return OptimizeResult(best_grid=grid, m_gkp=m_gkp, angles_used=(phi1, phi2), report=report)
 
 
 def synthesize_samples(
@@ -408,8 +418,68 @@ def save_samples(samples: QuadratureSamples, path) -> None:
             fh.write(prefix + f"\n{prefix}".join(map(repr, values.tolist())) + "\n")
 
 
-def load_samples(path) -> QuadratureSamples:
-    """Read the angle,value CSV format, reporting errors by line number."""
+def _is_header(line: str) -> bool:
+    return line.strip().lower().replace(" ", "") == "angle,value"
+
+
+def _load_table(path) -> np.ndarray | None:
+    """The file's rows as an (n, 2) float array from one `np.loadtxt` pass.
+
+    Returns None, leaving the file to the line parser, unless the file is
+    ASCII, starts with a valid header, holds none of the characters in
+    `_LOADTXT_WHITESPACE_ONLY`, and parses to at least one row of two
+    fields, each angle in [0, pi) without a sign bit and each value finite.
+    A file that passes parses to the same numbers as the line parser: both
+    read it as UTF-8 with universal newlines, and `np.loadtxt` converts each
+    field with the routine `float()` uses.  The checks read the file as
+    bytes; `np.loadtxt` then reads it again in chunks, from the absolute
+    path so that its opener never takes the name for a URL.
+    """
+    try:
+        name = os.path.abspath(os.fsdecode(path))
+        with open(name, "rb") as fh:
+            raw = fh.read()
+    except (OSError, TypeError):  # TypeError: `path` is a file descriptor
+        return None
+    if not raw.isascii() or any(char in raw for char in _LOADTXT_WHITESPACE_ONLY):
+        return None
+    if not _is_header(_FIRST_LINE.match(raw).group().decode("ascii")):
+        return None
+    del raw
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(name, delimiter=",", comments=None, skiprows=1, ndmin=2, encoding="utf-8")
+    except Exception:  # parse and I/O errors, or those of a decompressor np.loadtxt picks by suffix
+        return None
+    if table.shape[0] == 0 or table.shape[1] != 2:
+        return None
+    angles, values = table.T
+    # Out-of-range angles and non-finite values are left to the line parser,
+    # so its error names the same record; it also merges -0.0 with 0.0.
+    if np.signbit(angles).any() or not (angles < math.pi).all() or not np.isfinite(values).all():
+        return None
+    return table
+
+
+def _group_rows(table: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Records in order of each angle's first row, values in file order."""
+    angles, values = table.T
+    order = np.argsort(angles, kind="stable")
+    sorted_angles = angles[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_angles[1:] != sorted_angles[:-1])))
+    stops = np.append(starts[1:], order.size)
+    grouped = values[order]
+    # A stable sort keeps each group's first row at its start.
+    first_rows = order[starts]
+    return [
+        (float(sorted_angles[start]), grouped[start:stop])
+        for _, start, stop in sorted(zip(first_rows, starts, stops))
+    ]
+
+
+def _load_samples_by_line(path) -> QuadratureSamples:
+    """Parse one line at a time; names the first bad line in its error."""
     groups: dict[float, list[float]] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -418,8 +488,7 @@ def load_samples(path) -> QuadratureSamples:
         raise SampleParseError(f"{path}: cannot read sample file ({exc})") from exc
     if not lines:
         raise SampleParseError(f"{path}: empty sample file")
-    header = lines[0].strip().lower().replace(" ", "")
-    if header != "angle,value":
+    if not _is_header(lines[0]):
         raise SampleParseError(f"{path}: line 1: expected header 'angle,value', got {lines[0]!r}")
     if len(lines) < 2:
         raise SampleParseError(f"{path}: no sample rows after the header")
@@ -439,3 +508,17 @@ def load_samples(path) -> QuadratureSamples:
         return QuadratureSamples([(angle, np.asarray(vals)) for angle, vals in groups.items()])
     except ValueError as exc:
         raise SampleParseError(f"{path}: {exc}") from exc
+
+
+def load_samples(path) -> QuadratureSamples:
+    """Read the angle,value CSV format, reporting errors by line number.
+
+    Well-formed files parse in one `np.loadtxt` pass (`_load_table`); every
+    other file, and every file that pass might read differently, goes to
+    the line parser, which accepts the same files with the same records and
+    names the first bad line of the rest.
+    """
+    table = _load_table(path)
+    if table is None:
+        return _load_samples_by_line(path)
+    return QuadratureSamples(_group_rows(table))

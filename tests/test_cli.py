@@ -201,6 +201,7 @@ def test_channel_sweep(tmp_path):
     (["--xi-in", "0", "nan", "3"], "--xi-in"),
     (["--xi-in", "inf", "2", "3"], "--xi-in"),
     (["--xi-in", "0", "2", "inf"], "--xi-in"),
+    (["--nbar", "-0.2"], "--nbar"),
 ])
 def test_channel_sweep_rejects_non_finite_values(tmp_path, capsys, flags, named):
     out = tmp_path / "c.csv"

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from gkpsq.estimator import (
     SampleParseError,
     UnmeasurableGridError,
     _closed_form_offset,
+    _load_samples_by_line,
+    _load_table,
     _sin2_terms,
     _term_mean_se,
     estimate_displacement_mean,
@@ -328,6 +331,88 @@ def test_sample_file_roundtrip_is_bit_identical(records):
     for (a1, v1), (a2, v2) in zip(samples.records, loaded.records):
         assert np.float64(a1).view(np.int64) == np.float64(a2).view(np.int64)
         assert np.array_equal(v1.view(np.int64), v2.view(np.int64))
+
+
+# Sample-file text: rows that both parsers accept, rows at the edges of what
+# either reads (signed zero, NaN, infinities, subnormals, angles outside
+# [0, pi), digit separators, non-ASCII digits), and pieces inserted anywhere
+# on which `np.loadtxt` and the line parser could disagree: the line breaks
+# `str.splitlines` knows, whitespace `float()` rejects, comment marks, commas.
+_ANGLE_TEXT = st.one_of(
+    st.sampled_from(["0.0", "0.5", "1.5", "3.0"]),
+    st.floats(0.0, math.pi, exclude_max=True).map(repr),
+)
+_VALUE_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_EDGE_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["-0.0", "nan", "-inf", "5e-324", "3.141592653589793", "1_0", "\u0661.\u0665", " 2 ", ""]),
+)
+_NOISE = st.sampled_from([
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029",
+    "_", "#", ",", "-", " ", "\t", "\x00",
+])
+_VALID_ROW = st.builds("{},{}".format, _ANGLE_TEXT, _VALUE_TEXT)
+_LINE = st.one_of(
+    _VALID_ROW,
+    _VALID_ROW,
+    _VALID_ROW,
+    st.builds("{},{}".format, st.one_of(_ANGLE_TEXT, _EDGE_TEXT), st.one_of(_VALUE_TEXT, _EDGE_TEXT)),
+    st.sampled_from(["", " ", "\t "]),
+)
+
+
+def _parse_outcome(parse, path):
+    """A parser's records as (angle bits, value bits) pairs, or its error text."""
+    try:
+        samples = parse(path)
+    except SampleParseError as exc:
+        return str(exc)
+    return [(np.float64(a).view(np.int64).item(), v.view(np.int64).tolist()) for a, v in samples.records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_LINE, max_size=12),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    inserts=st.lists(st.tuples(st.integers(min_value=0), st.one_of(_NOISE, _NOISE, _EDGE_TEXT)), max_size=2),
+)
+@example(lines=[], newline="\n", inserts=[])
+@example(lines=["0.5", "", "1.5"], newline="\n", inserts=[])
+@example(lines=["0.5,1.5,2.5"], newline="\r\n", inserts=[])
+@example(lines=["0.0,1.5", "1.5,-2.0", "3.0,0.25", "1.5,7.0", "0.0,-0.5", "3.0,1e-300", ""],
+         newline="\n", inserts=[])
+def test_load_samples_matches_line_parser(lines, newline, inserts):
+    text = newline.join(["angle,value", *lines]) + newline
+    for position, piece in inserts:
+        cut = position % (len(text) + 1)
+        text = text[:cut] + piece + text[cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _parse_outcome(load_samples, path) == _parse_outcome(_load_samples_by_line, path)
+
+
+def test_load_samples_matches_line_parser_around_any_character(tmp_path):
+    path = tmp_path / "samples.csv"
+    for char in [chr(c) for c in range(128)] + ["\x85", "\xa0", "\u2028", "\u2029", "\u0661"]:
+        for row in (f"{char}0.5,1.5", f"0.5{char},1.5", f"0.5,{char}1.5", f"0.5,1.5{char}", f"0.5,1{char}5"):
+            path.write_text(f"angle,value\n0.5,2.5\n{row}\n3.0,0.0\n", encoding="utf-8", newline="")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fast, by_line = _parse_outcome(load_samples, path), _parse_outcome(_load_samples_by_line, path)
+            assert fast == by_line, repr(row)
+
+
+def test_load_table_reads_written_files(tmp_path):
+    # Interleaved angles, padding, a blank line and CRLF still take the one-pass route.
+    path = tmp_path / "samples.csv"
+    path.write_bytes(b"angle,value\r\n 3.0,1.0\r\n0.5 , -2\r\n\r\n3.0,\t5e-324\r\n1.25,0\r\n0.5,1e300\r\n")
+    assert _load_table(path) is not None
+    loaded = load_samples(path)
+    assert loaded.angles == [3.0, 0.5, 1.25]
+    assert [v.tolist() for _, v in loaded.records] == [[1.0, 5e-324], [-2.0, 1e300], [0.0]]
 
 
 def test_sample_file_errors(tmp_path):
