@@ -1,8 +1,8 @@
 """Nonlinear squeezing toolkit for grid (GKP) states.
 
 Modules:
-    fock       truncated Fock-space primitives (ladders, displacements,
-               eigensolver, Wigner, quadrature pdf)
+    fock       truncated Fock-space primitives (states, displacements,
+               Hermite functions, Wigner, quadrature pdf)
     operators  grid operators, ground states, expectations, channels,
                approximate grid states
     analytic   closed forms: bounds, thresholds, fidelity sandwich,
@@ -46,9 +46,6 @@ from .fock import (
     ResourceCapError,
     coherent_displacement,
     fidelity,
-    hermitian_eigensolve,
-    ladder_matrices,
-    quadrature_matrices,
     quadrature_pdf,
     wigner,
 )

@@ -52,8 +52,8 @@ CLASSIFICATIONS = ("none", "sub-classical", "sub-Gaussian", "ft-possible", "ft-g
 
 def classical_bound(a: float, b: float) -> float:
     """Minimum of <Q_general(a,b)> over classical (coherent-mixture) states."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"need a > 0 and b > 0, got a={a}, b={b}")
+    if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
+        raise ValueError(f"need finite a > 0 and b > 0, got a={a}, b={b}")
     return 2.0 - math.exp(-a * a) - math.exp(-b * b)
 
 
@@ -88,8 +88,8 @@ def gaussian_bound(a: float, b: float, g_range: tuple[float, float] | None = Non
     at an end or at the balanced point, and the unrestricted infimum is
     1 when ab >= ln 2, else 2 - 2 exp(-ab).
     """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"need a > 0 and b > 0, got a={a}, b={b}")
+    if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
+        raise ValueError(f"need finite a > 0 and b > 0, got a={a}, b={b}")
     if g_range is None:
         return 1.0 if a * b >= LN2 else 2.0 - 2.0 * math.exp(-a * b)
     lo, hi = float(g_range[0]), float(g_range[1])
@@ -113,8 +113,8 @@ def gaussian_bound_grid(grid: GridSpec) -> float:
 
 def xi_approx_symmetric(g: float) -> float:
     """Squeezing of the symmetric-grid peak superposition: 2 - 2 exp(-pi g / 2)."""
-    if g <= 0:
-        raise ValueError(f"need g > 0, got {g}")
+    if not (math.isfinite(g) and g > 0):
+        raise ValueError(f"need finite g > 0, got {g}")
     return 2.0 - 2.0 * math.exp(-math.pi * g / 2.0)
 
 
@@ -128,10 +128,10 @@ class ApproxGKPParams:
     logical_bit: int = 0
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError(f"need g > 0, got {self.g}")
-        if self.a <= 0:
-            raise ValueError(f"need a > 0, got {self.a}")
+        if not (math.isfinite(self.g) and self.g > 0):
+            raise ValueError(f"need finite g > 0, got {self.g}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"need finite a > 0, got {self.a}")
         if self.s_max is not None and self.s_max < 0:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
         if self.logical_bit not in (0, 1):

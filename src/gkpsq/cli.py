@@ -96,16 +96,17 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def _grid_dict(grid: GridSpec) -> dict:
-    return {
-        "c11": grid.c11,
-        "c12": grid.c12,
-        "c21": grid.c21,
-        "c22": grid.c22,
-        "d1": grid.d1,
-        "d2": grid.d2,
-        "label": grid.label,
-        "gkp_valid": grid.gkp_valid,
-    }
+    return {**dataclasses.asdict(grid), "gkp_valid": grid.gkp_valid}
+
+
+def _linspace_arg(flag: str, triple) -> np.ndarray:
+    """np.linspace of a START STOP COUNT flag, with finite values and COUNT >= 1."""
+    if not all(math.isfinite(value) for value in triple):
+        raise ValueError(f"{flag} values must be finite, got {tuple(triple)!r}")
+    start, stop, count = triple
+    if int(count) < 1:
+        raise ValueError(f"{flag} count must be >= 1")
+    return np.linspace(start, stop, int(count))
 
 
 def cmd_ground_sweep(args) -> int:
@@ -151,11 +152,7 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_fidelity_sweep(args) -> int:
-    start, stop, count = args.fidelity_grid
-    count = int(count)
-    if count < 1:
-        raise ValueError("--fidelity-grid count must be >= 1")
-    f_values = np.linspace(start, stop, count)
+    f_values = _linspace_arg("--fidelity-grid", args.fidelity_grid)
     s0 = preset_grid("s0")
     classical = classical_bound_grid(s0)
     gaussian = gaussian_bound_grid(s0)
@@ -191,13 +188,7 @@ def cmd_channel_sweep(args) -> int:
         raise ValueError(f"--nbar must be finite, got {args.nbar!r}")
     if args.nbar < 0:
         raise ValueError(f"--nbar must be >= 0, got {args.nbar!r}")
-    if not all(math.isfinite(value) for value in args.xi_in):
-        raise ValueError(f"--xi-in values must be finite, got {tuple(args.xi_in)!r}")
-    start, stop, count = args.xi_in
-    count = int(count)
-    if count < 1:
-        raise ValueError("--xi-in count must be >= 1")
-    xi_in_values = np.linspace(start, stop, count)
+    xi_in_values = _linspace_arg("--xi-in", args.xi_in)
     rows = []
     for eta in args.eta:
         v = loss_to_noise_variance(eta) + args.nbar / eta

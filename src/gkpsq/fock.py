@@ -149,24 +149,6 @@ class DensityMatrix:
         return DensityMatrix(out)
 
 
-def ladder_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation matrices: a|k> = sqrt(k)|k-1>."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    a = np.zeros((dim, dim), dtype=complex)
-    ks = np.arange(1, dim)
-    a[ks - 1, ks] = np.sqrt(ks)
-    return a, a.conj().T
-
-
-def quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian x = (a + a^dag)/sqrt(2) and p = -i(a - a^dag)/sqrt(2)."""
-    a, adag = ladder_matrices(dim)
-    x = (a + adag) / math.sqrt(2.0)
-    p = (a - adag) / (1j * math.sqrt(2.0))
-    return x, p
-
-
 def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> for m, n < dim.
 
@@ -218,30 +200,6 @@ def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     real_block[:, 1::2] *= -1.0
     phases = np.exp(1j * theta * np.arange(dim))
     return phases[:, None] * real_block * phases.conj()[None, :]
-
-
-def fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rescale each column so its largest-magnitude entry is real positive."""
-    v = np.array(vectors, dtype=complex)
-    idx = np.argmax(np.abs(v), axis=0)
-    lead = v[idx, np.arange(v.shape[1])]
-    safe = np.where(lead == 0, 1.0, lead)
-    v *= np.abs(safe) / safe
-    return v
-
-
-def hermitian_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (numerically) Hermitian matrix.
-
-    The input is symmetrized as (M + M^dag)/2 before solving; eigenvalues
-    come back ascending and eigenvector phases are fixed deterministically.
-    """
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"square matrix required, got shape {mat.shape}")
-    herm = 0.5 * (mat + mat.conj().T)
-    vals, vecs = np.linalg.eigh(herm)
-    return vals, fix_phases(vecs)
 
 
 def fidelity(s1: FockState, s2: FockState) -> float:

@@ -26,7 +26,6 @@ from .fock import (
     FockState,
     check_build_dim,
     coherent_displacement,
-    hermitian_eigensolve,
     hermite_functions,
 )
 
@@ -152,7 +151,11 @@ def gaussian_route_from_q0(target: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TruncatedOperator:
-    """Dense Hermitian grid operator on a truncated Fock basis."""
+    """Dense Hermitian grid operator on a truncated Fock basis.
+
+    `ground_state` reads one triangle of `matrix`, so the matrix must be
+    Hermitian; `build_operator` makes it so entry for entry.
+    """
 
     matrix: np.ndarray
     grid: GridSpec
@@ -219,17 +222,21 @@ def _invariant_blocks(grid: GridSpec) -> tuple[slice, ...]:
 def ground_state(op: TruncatedOperator) -> GroundState:
     """Lowest eigenpair of the truncated operator, block by invariant block.
 
-    Each block of `_invariant_blocks` is solved on its own; `degeneracy`
-    counts the eigenvalues of all blocks within a relative 1e-8 of the
-    lowest.  On a tie across blocks the first block's state is returned.
+    Each block of `_invariant_blocks` is solved on its own by `eigh`;
+    `degeneracy` counts the eigenvalues of all blocks within a relative
+    1e-8 of the lowest.  On a tie across blocks the first block's state is
+    returned.  The state's phase is fixed so that its largest-magnitude
+    amplitude is real and positive.
     """
     spectra, states = [], []
     for block in _invariant_blocks(op.grid):
         sub = op.matrix[block, block]
         if sub.size:
-            vals, vecs = hermitian_eigensolve(sub)
+            vals, vecs = np.linalg.eigh(sub)
+            vec = vecs[:, 0]
+            lead = vec[np.argmax(np.abs(vec))]
             amps = np.zeros(op.dim, dtype=complex)
-            amps[block] = vecs[:, 0]
+            amps[block] = vec * (np.abs(lead) / lead)
             spectra.append(vals)
             states.append(amps)
     lowest = int(np.argmin([vals[0] for vals in spectra]))

@@ -40,6 +40,24 @@ def laguerre_displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     return pref * step**gap * eval_genlaguerre(low, gap, x)
 
 
+def ladder_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation and creation matrices: a|k> = sqrt(k)|k-1>."""
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    a = np.zeros((dim, dim), dtype=complex)
+    ks = np.arange(1, dim)
+    a[ks - 1, ks] = np.sqrt(ks)
+    return a, a.conj().T
+
+
+def quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian x = (a + a^dag)/sqrt(2) and p = -i(a - a^dag)/sqrt(2)."""
+    a, adag = ladder_matrices(dim)
+    x = (a + adag) / math.sqrt(2.0)
+    p = (a - adag) / (1j * math.sqrt(2.0))
+    return x, p
+
+
 def trapezoid_displacement(beta: complex, dim: int) -> np.ndarray:
     """<m|D(beta)|n> for m, n < dim from two Hermite tables at a fine step.
 

@@ -27,7 +27,7 @@ from gkpsq.analytic import (
 )
 from gkpsq.cli import main
 from gkpsq.estimator import estimate_xi, optimize_xi, synthesize_samples
-from gkpsq.fock import DensityMatrix, FockState, coherent_displacement, hermite_functions, ladder_matrices
+from gkpsq.fock import DensityMatrix, FockState, coherent_displacement, hermite_functions
 from gkpsq.operators import (
     ChannelParams,
     GridSpec,
@@ -39,7 +39,7 @@ from gkpsq.operators import (
     preset_grid,
     sin2_expectation,
 )
-from oracles import peak_superposition_xi_bruteforce
+from oracles import ladder_matrices, peak_superposition_xi_bruteforce
 
 PRESETS = ("q0", "q1", "s0", "s1", "hex")
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)

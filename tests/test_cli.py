@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,19 @@ def test_channel_sweep_rejects_non_finite_values(tmp_path, capsys, flags, named)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["fidelity-sweep", "--g", "nan", "--fidelity-grid", "0", "1", "2"], "finite g > 0"),
+    (["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1", "inf"], "--fidelity-grid"),
+    (["peaks-sweep", "--g", "nan", "--smax", "1"], "finite g > 0"),
+    (["peaks-sweep", "--g", "inf", "--smax", "1"], "finite g > 0"),
+])
+def test_closed_form_sweeps_reject_non_finite_values(tmp_path, capsys, argv, named):
+    out = tmp_path / "s.csv"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_peaks_sweep(tmp_path):
     out = tmp_path / "p.csv"
     code = main(["peaks-sweep", "--g", "0.1", "--smax", "0", "2", "4", "6",
@@ -408,3 +425,22 @@ def test_thresholds_report_the_requested_grid(tmp_path):
             "delta_2_sq(u=3.544908) <= -ln(1 - xi) / 3.141593",
         ]
     }
+
+
+def test_cli_outputs_compare_runs_without_the_package_on_the_path(tmp_path):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    dirs = [tmp_path / name for name in ("a", "b", "c")]
+    for path, text in zip(dirs, ("x,y\n1,2\n", "x,y\n1,2\n", "x,y\n1,3\n")):
+        path.mkdir()
+        (path / "out.csv").write_text(text)
+
+    def compare(a, b):
+        return subprocess.run([sys.executable, str(tool), "--compare", str(a), str(b)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    same = compare(dirs[0], dirs[1])
+    assert (same.returncode, same.stdout, same.stderr) == (0, "", "")
+    changed = compare(dirs[0], dirs[2])
+    assert changed.returncode == 1 and changed.stderr == ""
+    assert "out.csv:" in changed.stdout and "column y" in changed.stdout

@@ -14,11 +14,7 @@ from gkpsq.fock import (
     ResourceCapError,
     coherent_displacement,
     fidelity,
-    fix_phases,
     hermite_functions,
-    hermitian_eigensolve,
-    ladder_matrices,
-    quadrature_matrices,
     quadrature_pdf,
     wigner,
 )
@@ -27,6 +23,8 @@ from oracles import (
     displaced_parity_wigner,
     hermite_wavefunction_direct,
     laguerre_displacement_element,
+    ladder_matrices,
+    quadrature_matrices,
     trapezoid_displacement,
     vacuum_characteristic,
 )
@@ -151,47 +149,6 @@ def test_coherent_displacement_large_amplitude_column():
     assert np.abs(block[:, 0] - col).max() < 1e-12
     # exact block of a unitary: singular values never exceed one
     assert np.linalg.svd(block, compute_uv=False).max() < 1.0 + 1e-10
-
-
-def test_eigensolve_diagonal():
-    vals, vecs = hermitian_eigensolve(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(vals, [1.0, 2.0, 3.0])
-    assert np.abs(np.abs(vecs) - np.eye(3)[:, [1, 2, 0]]).max() < 1e-12
-
-
-def test_eigensolve_known_spectrum():
-    vals, _ = hermitian_eigensolve(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(vals, [-1.0, 1.0])
-
-
-def test_eigensolve_reconstruction(rng):
-    n = 50
-    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    mat = 0.5 * (raw + raw.conj().T)
-    vals, vecs = hermitian_eigensolve(mat)
-    rebuilt = (vecs * vals) @ vecs.conj().T
-    scale = np.linalg.norm(mat, 2)
-    assert np.abs(rebuilt - mat).max() < 1e-8 * scale
-    assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-8
-    residual = np.linalg.norm(mat @ vecs - vecs * vals, 2)
-    assert residual < 1e-8 * scale
-
-
-def test_eigensolve_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        hermitian_eigensolve(np.zeros((2, 3)))
-
-
-def test_phase_fixing_deterministic(rng):
-    raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    q, _ = np.linalg.qr(raw)
-    fixed = fix_phases(q)
-    idx = np.argmax(np.abs(fixed), axis=0)
-    leads = fixed[idx, np.arange(6)]
-    assert np.abs(leads.imag).max() < 1e-12
-    assert (leads.real > 0).all()
-    # refixing is a no-op
-    assert np.abs(fix_phases(fixed) - fixed).max() < 1e-14
 
 
 def test_fidelity_basic():

@@ -171,8 +171,12 @@ def test_operator_invariants(name, dim):
 @settings(max_examples=25, deadline=None)
 @given(grid=st.one_of(st.sampled_from(PRESET_NAMES).map(preset_grid), reshaped_grids), dim=st.integers(1, 60))
 def test_operator_is_hermitian_entry_for_entry(grid, dim):
-    mat = build_operator(grid, dim).matrix
-    assert np.array_equal(mat, mat.conj().T)
+    op = build_operator(grid, dim)
+    assert np.array_equal(op.matrix, op.matrix.conj().T)
+    # ground_state's phase convention: the largest amplitude is real positive
+    amps = ground_state(op).state.amplitudes
+    lead = amps[np.argmax(np.abs(amps))]
+    assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 
 nested_dims = st.integers(1, 59).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 60)))

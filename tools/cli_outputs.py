@@ -28,14 +28,9 @@ import os
 import sys
 from pathlib import Path
 
-from gkpsq.cli import main
-from gkpsq.estimator import save_samples, synthesize_samples
-from gkpsq.fock import FockState
-from gkpsq.operators import PRESET_NAMES, build_operator, ground_state, preset_grid
-
 SAMPLES_PER_ANGLE = 20000
+# ground.csv, which needs the preset names, is added by `commands`.
 SWEEPS = {
-    "ground.csv": ["ground-sweep", "--topology", *PRESET_NAMES, "--dims", "3", "5", "10", "20", "50"],
     "wigner.csv": ["wigner", "--topology", "q0", "--dims", "20", "--extent", "6", "--resolution", "81"],
     "fidelity.csv": ["fidelity-sweep", "--g", "0.05", "0.1", "0.2", "0.4", "--fidelity-grid", "0", "1", "101"],
     "channel.csv": ["channel-sweep", "--eta", "1.0", "0.95", "0.9", "0.8", "--xi-in", "0", "2", "81"],
@@ -51,11 +46,15 @@ ESTIMATES = {
 
 def commands() -> dict[str, list[str]]:
     """Output file name -> CLI arguments, with the sample files written first."""
+    from gkpsq.estimator import save_samples, synthesize_samples
+    from gkpsq.fock import FockState
+    from gkpsq.operators import PRESET_NAMES, build_operator, ground_state, preset_grid
+
     states = {
         "q0": ground_state(build_operator(preset_grid("q0"), 40)).state,
         "vacuum": FockState.number_state(0, 2),
     }
-    out = dict(SWEEPS)
+    out = {"ground.csv": ["ground-sweep", "--topology", *PRESET_NAMES, "--dims", "3", "5", "10", "20", "50"], **SWEEPS}
     for seed, (name, state) in enumerate(states.items(), start=1):
         samples_path = f"samples_{name}.csv"
         save_samples(synthesize_samples(state, [0.0, math.pi / 2.0], SAMPLES_PER_ANGLE, seed=seed), samples_path)
@@ -68,6 +67,8 @@ def commands() -> dict[str, list[str]]:
 
 
 def run(outdir: Path) -> int:
+    from gkpsq.cli import main
+
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     failed = 0
