@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .operators import ChannelParams, GridSpec, preset_grid
 
@@ -250,6 +249,8 @@ def grid_squeezing_bounds_from_xi(xi: float, grid: GridSpec | str) -> GridSqueez
     when the pinned row alone already exceeds xi.  A preset name is
     resolved through `preset_grid`.
     """
+    from scipy.optimize import brentq  # here, not at module level: keeps scipy out of start-up
+
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"bounds are defined for xi in [0, 1), got {xi}")
     grid = _as_grid(grid)

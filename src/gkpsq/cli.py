@@ -100,11 +100,13 @@ def _grid_dict(grid: GridSpec) -> dict:
 
 
 def _linspace_arg(flag: str, triple) -> np.ndarray:
-    """np.linspace of a START STOP COUNT flag, with finite values and COUNT >= 1."""
+    """np.linspace of a START STOP COUNT flag, with finite values and a whole COUNT >= 1."""
     if not all(math.isfinite(value) for value in triple):
         raise ValueError(f"{flag} values must be finite, got {tuple(triple)!r}")
     start, stop, count = triple
-    if int(count) < 1:
+    if count != int(count):
+        raise ValueError(f"{flag} count must be a whole number, got {count!r}")
+    if count < 1:
         raise ValueError(f"{flag} count must be >= 1")
     return np.linspace(start, stop, int(count))
 

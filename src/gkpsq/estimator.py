@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .analytic import classify_xi, db, grid_squeezing
 from .fock import FockState, quadrature_pdf
@@ -305,6 +304,8 @@ def _closed_form_offset(phi: complex) -> float:
 
 def _minimize_on_box(f) -> tuple[float, float]:
     """Minimize f over the log-scale box: fixed scan, then Brent on the best bracket."""
+    from scipy.optimize import minimize_scalar  # here, not at module level: keeps scipy out of start-up
+
     scan = np.linspace(-MAX_LOG_SCALE, MAX_LOG_SCALE, SCAN_POINTS)
     values = [f(r) for r in scan]
     k = int(np.argmin(values))

@@ -132,7 +132,12 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > NORM_ATOL:
             raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
+        # Zero outside its leading s x s block (s one past the last nonzero
+        # row or column), a Hermitian matrix is PSD exactly when that block is.
+        nonzero = mat != 0
+        s = int(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))[-1]) + 1
+        block = mat[:s, :s]
+        min_eig = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
         if min_eig < PSD_FLOOR:
             raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {min_eig:g}")
         self.entries = mat
@@ -295,7 +300,9 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
     The integrand's spectrum lies within 2(reach + |p|) up to Gaussian
     tails, so by Poisson summation the rule is exact up to an exponentially
     small alias; |y| <= reach covers every point where both factors are
-    non-negligible.
+    non-negligible.  For |x| > reach one of x +- y lies past the reach for
+    every y, so W is as small as the cut tail there: such rows are written
+    as 0.0 without tabulating psi, which keeps the cost flat in the extent.
 
     Bound: by Cauchy-Schwarz the y sum is at most the product of the square
     roots of two lattice sums of |psi|^2 (at x + y_k and at x - y_k).  At
@@ -327,9 +334,11 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
     rows = _wigner_rows_per_chunk(state.dim, m, ks.size, ps.size)
     phases = np.exp(2j * np.outer(ks * dy, ps))
     amps = state.amplitudes
-    out = np.empty((xs.size, ps.size))
-    for start in range(0, xs.size, rows):
-        stop = min(start + rows, xs.size)
+    out = np.zeros((xs.size, ps.size))
+    first = int(np.searchsorted(xs, -reach, side="left"))
+    end = int(np.searchsorted(xs, reach, side="right"))
+    for start in range(first, end, rows):
+        stop = min(start + rows, end)
         lattice = xs[0] + np.arange(start * m - half, (stop - 1) * m + half + 1) * dy
         h = hermite_functions(state.dim - 1, lattice)
         psi = amps.real @ h + 1j * (amps.imag @ h)

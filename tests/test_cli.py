@@ -227,6 +227,22 @@ def test_closed_form_sweeps_reject_non_finite_values(tmp_path, capsys, argv, nam
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["fidelity-sweep", "--g", "0.1"], "--fidelity-grid"),
+    (["channel-sweep", "--eta", "0.9"], "--xi-in"),
+])
+def test_sweep_count_must_be_a_whole_number(tmp_path, capsys, command, flag):
+    out = tmp_path / "s.csv"
+    assert main([*command, flag, "0", "1", "2.9", "--output", str(out)]) == 2
+    assert f"{flag} count must be a whole number" in capsys.readouterr().err
+    assert not out.exists()
+    # a whole COUNT written as a float is accepted, with the same bytes
+    whole, as_float = tmp_path / "whole.csv", tmp_path / "float.csv"
+    assert main([*command, flag, "0", "1", "3", "--output", str(whole)]) == 0
+    assert main([*command, flag, "0", "1", "3.0", "--output", str(as_float)]) == 0
+    assert as_float.read_bytes() == whole.read_bytes()
+
+
 def test_peaks_sweep(tmp_path):
     out = tmp_path / "p.csv"
     code = main(["peaks-sweep", "--g", "0.1", "--smax", "0", "2", "4", "6",
@@ -444,3 +460,56 @@ def test_cli_outputs_compare_runs_without_the_package_on_the_path(tmp_path):
     changed = compare(dirs[0], dirs[2])
     assert changed.returncode == 1 and changed.stderr == ""
     assert "out.csv:" in changed.stdout and "column y" in changed.stdout
+
+
+SCIPY_FREE_SWEEPS = """
+import sys
+
+import gkpsq
+from gkpsq import cli
+
+runs = [
+    ["ground-sweep", "--topology", "q0", "hex", "--dims", "3", "6"],
+    ["wigner", "--dims", "6", "--resolution", "5"],
+    ["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1", "3"],
+    ["channel-sweep", "--eta", "1.0", "0.9", "--xi-in", "0", "1", "3"],
+    ["peaks-sweep", "--g", "0.1", "--smax", "0", "2"],
+]
+for i, argv in enumerate(runs):
+    if cli.main([*argv, "--output", f"{sys.argv[1]}/{i}.csv"]) != 0:
+        sys.exit(f"failed: {argv}")
+print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
+    """Start-up guard: the package and the five sweeps never import scipy.
+
+    scipy.optimize is imported inside the two functions that call it
+    (`thresholds`' root solve, `estimate --optimize`'s Brent step), because
+    importing it costs several times numpy's import on every command. A new
+    module-level scipy import anywhere in gkpsq, including a future
+    scipy.linalg subset eigensolve, fails this test; import such a module
+    inside the function that needs it. Each run is a fresh interpreter, so
+    modules imported by the test session do not count.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    sweeps = run("-c", SCIPY_FREE_SWEEPS, str(tmp_path))
+    assert sweeps.returncode == 0, sweeps.stderr
+    assert sweeps.stdout.strip() == ""
+    assert len(list(tmp_path.glob("*.csv"))) == 5
+    # the lazy imports still resolve in a fresh process
+    thresholds = run("-m", "gkpsq.cli", "thresholds", "--json")
+    assert thresholds.returncode == 0, thresholds.stderr
+    assert json.loads(thresholds.stdout)["command"] == "thresholds"
+    samples = synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 2000, seed=43)
+    save_samples(samples, tmp_path / "vac.csv")
+    optimized = run("-m", "gkpsq.cli", "estimate", "--input", "vac.csv", "--optimize")
+    assert optimized.returncode == 0, optimized.stderr
+    assert json.loads(optimized.stdout)["optimized"] is True

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -250,6 +250,16 @@ def test_wigner_matches_displaced_parity_large_dim(rng):
     assert_matches_displaced_parity(random_state(rng, 300), np.linspace(-0.7, 33.1, 3), [-1.4, 0.3, 2.0])
 
 
+def test_wigner_matches_displaced_parity_at_large_extent(rng):
+    # rows past the reach sqrt(2N + 1) + 6 = 12.40 are written as exact zeros
+    # without tabulating psi; the rows inside still match the oracle
+    state = random_state(rng, 20)
+    xs, ps = np.linspace(-100.0, 100.0, 81), [-30.0, -1.3, 0.0, 2.2]
+    assert_matches_displaced_parity(state, xs, ps)
+    past = np.abs(xs) > math.sqrt(41.0) + 6.0
+    assert np.all(wigner(state, xs, ps)[past] == 0.0)
+
+
 def test_wigner_origin_is_mean_parity(rng):
     # W(0, 0) = (1/pi) sum (-1)^n |c_n|^2 exactly
     for dim in (1, 2, 5, 20, 100, 300):
@@ -362,3 +372,33 @@ def test_density_matrix_validation():
     neg = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
         DensityMatrix(neg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(1, 14),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_density_matrix_psd_check_matches_full_spectrum(dim, data, seed):
+    # A Hermitian block on a random support, zero elsewhere, with eigenvalues
+    # that may be clearly negative, near the floor or zero: accepting or
+    # rejecting it must agree with eigvalsh of the whole matrix.
+    support = sorted(data.draw(st.sets(st.integers(0, dim - 1), min_size=1), label="support"))
+    eigenvalue = st.one_of(st.floats(-0.3, 1.0), st.sampled_from([0.0, -5e-10, -2e-9, -1e-6]))
+    lams = np.array(data.draw(st.lists(eigenvalue, min_size=len(support), max_size=len(support)),
+                              label="eigenvalues"))
+    assume(lams.sum() > 0.1)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(len(support),) * 2) + 1j * rng.normal(size=(len(support),) * 2))
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[np.ix_(support, support)] = (u * (lams / lams.sum())) @ u.conj().T
+    full_min = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
+    assume(abs(full_min - fock.PSD_FLOOR) > 1e-12)  # no rounding-level ties at the floor
+    try:
+        DensityMatrix(mat)
+        accepted = True
+    except ValueError as exc:
+        assert "positive semidefinite" in str(exc)
+        accepted = False
+    assert accepted == (full_min >= fock.PSD_FLOOR)

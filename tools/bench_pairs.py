@@ -11,6 +11,12 @@ back keeps both in the same machine-speed regime.  The output
 holds, per workload and metric, both sides' medians and quartiles, how
 many pairs the `after` side won, every run's checks, and every `xi` value
 both sides computed with the largest difference between them.
+
+After writing `--out` it prints one line per workload and metric: both
+medians, the `after` side's wins, and `WORSE` where the `after` median is
+past the metric's relative `bound` in the `after` checkout's
+`BENCHMARK.json`.  The table is a reading aid, not a gate: the exit code
+does not depend on it.
 """
 
 from __future__ import annotations
@@ -82,6 +88,23 @@ def compare(runs: list[tuple[dict, dict]]) -> dict:
     }
 
 
+def summary_lines(workloads: dict, benchmark: dict) -> list[str]:
+    """One line per workload and metric, flagged WORSE past the metric's bound."""
+    declared = {spec["name"]: spec for spec in benchmark.get("end_to_end", [])}
+    lines = []
+    for workload, result in workloads.items():
+        for name, metric in result["metrics"].items():
+            before, after = metric["before"]["median"], metric["after"]["median"]
+            spec = declared.get(name, {})
+            sign = -1.0 if spec.get("better") == "higher" else 1.0
+            worse = "bound" in spec and sign * (after - before) > spec["bound"] * abs(before)
+            lines.append(
+                f"{workload:<10} {name:<12} {before:10.4g} -> {after:10.4g} {metric['unit']:<3}"
+                f" after wins {metric['after_wins']}/{metric['pairs']}" + ("  WORSE" if worse else "")
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", required=True, type=Path, help="checkout of the parent commit")
@@ -96,6 +119,7 @@ def main(argv=None) -> int:
         workload, _, count = item.partition("=")
         plan.append((workload, int(count)))
     roots = {"before": args.before.resolve(), "after": args.after.resolve()}
+    benchmark = json.loads((roots["after"] / "BENCHMARK.json").read_text())
     out: dict = {"seed": args.seed, "pairs": dict(plan), "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, count in plan:
@@ -114,6 +138,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {index + 1}/{count} done", file=sys.stderr, flush=True)
             out["workloads"][workload] = compare(runs)
     args.out.write_text(json.dumps(out, indent=2) + "\n")
+    print("\n".join(summary_lines(out["workloads"], benchmark)))
     return 0
 
 
