@@ -361,7 +361,7 @@ def db(xi: float) -> float:
     return 10.0 * math.log10(xi)
 
 
-def classify_xi(xi: float, grid: GridSpec, thresholds: Thresholds = THRESHOLDS) -> str:
+def classify_xi(xi: float, grid: GridSpec) -> str:
     """Band containing xi, with inclusive boundaries.
 
     Bands from strongest to weakest: ft-guaranteed and ft-possible (on
@@ -371,9 +371,9 @@ def classify_xi(xi: float, grid: GridSpec, thresholds: Thresholds = THRESHOLDS) 
     the Gaussian one), none.
     """
     if grid.gkp_valid:
-        if xi <= thresholds.ft_sufficient_xi0:
+        if xi <= THRESHOLDS.ft_sufficient_xi0:
             return "ft-guaranteed"
-        if xi <= thresholds.ft_necessary_xi0:
+        if xi <= THRESHOLDS.ft_necessary_xi0:
             return "ft-possible"
     if grid.det != 0.0 and xi <= gaussian_bound_grid(grid):
         return "sub-Gaussian"

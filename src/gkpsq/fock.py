@@ -126,6 +126,8 @@ class DensityMatrix:
         mat = np.asarray(self.entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("density matrix entries must be finite")
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_defect > HERM_ATOL:
             raise ValueError(f"density matrix not Hermitian: defect {herm_defect:g}")

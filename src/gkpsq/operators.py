@@ -246,19 +246,23 @@ def ground_state(op: TruncatedOperator) -> GroundState:
     return GroundState(xi_min=xi_min, state=FockState.normalized(states[lowest]), degeneracy=degeneracy)
 
 
+def _mean(state: FockState | DensityMatrix, matrix: np.ndarray) -> complex:
+    """<psi|M|psi> for a pure state or Tr[rho M]."""
+    dim = matrix.shape[0]
+    if isinstance(state, FockState):
+        if state.dim != dim:
+            raise ValueError(f"state dim {state.dim} != operator dim {dim}")
+        return complex(np.vdot(state.amplitudes, matrix @ state.amplitudes))
+    if isinstance(state, DensityMatrix):
+        if state.dim != dim:
+            raise ValueError(f"density matrix dim {state.dim} != operator dim {dim}")
+        return complex(np.trace(state.entries @ matrix))
+    raise TypeError(f"expected FockState or DensityMatrix, got {type(state)!r}")
+
+
 def expectation(op: TruncatedOperator, state: FockState | DensityMatrix) -> float:
     """<Q> for a pure state or Tr[rho Q], imaginary dust clipped."""
-    if isinstance(state, FockState):
-        if state.dim != op.dim:
-            raise ValueError(f"state dim {state.dim} != operator dim {op.dim}")
-        val = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    elif isinstance(state, DensityMatrix):
-        if state.dim != op.dim:
-            raise ValueError(f"density matrix dim {state.dim} != operator dim {op.dim}")
-        val = complex(np.trace(state.entries @ op.matrix))
-    else:
-        raise TypeError(f"expected FockState or DensityMatrix, got {type(state)!r}")
-    return float(val.real)
+    return float(_mean(state, op.matrix).real)
 
 
 def sin2_expectation(state: FockState | DensityMatrix, c1: float, c2: float, d: float = 0.0) -> float:
@@ -267,15 +271,7 @@ def sin2_expectation(state: FockState | DensityMatrix, c1: float, c2: float, d: 
     Uses the same exact displacement block as `build_operator`, so it is
     exact for states supported inside the truncation.
     """
-    if isinstance(state, FockState):
-        block = _row_exponential(c1, c2, d, state.dim)
-        mean = complex(np.vdot(state.amplitudes, block @ state.amplitudes))
-    elif isinstance(state, DensityMatrix):
-        block = _row_exponential(c1, c2, d, state.dim)
-        mean = complex(np.trace(state.entries @ block))
-    else:
-        raise TypeError(f"expected FockState or DensityMatrix, got {type(state)!r}")
-    return 0.5 * (1.0 - mean.real)
+    return 0.5 * (1.0 - _mean(state, _row_exponential(c1, c2, d, state.dim)).real)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,14 @@ import pytest
 from gkpsq.analytic import THRESHOLDS
 from gkpsq import cli
 from gkpsq.cli import main
-from gkpsq.estimator import QuadratureSamples, save_samples, synthesize_samples
+from gkpsq.estimator import (
+    QuadratureSamples,
+    estimate_xi,
+    load_samples,
+    optimize_xi,
+    save_samples,
+    synthesize_samples,
+)
 from gkpsq.fock import FockState, wigner
 from gkpsq.operators import build_operator, ground_state, preset_grid
 
@@ -301,6 +308,26 @@ def test_estimate_command_optimize(tmp_path):
     assert report["notes"]
 
 
+def test_estimate_optimize_with_bootstrap_error_bar(tmp_path):
+    # --bootstrap keeps the optimizer's grid and estimate and only swaps the
+    # error bar for a resampled one on that grid
+    save_samples(synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 2000, seed=44),
+                 tmp_path / "vac.csv")
+    reports = []
+    for flags in ([], ["--bootstrap", "200", "--seed", "1"]):
+        out = tmp_path / "report.json"
+        assert main(["estimate", "--input", str(tmp_path / "vac.csv"), "--optimize", *flags,
+                     "--output", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    delta, boot = reports
+    for key in ("grid", "xi", "m_gkp", "angles_used"):
+        assert boot[key] == delta[key]
+    assert (delta["std_error_method"], boot["std_error_method"]) == ("delta", "bootstrap")
+    samples = load_samples(tmp_path / "vac.csv")
+    best_grid = optimize_xi(samples).best_grid
+    assert boot["std_error"] == estimate_xi(samples, best_grid, bootstrap=200, seed=1).std_error
+
+
 def test_unconstrained_optimize_on_vacuum_is_not_fault_tolerant(tmp_path):
     # the free scales shrink the grid until the vacuum sits near both floors;
     # the ft bands belong to GKP-valid grids and must not be reported here
@@ -460,6 +487,16 @@ def test_cli_outputs_compare_runs_without_the_package_on_the_path(tmp_path):
     changed = compare(dirs[0], dirs[2])
     assert changed.returncode == 1 and changed.stderr == ""
     assert "out.csv:" in changed.stdout and "column y" in changed.stdout
+
+
+def test_layer_timings_tool_imports_the_package():
+    # --help loads every package name the timing groups use, and times nothing
+    tool = Path(__file__).resolve().parent.parent / "tools" / "layer_timings.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    help_run = subprocess.run([sys.executable, str(tool), "--help"], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+    assert help_run.returncode == 0, help_run.stderr
+    assert "large_n, channel, sample_io" in help_run.stdout
 
 
 SCIPY_FREE_SWEEPS = """

@@ -110,6 +110,18 @@ def test_estimate_unmeasurable_grid_lists_required_angle():
     assert err.value.required_angles  # carries what would need measuring
 
 
+def test_record_near_pi_measures_direction_zero_negated():
+    # x(pi - eps) = -x(-eps): a record just below pi scores the grid row at
+    # angle 0 with its outcomes negated, bit for bit as a record at 0 would
+    v, w = (values for _, values in vacuum_samples(2000).records)
+    wrapped = QuadratureSamples([(math.pi - 1e-7, -v), (math.pi / 2.0, w)])
+    direct = QuadratureSamples([(0.0, v), (math.pi / 2.0, w)])
+    a, b = (estimate_xi(samples, preset_grid("q0")) for samples in (wrapped, direct))
+    assert (a.xi, a.std_error) == (b.xi, b.std_error)
+    with pytest.raises(UnmeasurableGridError):
+        estimate_xi(wrapped, preset_grid("q0"), angle_tolerance=1e-8)
+
+
 def test_estimate_matches_fock_expectation_in_infinite_data_limit():
     # replace sample means with exact pdf integrals; mixed-direction grid
     # exercises the angle decomposition and orientation folding

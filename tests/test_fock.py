@@ -374,6 +374,16 @@ def test_density_matrix_validation():
         DensityMatrix(neg)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [np.full((2, 2), np.nan), [[1.0, np.nan], [np.nan, 0.0]], [[1.0, np.inf], [np.inf, 0.0]]],
+)
+def test_density_matrix_rejects_non_finite_entries(entries):
+    # every other check is a comparison, which NaN passes by comparing false
+    with pytest.raises(ValueError, match="density matrix entries must be finite"):
+        DensityMatrix(np.asarray(entries))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     dim=st.integers(1, 14),

@@ -4,12 +4,13 @@
 
 Each command runs in-process through `gkpsq.cli.main` and writes one file
 into OUTDIR: the five sweeps, `thresholds` (text and `--json`) for every
-preset, and `estimate` plain, `--bootstrap 500 --seed 1`, `--optimize` and
-`--optimize --no-gkp-valid` on two seeded sample files (a q0 ground state
-and the vacuum, 2 x 2e4 samples each) that the script writes into OUTDIR
-first.  Commands run inside OUTDIR with relative file names, so the
-reports' `input` fields do not depend on where OUTDIR is.  Run it once per
-tree and compare with `diff -r OUTDIR_A OUTDIR_B`, or with
+preset, and `estimate` plain, `--bootstrap 500 --seed 1`, `--optimize`,
+`--optimize --no-gkp-valid` and `--optimize --bootstrap 500 --seed 1` on
+two seeded sample files (a q0 ground state and the vacuum, 2 x 2e4 samples
+each) that the script writes into OUTDIR first.  Commands run inside OUTDIR
+with relative file names, so the reports' `input` fields do not depend on
+where OUTDIR is.  Run it once per tree and compare with
+`diff -r OUTDIR_A OUTDIR_B`, or with
 
     python3 tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
 
@@ -41,6 +42,7 @@ ESTIMATES = {
     "bootstrap": ["--bootstrap", "500", "--seed", "1"],
     "optimize": ["--optimize"],
     "optimize_free": ["--optimize", "--no-gkp-valid"],
+    "optimize_bootstrap": ["--optimize", "--bootstrap", "500", "--seed", "1"],
 }
 
 

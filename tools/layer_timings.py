@@ -1,0 +1,150 @@
+"""Time the layers the benchmark does not reach, in process, with BLAS pinned to one thread.
+
+    PYTHONPATH=<tree>/src python3 tools/layer_timings.py [GROUP ...] [--out FILE]
+
+Runs the named groups, or all three.  `large_n`: `build_operator` and
+`ground_state` for q0 and hex at N = 400 and 1000, with `xi_min` and
+`degeneracy`.  `channel`: one `apply_channel` call for loss, noise and both
+at cutoffs 40, 100 and 200, on seeded pure states of support 12 and of full
+support, with a SHA-256 digest of each output.  `sample_io`: `load_samples`
+and `save_samples` on a seeded 2 x 2e5-row q0 sample file, each with its
+tracemalloc peak, a digest of the loaded records and their plain q0 `xi`.
+Every timing is the median and quartiles of a fixed number of runs.  The
+reported values are deterministic, so two trees' outputs must match bit
+for bit; the JSON carries the numpy, Python and package versions.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import gkpsq  # noqa: E402
+from gkpsq.estimator import estimate_xi, load_samples, save_samples, synthesize_samples  # noqa: E402
+from gkpsq.fock import FockState  # noqa: E402
+from gkpsq.operators import ChannelConvergenceWarning, ChannelParams, apply_channel  # noqa: E402
+from gkpsq.operators import build_operator, ground_state, preset_grid  # noqa: E402
+
+CHANNELS = {"loss": ChannelParams(0.9), "noise": ChannelParams(1.0, 0.1), "composed": ChannelParams(0.8, 0.1)}
+SAMPLE_ANGLES = (0.0, math.pi / 2.0)
+SAMPLES_PER_ANGLE = 200_000
+
+
+def timed(fn, runs: int) -> tuple[dict, object]:
+    """Median and quartiles of `runs` calls of fn, and the last call's result."""
+    seconds = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        out = fn()
+        seconds.append(time.perf_counter() - start)
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return {"median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}, out
+
+
+def large_n() -> dict:
+    cases = []
+    for name in ("q0", "hex"):
+        for dim in (400, 1000):
+            build, op = timed(lambda: build_operator(preset_grid(name), dim), 3)
+            solve, gs = timed(lambda: ground_state(op), 3)
+            cases.append({"topology": name, "N": dim, "build_operator": build, "ground_state": solve,
+                          "xi_min": gs.xi_min, "degeneracy": gs.degeneracy})
+    return {"runs": 3, "cases": cases}
+
+
+def channel() -> dict:
+    cases = []
+    with warnings.catch_warnings():
+        # full support leaks trace past the cutoff under noise; the digest records the output
+        warnings.simplefilter("ignore", ChannelConvergenceWarning)
+        for cutoff in (40, 100, 200):
+            for support in (12, cutoff):
+                rng = np.random.default_rng(12 + support)
+                raw = rng.normal(size=support) + 1j * rng.normal(size=support)
+                rho = FockState.normalized(raw).density_matrix().padded(cutoff)
+                for kind, params in CHANNELS.items():
+                    timing, out = timed(lambda: apply_channel(rho, params, cutoff), 15)
+                    digest = hashlib.sha256(np.ascontiguousarray(out.entries).tobytes()).hexdigest()
+                    cases.append({"cutoff": cutoff, "support": support, "channel": kind, **timing, "digest": digest})
+    return {"runs": 15, "cases": cases}
+
+
+def peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def records_digest(samples) -> str:
+    h = hashlib.sha256()
+    for angle, values in samples.records:
+        h.update(np.float64(angle).tobytes())
+        h.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def sample_io() -> dict:
+    state = ground_state(build_operator(preset_grid("q0"), 40)).state
+    samples = synthesize_samples(state, list(SAMPLE_ANGLES), SAMPLES_PER_ANGLE, seed=20260)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, copy = Path(tmp) / "samples.csv", Path(tmp) / "copy.csv"
+        save_samples(samples, path)
+        load, loaded = timed(lambda: load_samples(path), 5)
+        load["tracemalloc_peak_mb"] = peak_mb(lambda: load_samples(path))
+        save, _ = timed(lambda: save_samples(loaded, copy), 5)
+        save["tracemalloc_peak_mb"] = peak_mb(lambda: save_samples(loaded, copy))
+        size = path.stat().st_size
+    return {
+        "runs": 5,
+        "file": {"topology": "q0", "N": 40, "angles": list(SAMPLE_ANGLES), "samples_per_angle": SAMPLES_PER_ANGLE,
+                 "seed": 20260, "bytes": size},
+        "load_samples": {**load, "records_sha256": records_digest(loaded)},
+        "save_samples": save,
+        "xi_q0_plain": estimate_xi(loaded, preset_grid("q0")).xi,
+    }
+
+
+GROUPS = {"large_n": large_n, "channel": channel, "sample_io": sample_io}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("groups", nargs="*", metavar="GROUP", help=f"any of {', '.join(GROUPS)} (default: all)")
+    parser.add_argument("--out", help="also write the JSON to this file")
+    args = parser.parse_args(argv)
+    if unknown := sorted(set(args.groups) - set(GROUPS)):
+        parser.error(f"unknown group(s) {', '.join(unknown)}; choose from {', '.join(GROUPS)}")
+    report = {"provenance": {"numpy": np.__version__, "python": platform.python_version(),
+                             "gkpsq": gkpsq.__version__, "blas_threads": 1}}
+    for name, run in GROUPS.items():
+        if name in args.groups or not args.groups:
+            report[name] = run()
+    text = json.dumps(report, indent=2) + "\n"
+    sys.stdout.write(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
