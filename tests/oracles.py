@@ -164,6 +164,11 @@ def vacuum_characteristic(u: float) -> float:
     return val
 
 
+def char_fn_complex_exp(values: np.ndarray, u: float) -> complex:
+    """Empirical characteristic function mean exp(i u q) through the complex exp."""
+    return complex(np.mean(np.exp(1j * u * values)))
+
+
 def peak_superposition_xi_bruteforce(g: float, a: float, s_max: int, logical_bit: int,
                                      a_grid: float, b_grid: float,
                                      d1: float = 0.0, d2: float = 0.0) -> float:

@@ -515,19 +515,25 @@ runs = [
 for i, argv in enumerate(runs):
     if cli.main([*argv, "--output", f"{sys.argv[1]}/{i}.csv"]) != 0:
         sys.exit(f"failed: {argv}")
-print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+print(" ".join(sorted(
+    name for name in sys.modules if name.split(".")[0] == "scipy" or name == "concurrent.futures"
+)))
 """
 
 
 def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
-    """Start-up guard: the package and the five sweeps never import scipy.
+    """Start-up guard: the package and the five sweeps import neither scipy
+    nor concurrent.futures.
 
     scipy.optimize is imported inside the two functions that call it
     (`thresholds`' root solve, `estimate --optimize`'s Brent step), because
     importing it costs several times numpy's import on every command. A new
     module-level scipy import anywhere in gkpsq, including a future
     scipy.linalg subset eigensolve, fails this test; import such a module
-    inside the function that needs it. Each run is a fresh interpreter, so
+    inside the function that needs it. `estimate --optimize` scans on a
+    worker thread from `threading`, which the interpreter loads at start-up;
+    a thread pool from concurrent.futures would add its import to every
+    command and fails this test too. Each run is a fresh interpreter, so
     modules imported by the test session do not count.
     """
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,19 +1,24 @@
+import dataclasses
 import math
 import tempfile
+import threading
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gkpsq import estimator
 from gkpsq.analytic import ApproxGKPParams
 from gkpsq.estimator import (
     MAX_LOG_SCALE,
     QuadratureSamples,
     SampleParseError,
     UnmeasurableGridError,
+    _char_fn,
     _closed_form_offset,
     _load_samples_by_line,
     _load_table,
@@ -34,7 +39,9 @@ from gkpsq.operators import (
     expectation,
     ground_state,
     preset_grid,
+    sin2_expectation,
 )
+from oracles import char_fn_complex_exp
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 VACUUM_XI_S0 = 2.0 - 2.0 * math.exp(-math.pi / 2.0)
@@ -280,6 +287,111 @@ def test_optimizer_unconstrained_can_only_improve():
     con = optimize_xi(samples, constrain_gkp_valid=True)
     unc = optimize_xi(samples, constrain_gkp_valid=False)
     assert unc.xi_opt <= con.xi_opt + 1e-9
+
+
+def _bits(z: complex) -> list[int]:
+    return np.array([z.real, z.imag]).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(-5e4, 5e4),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]),
+        ),
+        min_size=1,
+        max_size=300,
+    ).map(np.array),
+    u=st.floats(1e-3, 20.0),
+)
+@example(values=np.array([-0.0]), u=1.0)
+@example(values=np.array([-0.0, 0.0, -0.0]), u=3.0)
+@example(values=np.array([-5e-324] * 20), u=0.4)  # every phase underflows to -0.0
+@example(values=np.array([-1e-310, 5e-324, -0.0]), u=0.5)
+@example(values=np.linspace(-5e4, 5e4, 1001), u=20.0)  # |u q| up to 1e6
+def test_char_fn_matches_complex_exp_bit_for_bit(values, u):
+    # cos and sin of one real phase array reproduce the complex exp's mean
+    # in every bit, signed zeros and subnormal samples included
+    assert _bits(_char_fn(values, u)) == _bits(char_fn_complex_exp(values, u))
+
+
+class _SerialThread:
+    """Stand-in for threading.Thread that runs its target inside start()."""
+
+    def __init__(self, target, **_):
+        self._target = target
+
+    def start(self):
+        self._target()
+
+    def join(self):
+        pass
+
+
+def _optimize_fields(res) -> list:
+    grid = [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(res.best_grid)]
+    return [grid, res.xi_opt.hex(), res.std_error.hex(), res.m_gkp.hex(), [a.hex() for a in res.angles_used]]
+
+
+@pytest.mark.parametrize("angles", [(0.0, math.pi / 2.0), (0.0, math.pi / 3.0, math.pi / 2.0)])
+@pytest.mark.parametrize("constrained", [True, False])
+def test_optimizer_matches_serial_complex_exp_scan(tmp_path, monkeypatch, angles, constrained):
+    # differential check of the scan: the two-thread, cos-and-sin route gives
+    # the same bits as one thread scanning with the complex exp
+    gs = ground_state(build_operator(preset_grid("q0"), 20))
+    save_samples(synthesize_samples(gs.state, angles, 3000, seed=len(angles)), tmp_path / "s.csv")
+    samples = load_samples(tmp_path / "s.csv")
+    fast = optimize_xi(samples, constrain_gkp_valid=constrained)
+    monkeypatch.setattr(estimator, "_char_fn", char_fn_complex_exp)
+    monkeypatch.setattr(estimator, "threading", SimpleNamespace(Thread=_SerialThread))
+    serial = optimize_xi(samples, constrain_gkp_valid=constrained)
+    assert _optimize_fields(fast) == _optimize_fields(serial)
+
+
+class _ScanFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_side", ["worker", "caller"])
+def test_scan_errors_reach_the_caller_and_no_thread_outlives_the_call(monkeypatch, failing_side):
+    samples = vacuum_samples(500)
+    start = threading.active_count()
+    optimize_xi(samples)
+    assert threading.active_count() == start
+    caller = threading.current_thread()
+
+    def failing_char_fn(values, u):
+        if (threading.current_thread() is caller) == (failing_side == "caller"):
+            raise _ScanFailure(failing_side)
+        return char_fn_complex_exp(values, u)
+
+    monkeypatch.setattr(estimator, "_char_fn", failing_char_fn)
+    for constrained in (True, False):
+        with pytest.raises(_ScanFailure, match=failing_side):
+            optimize_xi(samples, constrain_gkp_valid=constrained)
+        assert threading.active_count() == start
+
+
+def test_optimizer_error_bar_calibration():
+    # Does the selection of the grid on the scored samples bias the error
+    # bar?  z = (xi_opt - exact) / std_error with `exact` the Fock <Q> of the
+    # chosen grid; over these 40 seeds it measured mean -0.226, sd 1.028 and
+    # 3 below -2.  Each bound sits about one standard error of its statistic
+    # (0.16 for the mean, 0.12 for the sd) past the measured value or past a
+    # calibrated z's (mean 0, sd 1), whichever lies further out; a shrunk
+    # error bar or a biased scan crosses them.
+    gs = ground_state(build_operator(preset_grid("q0"), 40)).state
+    zs = []
+    for seed in range(1000, 1040):
+        res = optimize_xi(synthesize_samples(gs, [0.0, math.pi / 2.0], 2000, seed=seed))
+        g = res.best_grid
+        exact = 2.0 * (sin2_expectation(gs, g.c11, g.c12, g.d1) + sin2_expectation(gs, g.c21, g.c22, g.d2))
+        zs.append((res.xi_opt - exact) / res.std_error)
+    zs = np.array(zs)
+    assert -0.4 < zs.mean() < 0.2
+    assert 0.88 < zs.std(ddof=1) < 1.15
+    assert np.count_nonzero(zs < -2.0) <= 4
 
 
 def test_synthesize_deterministic_and_calibrated():
