@@ -11,6 +11,7 @@ for each formula.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -239,6 +240,64 @@ class GridSqueezingBounds:
     pessimistic_fixed_p_sq: float
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f between xa and xb, where f changes sign, by Brent's method.
+
+    A line-for-line port of scipy's C `brentq` (BSD-3) with its defaults
+    xtol = 2e-12, rtol = 4 eps and maxiter = 100, raising the same errors:
+    it evaluates f at the same points and returns the same bits as
+    `scipy.optimize.brentq(f, xa, xb)`, which
+    `tests/test_analytic.py::test_brentq_matches_scipy` checks.
+    """
+    xtol, rtol = 2e-12, 4.0 * sys.float_info.epsilon
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a short enough step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # where C divides to inf or nan, and so bisects
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def grid_squeezing_bounds_from_xi(xi: float, grid: GridSpec | str) -> GridSqueezingBounds:
     """Upper bounds on each row's grid squeezing for a given xi in [0, 1).
 
@@ -249,15 +308,13 @@ def grid_squeezing_bounds_from_xi(xi: float, grid: GridSpec | str) -> GridSqueez
     when the pinned row alone already exceeds xi.  A preset name is
     resolved through `preset_grid`.
     """
-    from scipy.optimize import brentq  # here, not at module level: keeps scipy out of start-up
-
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"bounds are defined for xi in [0, 1), got {xi}")
     grid = _as_grid(grid)
     z1_sq, z2_sq = _row_lengths_sq(grid)
     lg = math.log1p(-xi)
     max_1, max_2 = -lg / z1_sq, -lg / z2_sq
-    sym = brentq(
+    sym = _brentq(
         lambda d: 2.0 - math.exp(-z1_sq * d) - math.exp(-z2_sq * d) - xi,
         0.0,
         max(max_1, max_2) + 1.0,

@@ -338,15 +338,87 @@ def _in_parallel(first, second):
     return out["value"], second_value
 
 
-def _minimize_on_box(f, values: list[float]) -> tuple[float, float]:
-    """Minimize f over the log-scale box: Brent on the best bracket of f's scan `values`."""
-    from scipy.optimize import minimize_scalar  # here, not at module level: keeps scipy out of start-up
+def _bounded_brent(f, a: float, b: float) -> tuple[float, float]:
+    """(x, f(x)) minimizing f on [a, b] by Brent's bounded method.
 
+    A line-for-line port of scipy's `_minimize_scalar_bounded` (BSD-3) at
+    xatol = 1e-10 and maxiter = 500: it evaluates f at the same points and
+    returns the same bits as `minimize_scalar(f, bounds=(a, b),
+    method="bounded", options={"xatol": 1e-10})`, which
+    `tests/test_estimator.py::test_bounded_brent_matches_scipy` checks.
+    """
+    xatol = 1e-10
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
+def _minimize_on_box(f, values: list[float]) -> tuple[float, float]:
+    """Minimize f over the log-scale box given f's values on the scan points.
+
+    `_bounded_brent` polishes the bracket around the best scan point; the
+    scan point is kept when the polish finds nothing lower.
+    """
     k = int(np.argmin(values))
-    bracket = (_SCAN[max(k - 1, 0)], _SCAN[min(k + 1, SCAN_POINTS - 1)])
-    res = minimize_scalar(f, bounds=bracket, method="bounded", options={"xatol": 1e-10})
-    if res.fun < values[k]:
-        return float(res.x), float(res.fun)
+    x, fx = _bounded_brent(f, float(_SCAN[max(k - 1, 0)]), float(_SCAN[min(k + 1, SCAN_POINTS - 1)]))
+    if fx < values[k]:
+        return x, fx
     return float(_SCAN[k]), values[k]
 
 

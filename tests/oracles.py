@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.special import eval_genlaguerre, gammaln, genlaguerre
 
 from gkpsq.fock import coherent_displacement, hermite_functions
@@ -167,6 +168,12 @@ def vacuum_characteristic(u: float) -> float:
 def char_fn_complex_exp(values: np.ndarray, u: float) -> complex:
     """Empirical characteristic function mean exp(i u q) through the complex exp."""
     return complex(np.mean(np.exp(1j * u * values)))
+
+
+def bounded_brent_scipy(f, a: float, b: float) -> tuple[float, float]:
+    """(x, f(x)) minimizing f on [a, b] by scipy's bounded Brent method at xatol 1e-10."""
+    res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": 1e-10})
+    return float(res.x), float(res.fun)
 
 
 def peak_superposition_xi_bruteforce(g: float, a: float, s_max: int, logical_bit: int,

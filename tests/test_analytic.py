@@ -1,16 +1,20 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from gkpsq import analytic
 from gkpsq.analytic import (
     CLASSIFICATIONS,
     THRESHOLDS,
     ApproxGKPParams,
     UnphysicalEstimateWarning,
+    _brentq,
     approx_state_displacement_mean,
     breeding_step_xi,
     channel_affine_xi,
@@ -30,7 +34,15 @@ from gkpsq.analytic import (
     xi_finite_superposition,
     xi_from_grid_squeezing,
 )
-from gkpsq.operators import ChannelParams, GridSpec, approx_gkp_state, build_operator, expectation, preset_grid
+from gkpsq.operators import (
+    PRESET_NAMES,
+    ChannelParams,
+    GridSpec,
+    approx_gkp_state,
+    build_operator,
+    expectation,
+    preset_grid,
+)
 from oracles import peak_superposition_xi_bruteforce, vacuum_sin2_integral
 from strategies import reshaped_grids
 
@@ -236,6 +248,103 @@ def test_bounds_solve_back_to_xi_on_any_grid(grid, xi):
         pairs.append((b.pessimistic_delta_x_sq, b.pessimistic_fixed_p_sq))
     for pair in pairs:
         assert xi_from_grid_squeezing(pair, grid).xi == pytest.approx(xi, abs=1e-10)
+
+
+def _solve_traced(solver, f, xa, xb):
+    """The solver's root, or its error, and every point where it evaluated f."""
+    points = []
+
+    def traced(x):
+        points.append(float(x).hex())
+        return f(x)
+
+    try:
+        outcome = float(solver(traced, xa, xb)).hex()
+    except (ValueError, RuntimeError) as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    return outcome, points
+
+
+def _bounds_traced(solver, xi, grid):
+    calls = []
+
+    def traced(f, xa, xb):
+        calls.append(_solve_traced(solver, f, xa, xb))
+        return solver(f, xa, xb)
+
+    with mock.patch.object(analytic, "_brentq", traced):
+        bounds = grid_squeezing_bounds_from_xi(xi, grid)
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(bounds)], calls
+
+
+_coefficient = st.floats(-4.0, 4.0)
+custom_grids = st.tuples(_coefficient, _coefficient, _coefficient, _coefficient, _coefficient, _coefficient).filter(
+    lambda c: math.hypot(c[0], c[1]) > 1e-3 and math.hypot(c[2], c[3]) > 1e-3
+).map(lambda c: GridSpec(*c[:4], d1=c[4], d2=c[5], label="custom"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xi=st.floats(0.0, 1.0, exclude_max=True), grid=st.sampled_from(PRESET_NAMES) | custom_grids)
+@example(xi=0.0, grid="q0")  # f(0) == 0: scipy returns at once
+@example(xi=THRESHOLDS.ft_symmetric_xi0, grid="hex")
+@example(xi=0.9999999999999999, grid=GridSpec(0.01, 0.0, 0.0, 3.0, d1=0.5, d2=-1.0, label="custom"))
+def test_brentq_matches_scipy(xi, grid):
+    # scipy's brentq is the oracle for the symmetric-scenario root: the same
+    # bounds and evaluation points, compared through float.hex
+    assert _bounds_traced(_brentq, xi, grid) == _bounds_traced(brentq, xi, grid)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_brentq_matches_scipy_on_presets(name):
+    for xi in (0.0, THRESHOLDS.ft_symmetric_xi0, THRESHOLDS.ft_sufficient_xi0, THRESHOLDS.ft_necessary_xi0, 0.5):
+        assert _bounds_traced(_brentq, xi, name) == _bounds_traced(brentq, xi, name)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    coeffs=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    ends=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+@example(coeffs=(0.0, 1.0, 0.0, 0.0), ends=(0.0, 1.0))  # f(a) == 0
+@example(coeffs=(0.0, 1.0, 0.0, 0.0), ends=(-1.0, -0.0))  # f(b) == -0.0
+@example(coeffs=(1.0, 0.0, 0.0, 1.0), ends=(0.0, 1.0))  # no sign change
+def test_brentq_matches_scipy_on_any_bracket(coeffs, ends):
+    # cubic-plus-sine functions, roots and errors alike
+    c3, c1, s, c0 = coeffs
+
+    def f(x):
+        return c3 * x**3 + c1 * x + s * math.sin(3.0 * x) + c0
+
+    assert _solve_traced(_brentq, f, *ends) == _solve_traced(brentq, f, *ends)
+
+
+@pytest.mark.parametrize("nan_where", [(0.0, 0.0), (1.0, 1.0), (0.2, 0.9)])
+def test_brentq_raises_scipy_error_on_nan(nan_where):
+    def f(x):
+        return math.nan if nan_where[0] <= x <= nan_where[1] else x - 0.3
+
+    outcome, _ = _solve_traced(_brentq, f, 0.0, 1.0)
+    assert outcome.startswith("ValueError: The function value at x=")
+    assert _solve_traced(_brentq, f, 0.0, 1.0) == _solve_traced(brentq, f, 0.0, 1.0)
+
+
+def test_brentq_bisects_where_the_interpolation_divides_by_zero():
+    # slopes near 1e-170 underflow the inverse-quadratic denominator to 0,
+    # where scipy's C code divides to inf and bisects
+    def f(x):
+        return 1e-170 * (x**3 - 0.027)
+
+    assert _solve_traced(_brentq, f, 0.0, 1.0) == _solve_traced(brentq, f, 0.0, 1.0)
+
+
+def test_bounds_nan_error_matches_scipy():
+    # a first row so long that its squared length overflows makes f(0) NaN
+    grid = GridSpec(1.2e154, 1.2e154, 0.0, 1.0, label="custom")
+    with mock.patch.object(analytic, "_brentq", brentq), pytest.raises(ValueError) as oracle:
+        grid_squeezing_bounds_from_xi(0.1, grid)
+    with pytest.raises(ValueError) as ported:
+        grid_squeezing_bounds_from_xi(0.1, grid)
+    assert str(ported.value) == str(oracle.value)
 
 
 def test_pessimistic_scenario_crosses_band_at_ft_sufficient():

@@ -499,10 +499,9 @@ def test_layer_timings_tool_imports_the_package():
     assert "large_n, channel, sample_io" in help_run.stdout
 
 
-SCIPY_FREE_SWEEPS = """
+EVERY_COMMAND = """
 import sys
 
-import gkpsq
 from gkpsq import cli
 
 runs = [
@@ -511,9 +510,15 @@ runs = [
     ["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1", "3"],
     ["channel-sweep", "--eta", "1.0", "0.9", "--xi-in", "0", "1", "3"],
     ["peaks-sweep", "--g", "0.1", "--smax", "0", "2"],
+    ["thresholds"],
+    ["thresholds", "--json"],
+    ["estimate", "--input", "vac.csv"],
+    ["estimate", "--input", "vac.csv", "--bootstrap", "50"],
+    ["estimate", "--input", "vac.csv", "--optimize"],
+    ["estimate", "--input", "vac.csv", "--optimize", "--no-gkp-valid"],
 ]
 for i, argv in enumerate(runs):
-    if cli.main([*argv, "--output", f"{sys.argv[1]}/{i}.csv"]) != 0:
+    if cli.main([*argv, "--output", f"out{i}"]) != 0:
         sys.exit(f"failed: {argv}")
 print(" ".join(sorted(
     name for name in sys.modules if name.split(".")[0] == "scipy" or name == "concurrent.futures"
@@ -521,38 +526,28 @@ print(" ".join(sorted(
 """
 
 
-def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
-    """Start-up guard: the package and the five sweeps import neither scipy
-    nor concurrent.futures.
+def test_no_command_imports_scipy_or_concurrent_futures(tmp_path):
+    """Start-up guard: no command loads scipy or concurrent.futures.
 
-    scipy.optimize is imported inside the two functions that call it
-    (`thresholds`' root solve, `estimate --optimize`'s Brent step), because
-    importing it costs several times numpy's import on every command. A new
-    module-level scipy import anywhere in gkpsq, including a future
-    scipy.linalg subset eigensolve, fails this test; import such a module
-    inside the function that needs it. `estimate --optimize` scans on a
-    worker thread from `threading`, which the interpreter loads at start-up;
-    a thread pool from concurrent.futures would add its import to every
-    command and fails this test too. Each run is a fresh interpreter, so
-    modules imported by the test session do not count.
+    One fresh interpreter runs every command: the five sweeps, `thresholds`
+    as text and as JSON, and `estimate` plain, with `--bootstrap`, with
+    `--optimize` and with `--optimize --no-gkp-valid`.  numpy is the only
+    runtime dependency; `thresholds`' root solve and `estimate --optimize`'s
+    Brent polish are in-house ports, so a scipy import anywhere in gkpsq,
+    even one deferred into a function, fails this test.  `estimate
+    --optimize` scans on a worker thread from `threading`, which the
+    interpreter loads at start-up; a thread pool from concurrent.futures
+    would add its import and fails this test too.  Modules imported by the
+    test session do not count.
     """
+    save_samples(synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 2000, seed=43),
+                 tmp_path / "vac.csv")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-    def run(*args):
-        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
-
-    sweeps = run("-c", SCIPY_FREE_SWEEPS, str(tmp_path))
-    assert sweeps.returncode == 0, sweeps.stderr
-    assert sweeps.stdout.strip() == ""
-    assert len(list(tmp_path.glob("*.csv"))) == 5
-    # the lazy imports still resolve in a fresh process
-    thresholds = run("-m", "gkpsq.cli", "thresholds", "--json")
-    assert thresholds.returncode == 0, thresholds.stderr
-    assert json.loads(thresholds.stdout)["command"] == "thresholds"
-    samples = synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 2000, seed=43)
-    save_samples(samples, tmp_path / "vac.csv")
-    optimized = run("-m", "gkpsq.cli", "estimate", "--input", "vac.csv", "--optimize")
-    assert optimized.returncode == 0, optimized.stderr
-    assert json.loads(optimized.stdout)["optimized"] is True
+    run = subprocess.run([sys.executable, "-c", EVERY_COMMAND], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == ""
+    assert json.loads((tmp_path / "out6").read_text())["command"] == "thresholds"
+    assert json.loads((tmp_path / "out9").read_text())["optimized"] is True
+    assert json.loads((tmp_path / "out10").read_text())["optimized"] is True

@@ -4,7 +4,8 @@
 
 Each command runs in-process through `gkpsq.cli.main` and writes one file
 into OUTDIR: the five sweeps, `thresholds` (text and `--json`) for every
-preset, and `estimate` plain, `--bootstrap 500 --seed 1`, `--optimize`,
+preset and for one custom grid (rows of unequal length, nonzero offsets),
+and `estimate` plain, `--bootstrap 500 --seed 1`, `--optimize`,
 `--optimize --no-gkp-valid` and `--optimize --bootstrap 500 --seed 1` on
 two seeded sample files (a q0 ground state and the vacuum, 2 x 2e4 samples
 each) that the script writes into OUTDIR first.  Commands run inside OUTDIR
@@ -37,6 +38,9 @@ SWEEPS = {
     "channel.csv": ["channel-sweep", "--eta", "1.0", "0.95", "0.9", "0.8", "--xi-in", "0", "2", "81"],
     "peaks.csv": ["peaks-sweep", "--g", "0.05", "0.1", "0.2", "0.4", "--smax", "0", "1", "2", "3", "4", "5", "6"],
 }
+# A custom grid for `thresholds`: unequal row lengths put the symmetric
+# root away from every preset's.
+CUSTOM_GRID = ["--grid", "0.8", "0.3", "-0.5", "2.1", "0.25", "-1.1"]
 ESTIMATES = {
     "plain": ["--topology", "s0"],
     "bootstrap": ["--bootstrap", "500", "--seed", "1"],
@@ -65,6 +69,8 @@ def commands() -> dict[str, list[str]]:
     for name in PRESET_NAMES:
         out[f"thresholds_{name}.txt"] = ["thresholds", "--topology", name]
         out[f"thresholds_{name}.json"] = ["thresholds", "--topology", name, "--json"]
+    out["thresholds_custom.txt"] = ["thresholds", *CUSTOM_GRID]
+    out["thresholds_custom.json"] = ["thresholds", *CUSTOM_GRID, "--json"]
     return out
 
 
