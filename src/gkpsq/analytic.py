@@ -68,9 +68,16 @@ def classical_bound_grid(grid: GridSpec) -> float:
 
 
 def _row_lengths_sq(grid: GridSpec) -> tuple[float, float]:
-    """Squared lengths z_i^2 = c1^2 + c2^2 of the two coefficient rows."""
+    """Squared lengths z_i^2 = c1^2 + c2^2 of the two coefficient rows; inf past the float range."""
+
+    def square(c: float) -> float:
+        try:
+            return c**2
+        except OverflowError:
+            return math.inf
+
     (c11, c12, _), (c21, c22, _) = grid.rows()
-    return c11**2 + c12**2, c21**2 + c22**2
+    return square(c11) + square(c12), square(c21) + square(c22)
 
 
 def _gaussian_value(a: float, b: float, g: float) -> float:
@@ -306,19 +313,26 @@ def grid_squeezing_bounds_from_xi(xi: float, grid: GridSpec | str) -> GridSqueez
     pessimistic scenario pins the second row at the sharpness
     exp(-pi * PESSIMISTIC_FIXED_P_SQ) and tracks the first row; it is None
     when the pinned row alone already exceeds xi.  A preset name is
-    resolved through `preset_grid`.
+    resolved through `preset_grid`.  Raises ValueError when a squared row
+    length leaves the positive float range, or when the rows' lengths are
+    so far apart that the symmetric root does not converge.
     """
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"bounds are defined for xi in [0, 1), got {xi}")
     grid = _as_grid(grid)
     z1_sq, z2_sq = _row_lengths_sq(grid)
+    if not (0.0 < z1_sq < math.inf and 0.0 < z2_sq < math.inf):
+        raise ValueError(f"squared row lengths {z1_sq!r}, {z2_sq!r} are not finite and positive")
     lg = math.log1p(-xi)
     max_1, max_2 = -lg / z1_sq, -lg / z2_sq
-    sym = _brentq(
-        lambda d: 2.0 - math.exp(-z1_sq * d) - math.exp(-z2_sq * d) - xi,
-        0.0,
-        max(max_1, max_2) + 1.0,
-    )
+    try:
+        sym = _brentq(
+            lambda d: 2.0 - math.exp(-z1_sq * d) - math.exp(-z2_sq * d) - xi,
+            0.0,
+            max(max_1, max_2) + 1.0,
+        )
+    except RuntimeError as exc:
+        raise ValueError(f"symmetric bound for squared row lengths {z1_sq!r}, {z2_sq!r}: {exc}") from exc
     floor = math.exp(-math.pi * PESSIMISTIC_FIXED_P_SQ)
     arg = 2.0 - xi - floor
     return GridSqueezingBounds(

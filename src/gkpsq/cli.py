@@ -259,8 +259,14 @@ def cmd_estimate(args) -> int:
 
 def cmd_thresholds(args) -> int:
     grid = _grid_from_args(args)
-    classical = classical_bound_grid(grid)
-    gaussian = gaussian_bound_grid(grid)
+    try:
+        classical = classical_bound_grid(grid)
+        gaussian = gaussian_bound_grid(grid)
+        bounds = grid_squeezing_bounds_from_xi(THRESHOLDS.ft_symmetric_xi0, grid)
+    except ValueError as exc:
+        if args.grid is None:
+            raise
+        raise ValueError(f"--grid {' '.join(map(repr, args.grid))}: {exc}") from exc
     gaussian_db = db(gaussian)  # -inf on a singular grid, whose floor is 0
     payload = {
         "schema_version": 1,
@@ -284,9 +290,7 @@ def cmd_thresholds(args) -> int:
                 for i, (z, _, _) in enumerate(grid.row_waves(), start=1)
             ],
         },
-        "bounds_at_ft_symmetric": dataclasses.asdict(
-            grid_squeezing_bounds_from_xi(THRESHOLDS.ft_symmetric_xi0, grid)
-        ),
+        "bounds_at_ft_symmetric": dataclasses.asdict(bounds),
         "notes": THRESHOLD_NOTES,
     }
     if args.json:

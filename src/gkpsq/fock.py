@@ -10,16 +10,23 @@ exp(i(cx*x + cp*p)) = D(alpha) with alpha = (-cp + i*cx)/sqrt(2), and
 `coherent_displacement` returns their exact matrix elements <m|D|n> for
 m, n < N.  An operator assembled from these blocks is therefore the exact
 compression of the untruncated one onto the first N number states.  The
-block is not unitary; callers must not assume unitarity.  Its cost is one
-dense Hermite table of about 3 N^2 floats (4 reach^2/pi points per order,
-reach = sqrt(2N + 1) + 6) and its even and odd halves, so a block peaks
-near 90 N^2 bytes and the dimension N is capped (`GKPSQ_MAX_BUILD_DIM`,
-default 2000, about 0.4 GB per block at the cap).
+block is not unitary; callers must not assume unitarity.
+`displacement_halves` returns the even and odd photon-number blocks of a
+real displacement from the same integrals, in half the flops of a full
+block and in real arithmetic; an operator that conserves photon-number
+parity needs nothing else.  Both read one dense Hermite table of about
+3 N^2 floats (4 reach^2/pi points per order, reach = sqrt(2N + 1) + 6),
+and take its even and odd parts in the integration variable (the table
+itself is freed before the products), so a full block peaks near
+65 N^2 bytes and the pair of halves near 52 N^2 bytes.  The dimension N
+is capped (`GKPSQ_MAX_BUILD_DIM`, default 2000, about 0.3 GB per call at
+the cap).
 
 `wigner` needs no displacement blocks: it evaluates the Wigner-Weyl
 integral on a product grid from one Hermite table on a lattice that holds
-every x +- y it needs.  It checks the same cap and keeps its arrays within
-15 cap^2 floats.
+every x +- y it needs.  Every table comes from `_hermite_lattice`, with
+the reach from `_lattice_reach`.  It checks the same cap and keeps its
+arrays within 15 cap^2 floats.
 """
 
 from __future__ import annotations
@@ -60,7 +67,9 @@ def build_dim_cap() -> int:
 
 
 def check_build_dim(dim: int) -> None:
-    """Raise ResourceCapError when a dense Fock dimension exceeds the cap."""
+    """Raise ValueError below dimension 1 and ResourceCapError above the cap."""
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
     cap = build_dim_cap()
     if dim > cap:
         raise ResourceCapError(f"dimension {dim} exceeds cap {cap}; raise {BUILD_DIM_CAP_ENV} to override")
@@ -179,34 +188,61 @@ def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
 
     Because the block holds the untruncated operator's matrix elements, it
     is exact for any alpha, and expectations against states supported
-    inside the truncation carry no truncation error.  Every displacement
-    block in the package comes from here, so this is where `dim` is checked
-    against `build_dim_cap()` (ResourceCapError above it); `wigner`, which
-    builds no blocks, checks it itself.
+    inside the truncation carry no truncation error.  `dim` is checked
+    against `build_dim_cap()` (ResourceCapError above it), as it is by
+    `displacement_halves` and `wigner`.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
     check_build_dim(dim)
     beta = complex(alpha)
     r = abs(beta)
     if r == 0.0:
         return np.eye(dim, dtype=complex)
     theta = math.atan2(beta.imag, beta.real)
-    shift = math.sqrt(2.0) * r
-    reach = math.sqrt(2.0 * dim + 1.0) + 6.0
-    step = math.pi / (2.0 * reach)
-    half = math.floor(reach / step)
-    h = hermite_functions(dim - 1, np.arange(-half, half + 1) * step + 0.5 * shift)
-    # h @ h[:, ::-1].T, from the even and odd parts in l of the table: the
-    # cross terms sum to zero, and each part is one symmetric product over
-    # l >= 0 (column 0 of the even part is halved in weight).
-    right, left = h[:, half:], h[:, half::-1]
-    even, odd = right + left, right - left
-    even[:, 0] *= math.sqrt(0.5)
+    [(even, odd)], step = _overlap_parts(math.sqrt(2.0) * r, dim, (slice(None),))
     real_block = (even @ even.T - odd @ odd.T) * (0.5 * step)
     real_block[:, 1::2] *= -1.0
     phases = np.exp(1j * theta * np.arange(dim))
     return phases[:, None] * real_block * phases.conj()[None, :]
+
+
+def displacement_halves(shift: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd photon-number blocks of the real displacement D(shift/sqrt(2)).
+
+    Entry (i, j) of half p is <2i + p|D|2j + p> for 2i + p, 2j + p < dim:
+    the same exact overlap integrals as `coherent_displacement` (theta = 0),
+    from the same table, restricted to one parity.  On a half the column
+    sign (-1)^n is the constant (-1)^p, so each half is the real symmetric
+    (-1)^p (E_p E_p^T - O_p O_p^T) dt/2 of the table's even and odd parts
+    in t, E_p and O_p their rows of parity p.  The two products cost half
+    the flops of the full block's, and the even-odd entries, which vanish
+    in any operator that conserves parity, are never formed.  `dim` is
+    checked against `build_dim_cap()`.
+    """
+    check_build_dim(dim)
+    parts, step = _overlap_parts(shift, dim, (slice(0, None, 2), slice(1, None, 2)))
+    return tuple((e @ e.T - o @ o.T) * ((-1.0) ** p * 0.5 * step) for p, (e, o) in enumerate(parts))
+
+
+def _overlap_parts(shift: float, dim: int, rows: tuple[slice, ...]) -> tuple[list, float]:
+    """[(even, odd)] per row set in `rows`, the parts in t of h_n(t + shift/2) at t = l dt, l >= 0; and dt.
+
+    The cross terms of the two parts sum to zero in the overlap
+    int h_m(t + s/2) h_n(-t + s/2) dt, and each part is one symmetric
+    product over l >= 0 (column 0 of the even part is halved in weight).
+    Each row set selects orders n of the one table, so the parity halves
+    share it and get contiguous parts.
+    """
+    reach = _lattice_reach(dim)
+    step = math.pi / (2.0 * reach)
+    half = math.floor(reach / step)
+    h = _hermite_lattice(dim, 0.5 * shift, step, -half, half)
+    parts = []
+    for sel in rows:
+        right, left = h[sel, half:], h[sel, half::-1]
+        even, odd = right + left, right - left
+        even[:, 0] *= math.sqrt(0.5)
+        parts.append((even, odd))
+    return parts, step
 
 
 def fidelity(s1: FockState, s2: FockState) -> float:
@@ -242,6 +278,16 @@ def hermite_functions(n_max: int, q: np.ndarray) -> np.ndarray:
         far = np.flatnonzero(np.abs(q) > HERMITE_SEED_LIMIT)
         _hermite_rescaled(h, q[far], far)
     return h
+
+
+def _lattice_reach(dim: int) -> float:
+    """sqrt(2 dim + 1) + 6: past it every h_n, n < dim, is beyond its turning point by 6."""
+    return math.sqrt(2.0 * dim + 1.0) + 6.0
+
+
+def _hermite_lattice(dim: int, origin: float, step: float, lo: int, hi: int) -> np.ndarray:
+    """h_n(origin + l step) for n < dim and lo <= l <= hi: the one table every block and Wigner row reads."""
+    return hermite_functions(dim - 1, np.arange(lo, hi + 1) * step + origin)
 
 
 def _hermite_rescaled(h: np.ndarray, q: np.ndarray, cols: np.ndarray) -> None:
@@ -314,14 +360,14 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
 
     The state's dimension is checked against `build_dim_cap()`.  The
     lattice table, the y-by-row products and the phase matrix are kept
-    within 15 cap^2 floats (120 cap^2 bytes, somewhat above the 90 N^2
-    bytes one displacement block peaks at) by processing x rows in chunks;
+    within 15 cap^2 floats (120 cap^2 bytes, above the 65 N^2 bytes
+    one displacement block peaks at) by processing x rows in chunks;
     a grid whose single row does not fit raises ResourceCapError.
     """
     check_build_dim(state.dim)
     xs = _wigner_axis(xs, "xs")
     ps = _wigner_axis(ps, "ps")
-    reach = math.sqrt(2.0 * state.dim + 1.0) + 6.0
+    reach = _lattice_reach(state.dim)
     limit = math.pi / (reach + float(np.abs(ps).max()))
     if xs.size > 1:
         dx = (xs[-1] - xs[0]) / (xs.size - 1)
@@ -341,8 +387,7 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
     end = int(np.searchsorted(xs, reach, side="right"))
     for start in range(first, end, rows):
         stop = min(start + rows, end)
-        lattice = xs[0] + np.arange(start * m - half, (stop - 1) * m + half + 1) * dy
-        h = hermite_functions(state.dim - 1, lattice)
+        h = _hermite_lattice(state.dim, xs[0], dy, start * m - half, (stop - 1) * m + half)
         psi = amps.real @ h + 1j * (amps.imag @ h)
         centres = (np.arange(stop - start) * m + half)[:, None]
         f = psi[centres + ks].conj() * psi[centres - ks]

@@ -26,6 +26,7 @@ from .fock import (
     FockState,
     check_build_dim,
     coherent_displacement,
+    displacement_halves,
     hermite_functions,
 )
 
@@ -178,6 +179,31 @@ def _row_exponential(c1: float, c2: float, d: float, dim: int) -> np.ndarray:
     return block
 
 
+def _row_step(c1: float, c2: float) -> tuple[float, complex]:
+    """Shift s = sqrt(2)|alpha| of the row's displacement D(alpha), and w = e^{2i arg alpha}.
+
+    On a parity half the entry <m|D|n>, m - n = 2k, carries the phase w^k.
+    w is the square of the unit direction alpha/|alpha|, so rows along the
+    axes give w = +-1 exactly, and two rows mirrored across a diagonal, as
+    hex's are, give w and -conj(w) to the bit.
+    """
+    alpha = math.sqrt(2.0) * complex(-c2, c1)
+    unit = alpha / abs(alpha)
+    return math.sqrt(2.0) * abs(alpha), unit * unit
+
+
+def _powers(w: complex, count: int) -> np.ndarray:
+    """w^k for 0 <= k < count by doubling: each is a product of at most log2(count) + 1 factors."""
+    out = np.ones(count, dtype=complex)
+    filled, power = 1, w
+    while filled < count:
+        take = min(filled, count - filled)
+        out[filled : filled + take] = out[:take] * power
+        filled += take
+        power = power * power
+    return out
+
+
 def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     """Fock-basis matrix of the grid operator.
 
@@ -185,14 +211,43 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     exponential is an exact displacement block, so the result is the
     compression P Q P of the untruncated operator onto the first `dim`
     number states: its minimal eigenvalue is a variational value of Q and
-    cannot increase with `dim`.  Each row subtracts (B + B^H)/2, whose
-    (m, n) entry is the exact conjugate of its (n, m) entry, so the sum is
-    Hermitian entry for entry without a further symmetrization.
+    cannot increase with `dim`.
+
+    When `_invariant_blocks` splits the basis by parity, only the two
+    parity halves are formed, from `displacement_halves` (half the flops of
+    a full block; rows of equal length share one table).  There
+    e^{2id} = cos 2d = +-1, and the entry m - n = 2k of a row's half is
+    w^k times the real half, with w from `_row_step` (`_powers`), so
+    `matrix` holds zeros between the parities and each half is Hermitian
+    entry for entry.  On q0, q1, s0 and s1 every w is +-1 and the halves
+    are real; on hex they are real after the exact rotation `ground_state`
+    applies (`_quarter_turn`); on other split grids they are complex.
+    Otherwise each row subtracts (B + B^H)/2 of its full
+    `coherent_displacement` block B, whose (m, n) entry is the exact
+    conjugate of its (n, m) entry, so the sum is Hermitian entry for entry
+    without a further symmetrization.
     """
-    mat = 2.0 * np.eye(dim, dtype=complex)
+    if len(_invariant_blocks(grid)) == 1:
+        mat = 2.0 * np.eye(dim, dtype=complex)
+        for c1, c2, d in grid.rows():
+            block = _row_exponential(c1, c2, d, dim)
+            mat -= 0.5 * (block + block.conj().T)
+        return TruncatedOperator(matrix=mat, grid=grid)
+    # Rows of equal shift read one table, and their phases add.
+    phases: dict[float, list[tuple[float, complex]]] = {}
     for c1, c2, d in grid.rows():
-        block = _row_exponential(c1, c2, d, dim)
-        mat -= 0.5 * (block + block.conj().T)
+        shift, w = _row_step(c1, c2)
+        # |sin 2d| < PARITY_ATOL puts cos 2d within 1e-26 of +-1: it rounds to +-1.
+        phases.setdefault(shift, []).append((math.cos(2.0 * d), w))
+    size = (dim + 1) // 2
+    gap = np.arange(size)[:, None] - np.arange(size)[None, :]
+    mat = 2.0 * np.eye(dim, dtype=complex)
+    for shift, terms in phases.items():
+        by_k = sum(sign * _powers(w, size) for sign, w in terms)
+        # toeplitz[i, j] = by_k[i - j], and conj(by_k[j - i]) above the diagonal
+        toeplitz = np.concatenate((by_k[:0:-1].conj(), by_k))[gap + (size - 1)]
+        for p, half in enumerate(displacement_halves(shift, dim)):
+            mat[p::2, p::2] -= toeplitz[: len(half), : len(half)] * half
     return TruncatedOperator(matrix=mat, grid=grid)
 
 
@@ -219,26 +274,53 @@ def _invariant_blocks(grid: GridSpec) -> tuple[slice, ...]:
     return (slice(None),)
 
 
+def _quarter_turn(grid: GridSpec) -> bool:
+    """Whether the parity halves turn real under the exact rotation (-i)^(i - j).
+
+    On a half the two rows' phases are w1^k and w2^k.  When w2 = -conj(w1)
+    with w1 off the real axis (rows mirrored across a diagonal, as on hex),
+    (-i)^k w2^k = conj((-i)^k w1^k), so on a shared table with equal
+    offset signs the imaginary parts cancel exactly after the rotation.
+    """
+    (_, w1), (_, w2) = (_row_step(c1, c2) for c1, c2, _ in grid.rows())
+    return w1.imag != 0.0 and w2 == -w1.conjugate()
+
+
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
+
+
 def ground_state(op: TruncatedOperator) -> GroundState:
     """Lowest eigenpair of the truncated operator, block by invariant block.
 
-    Each block of `_invariant_blocks` is solved on its own by `eigh`;
-    `degeneracy` counts the eigenvalues of all blocks within a relative
-    1e-8 of the lowest.  On a tie across blocks the first block's state is
-    returned.  The state's phase is fixed so that its largest-magnitude
-    amplitude is real and positive.
+    Each block of `_invariant_blocks` is solved on its own by
+    `np.linalg.eigh`.  When `_quarter_turn` holds, the block M is first
+    turned into U^H M U with U = diag(i^j) on its local index j, an exact
+    rotation since every factor is +-1 or +-i.  The solve is in real
+    arithmetic when the block's imaginary part is then exactly zero, as on
+    the parity halves of q0, q1, s0, s1 and hex, and complex otherwise; a
+    real solve costs about a quarter of a complex one.  The eigenvector is
+    rotated back, so the state is in the number basis.  `degeneracy`
+    counts the eigenvalues of all blocks within a relative 1e-8 of the
+    lowest.  On a tie across blocks the first block's state is returned.
+    The state's phase is fixed so that its largest-magnitude amplitude is
+    real and positive.
     """
+    turn = _quarter_turn(op.grid)
     spectra, states = [], []
     for block in _invariant_blocks(op.grid):
         sub = op.matrix[block, block]
-        if sub.size:
-            vals, vecs = np.linalg.eigh(sub)
-            vec = vecs[:, 0]
-            lead = vec[np.argmax(np.abs(vec))]
-            amps = np.zeros(op.dim, dtype=complex)
-            amps[block] = vec * (np.abs(lead) / lead)
-            spectra.append(vals)
-            states.append(amps)
+        if not sub.size:
+            continue
+        u = _QUARTER_TURNS[np.arange(len(sub)) % 4] if turn else 1.0
+        if turn:
+            sub = u.conj()[:, None] * sub * u
+        vals, vecs = np.linalg.eigh(sub if sub.imag.any() else sub.real)
+        vec = u * vecs[:, 0]
+        lead = vec[np.argmax(np.abs(vec))]
+        amps = np.zeros(op.dim, dtype=complex)
+        amps[block] = vec * (np.abs(lead) / lead)
+        spectra.append(vals)
+        states.append(amps)
     lowest = int(np.argmin([vals[0] for vals in spectra]))
     xi_min = float(spectra[lowest][0])
     tol = max(1e-8, 1e-8 * abs(xi_min))

@@ -89,6 +89,37 @@ def trapezoid_operator(grid, dim: int) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
+def full_block_ground_state(grid, dim: int) -> tuple[float, np.ndarray, int]:
+    """(xi_min, amplitudes, degeneracy) from full complex blocks and a complex `eigh` per parity block.
+
+    The operator is 2 - sum over rows of (B + B^H)/2, B = e^{2id} D(sqrt(2)(-c2 + i c1))
+    the full `coherent_displacement` block.  When both offsets have
+    |sin 2d| < 1e-13 its even and odd number states are solved apart, each
+    by a complex `np.linalg.eigh`; otherwise the whole basis is one block.
+    `degeneracy` counts the eigenvalues within max(1e-8, 1e-8 |xi_min|) of
+    the lowest; the amplitudes carry whatever phase `eigh` gives.
+    """
+    mat = 2.0 * np.eye(dim, dtype=complex)
+    for c1, c2, d in grid.rows():
+        block = np.exp(2j * d) * coherent_displacement(math.sqrt(2.0) * complex(-c2, c1), dim)
+        mat -= 0.5 * (block + block.conj().T)
+    split = all(abs(math.sin(2.0 * d)) < 1e-13 for d in (grid.d1, grid.d2))
+    blocks = [np.arange(p, dim, 2) for p in (0, 1)] if split else [np.arange(dim)]
+    spectra, states = [], []
+    for idx in blocks:
+        if idx.size:
+            vals, vecs = np.linalg.eigh(mat[np.ix_(idx, idx)])
+            amps = np.zeros(dim, dtype=complex)
+            amps[idx] = vecs[:, 0]
+            spectra.append(vals)
+            states.append(amps)
+    lowest = int(np.argmin([vals[0] for vals in spectra]))
+    xi_min = float(spectra[lowest][0])
+    tol = max(1e-8, 1e-8 * abs(xi_min))
+    degeneracy = int(np.count_nonzero(np.concatenate(spectra) < xi_min + tol))
+    return xi_min, states[lowest], degeneracy
+
+
 def gauss_hermite_channel(rho: np.ndarray, eta: float, n_thermal: float, order: int = 21) -> np.ndarray:
     """Loss, then additive Gaussian noise, on a density matrix; renormalized.
 

@@ -439,6 +439,20 @@ def test_thresholds_bounds_follow_requested_grid(tmp_path):
     assert bounds["max_delta_p_sq"] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ("1e200", "0", "0", "1e-200", "0", "0"),  # squares overflow and underflow
+        ("1e-100", "0", "0", "1e100", "0", "0"),  # the symmetric root's bracket spans 1e198
+        ("1.2e154", "1.2e154", "0", "1", "0", "0"),  # the sum of squares overflows
+    ],
+)
+def test_thresholds_rejects_extreme_rows(grid, capsys):
+    assert main(["thresholds", "--grid", *grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid ") and "NaN" not in err
+
+
 def test_thresholds_report_the_requested_grid(tmp_path):
     out = tmp_path / "t.json"
     assert main(["thresholds", "--grid", "0.5", "0", "0", "0.5", "0", "0", "--json",

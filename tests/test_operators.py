@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gkpsq import operators
@@ -20,6 +20,7 @@ from gkpsq.operators import (
     GridSpec,
     TruncatedOperator,
     _invariant_blocks,
+    _quarter_turn,
     apply_channel,
     approx_gkp_state,
     build_operator,
@@ -31,7 +32,13 @@ from gkpsq.operators import (
     transform_grid,
 )
 from gkpsq.analytic import ApproxGKPParams, channel_affine_xi, channel_output_xi, xi_finite_superposition
-from oracles import binomial_shift_full_slices, gauss_hermite_channel, trapezoid_operator, vacuum_sin2_integral
+from oracles import (
+    binomial_shift_full_slices,
+    full_block_ground_state,
+    gauss_hermite_channel,
+    trapezoid_operator,
+    vacuum_sin2_integral,
+)
 from strategies import reshaped_grids, symplectic_maps
 
 SQRT_PI = math.sqrt(math.pi)
@@ -125,6 +132,24 @@ def test_transform_hex_route():
 def test_transform_rejects_nonsymplectic():
     with pytest.raises(ValueError):
         transform_grid(preset_grid("q0"), np.diag([2.0, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.one_of(
+        st.sampled_from(PRESET_NAMES).map(preset_grid),
+        st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)).map(lambda ab: preset_grid("general", *ab)),
+    ),
+    maps=st.lists(symplectic_maps, min_size=1, max_size=4),
+    shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+def test_transform_preserves_validity_for_any_symplectic_map(start, maps, shift):
+    assume(abs(abs(start.det) - GKP_DET) > 1e-6 or start.gkp_valid)
+    grid = start
+    for A in maps:
+        grid = transform_grid(grid, A, shift)
+        assert grid.gkp_valid == start.gkp_valid
+        assert grid.det == pytest.approx(start.det, rel=1e-12)
 
 
 def test_transform_preserves_validity(rng):
@@ -265,6 +290,39 @@ def test_general_offsets_solve_one_block(name, A, d1, d2, dim):
     assert_matches_full_eigensolve(build_operator(grid, dim))
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), A=st.one_of(st.just(np.eye(2)), symplectic_maps),
+       offsets=half_pi_offsets, dim=st.integers(1, 40))
+@example(name="hex", A=np.eye(2), offsets=(0.0, 0.0), dim=40)
+@example(name="hex", A=np.eye(2), offsets=(math.pi / 2.0, 0.0), dim=33)
+def test_parity_halves_match_full_block_oracle(name, A, offsets, dim):
+    # the halves route and its real solves against full complex blocks and complex solves
+    grid = dataclasses.replace(transform_grid(preset_grid(name), A), d1=offsets[0], d2=offsets[1])
+    xi_min, amps, degeneracy = full_block_ground_state(grid, dim)
+    gs = ground_state(build_operator(grid, dim))
+    assert abs(gs.xi_min - xi_min) <= 1e-13
+    assert gs.degeneracy == degeneracy
+    if degeneracy == 1:
+        assert abs(abs(np.vdot(amps, gs.state.amplitudes)) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("dim", [1, 2, 7, 50, 301])
+def test_preset_parity_halves_are_real_after_the_rotation(name, dim):
+    grid = preset_grid(name)
+    assert _quarter_turn(grid) == (name == "hex")
+    op = build_operator(grid, dim)
+    for p in (0, 1):
+        half = op.matrix[p::2, p::2]
+        # exact quarter turns (-i)^(i - j) on hex, none on the axis-aligned grids
+        turns = np.subtract.outer(np.arange(half.shape[0]), np.arange(half.shape[0])) * (name == "hex")
+        assert not (half * (-1j) ** (turns % 4)).imag.any()
+    # so every block takes the real eigh
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        ground_state(op)
+    assert [call.args[0].dtype for call in eigh.call_args_list] == [np.float64] * min(dim, 2)
+
+
 def test_degeneracy_counts_both_parity_blocks():
     gs = ground_state(TruncatedOperator(2.0 * np.eye(7, dtype=complex), preset_grid("q0")))
     assert gs.xi_min == 2.0
@@ -276,6 +334,19 @@ def test_expectation_vacuum_equals_classical_oracle():
     vac = FockState.number_state(0, 10)
     target = vacuum_sin2_integral(SQRT_PI_2) * 2.0
     assert expectation(op, vac) == pytest.approx(target, abs=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), dim=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+def test_expectation_is_linear_for_any_mixture(name, dim, seed, weights):
+    op = build_operator(preset_grid(name), dim)
+    rng = np.random.default_rng(seed)
+    states = [FockState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)) for _ in weights]
+    probs = np.array(weights) / sum(weights)
+    mix = DensityMatrix(sum(w * s.density_matrix().entries for w, s in zip(probs, states)))
+    mixed = sum(w * expectation(op, s) for w, s in zip(probs, states))
+    assert expectation(op, mix) == pytest.approx(mixed, abs=1e-10)
 
 
 def test_expectation_linear_in_density_matrix(rng):

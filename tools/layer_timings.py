@@ -3,8 +3,9 @@
     PYTHONPATH=<tree>/src python3 tools/layer_timings.py [GROUP ...] [--out FILE]
 
 Runs the named groups, or all three.  `large_n`: `build_operator` and
-`ground_state` for q0 and hex at N = 400 and 1000, with `xi_min` and
-`degeneracy`.  `channel`: one `apply_channel` call for loss, noise and both
+`ground_state` for q0 and hex at N = 400 and 1000 and for q0 at N = 2000,
+with `xi_min`, `degeneracy` and the tracemalloc peak of one build and
+solve.  `channel`: one `apply_channel` call for loss, noise and both
 at cutoffs 40, 100 and 200, on seeded pure states of support 12 and of full
 support, with a SHA-256 digest of each output.  `sample_io`: `load_samples`
 and `save_samples` on a seeded 2 x 2e5-row q0 sample file, each with its
@@ -57,14 +58,27 @@ def timed(fn, runs: int) -> tuple[dict, object]:
     return {"median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}, out
 
 
+def peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+LARGE_N_CASES = (("q0", 400), ("q0", 1000), ("hex", 400), ("hex", 1000), ("q0", 2000))
+
+
 def large_n() -> dict:
     cases = []
-    for name in ("q0", "hex"):
-        for dim in (400, 1000):
-            build, op = timed(lambda: build_operator(preset_grid(name), dim), 3)
-            solve, gs = timed(lambda: ground_state(op), 3)
-            cases.append({"topology": name, "N": dim, "build_operator": build, "ground_state": solve,
-                          "xi_min": gs.xi_min, "degeneracy": gs.degeneracy})
+    for name, dim in LARGE_N_CASES:
+        build, op = timed(lambda: build_operator(preset_grid(name), dim), 3)
+        solve, gs = timed(lambda: ground_state(op), 3)
+        del op
+        peak = peak_mb(lambda: ground_state(build_operator(preset_grid(name), dim)))
+        cases.append({"topology": name, "N": dim, "build_operator": build, "ground_state": solve,
+                      "tracemalloc_peak_mb": peak, "xi_min": gs.xi_min, "degeneracy": gs.degeneracy})
     return {"runs": 3, "cases": cases}
 
 
@@ -83,15 +97,6 @@ def channel() -> dict:
                     digest = hashlib.sha256(np.ascontiguousarray(out.entries).tobytes()).hexdigest()
                     cases.append({"cutoff": cutoff, "support": support, "channel": kind, **timing, "digest": digest})
     return {"runs": 15, "cases": cases}
-
-
-def peak_mb(fn) -> float:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
 
 
 def records_digest(samples) -> str:
