@@ -6,21 +6,21 @@ p = -i(a - a^dag)/sqrt(2).  All operators are dense numpy arrays over the
 photon-number basis |0>, ..., |N-1>.
 
 Exponentials of quadrature combinations are coherent displacements,
-exp(i(cx*x + cp*p)) = D(alpha) with alpha = (-cp + i*cx)/sqrt(2), and
-`coherent_displacement` returns their exact matrix elements <m|D|n> for
-m, n < N.  An operator assembled from these blocks is therefore the exact
-compression of the untruncated one onto the first N number states.  The
-block is not unitary; callers must not assume unitarity.
-`displacement_halves` returns the even and odd photon-number blocks of a
-real displacement from the same integrals, in half the flops of a full
-block and in real arithmetic; an operator that conserves photon-number
-parity needs nothing else.  Both read one dense Hermite table of about
-3 N^2 floats (4 reach^2/pi points per order, reach = sqrt(2N + 1) + 6),
-and take its even and odd parts in the integration variable (the table
-itself is freed before the products), so a full block peaks near
-65 N^2 bytes and the pair of halves near 52 N^2 bytes.  The dimension N
-is capped (`GKPSQ_MAX_BUILD_DIM`, default 2000, about 0.3 GB per call at
-the cap).
+exp(i(cx*x + cp*p)) = D(alpha) with alpha = (-cp + i*cx)/sqrt(2).  Every
+displacement matrix element comes from one primitive,
+`displacement_blocks`, which returns the blocks R[sel, sel] of the real
+displacement R = D(|alpha|) on given index sets (the whole basis, or its
+even and odd photon numbers), exact for m, n < N; `coherent_displacement`
+puts the phases e^{i theta (m - n)} on the full block.  An operator
+assembled from these blocks is therefore the exact compression of the
+untruncated one onto the first N number states.  The block is not
+unitary; callers must not assume unitarity.  The primitive reads one
+dense Hermite table of about 3 N^2 floats (4 reach^2/pi points per order,
+reach = sqrt(2N + 1) + 6) and takes its even and odd parts in the
+integration variable, then frees the table before the products, so the
+full block and the two parity blocks each peak near 52 N^2 bytes.  The
+dimension N is capped (`GKPSQ_MAX_BUILD_DIM`, default 2000, about 0.2 GB
+per call at the cap).
 
 `wigner` needs no displacement blocks: it evaluates the Wigner-Weyl
 integral on a product grid from one Hermite table on a lattice that holds
@@ -169,28 +169,13 @@ def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> for m, n < dim.
 
     A real-amplitude displacement is a position translation by
-    s = sqrt(2)|alpha|, so its matrix elements are the overlap integrals
-    int h_m(t + s/2) h_n(t - s/2) dt of shifted Hermite functions; the
-    phase rotation e^{i theta n} then supplies the complex direction.  One
-    table H[n, l] = h_n(l dt + s/2) for |l dt| <= reach, reach =
-    sqrt(2N + 1) + 6, holds both factors, since by parity
-    h_n(t - s/2) = (-1)^n h_n(-t + s/2) is the column-reversed table.  The
-    trapezoid sum has no catastrophic cancellation, unlike recurrence or
-    Laguerre-series routes.
-
-    Exactness: each factor's Fourier transform lies within sqrt(2N + 1) up
-    to Gaussian tails, so the integrand's lies within 2 sqrt(2N + 1); by
-    Poisson summation the rule at dt = pi/(2 reach) errs only by the
-    integrand's spectrum at 2 pi/dt = 4 reach, an exponentially small
-    alias.  Past |t| = reach one factor is beyond its turning point by 6,
-    so the cut tail is as small.  The table holds about 4 reach^2/pi points
-    per order, whatever the shift.
-
+    s = sqrt(2)|alpha|, whose real block comes from `displacement_blocks`;
+    the phase rotation e^{i theta n} then supplies the complex direction.
     Because the block holds the untruncated operator's matrix elements, it
     is exact for any alpha, and expectations against states supported
     inside the truncation carry no truncation error.  `dim` is checked
     against `build_dim_cap()` (ResourceCapError above it), as it is by
-    `displacement_halves` and `wigner`.
+    `displacement_blocks` and `wigner`.
     """
     check_build_dim(dim)
     beta = complex(alpha)
@@ -198,51 +183,56 @@ def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     if r == 0.0:
         return np.eye(dim, dtype=complex)
     theta = math.atan2(beta.imag, beta.real)
-    [(even, odd)], step = _overlap_parts(math.sqrt(2.0) * r, dim, (slice(None),))
-    real_block = (even @ even.T - odd @ odd.T) * (0.5 * step)
-    real_block[:, 1::2] *= -1.0
+    [real_block] = displacement_blocks(math.sqrt(2.0) * r, dim, (slice(None),))
     phases = np.exp(1j * theta * np.arange(dim))
     return phases[:, None] * real_block * phases.conj()[None, :]
 
 
-def displacement_halves(shift: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd photon-number blocks of the real displacement D(shift/sqrt(2)).
+def displacement_blocks(shift: float, dim: int, sets: tuple[slice, ...]) -> list[np.ndarray]:
+    """Blocks R[sel, sel] of the real displacement R = D(shift/sqrt(2)), one per index set.
 
-    Entry (i, j) of half p is <2i + p|D|2j + p> for 2i + p, 2j + p < dim:
-    the same exact overlap integrals as `coherent_displacement` (theta = 0),
-    from the same table, restricted to one parity.  On a half the column
-    sign (-1)^n is the constant (-1)^p, so each half is the real symmetric
-    (-1)^p (E_p E_p^T - O_p O_p^T) dt/2 of the table's even and odd parts
-    in t, E_p and O_p their rows of parity p.  The two products cost half
-    the flops of the full block's, and the even-odd entries, which vanish
-    in any operator that conserves parity, are never formed.  `dim` is
-    checked against `build_dim_cap()`.
+    R[m, n] = <m|D|n> = (-1)^n int h_m(t + s/2) h_n(-t + s/2) dt, an exact
+    overlap integral of shifted Hermite functions: by parity
+    h_n(t - s/2) = (-1)^n h_n(-t + s/2), so one table
+    H[n, l] = h_n(l dt + s/2), |l dt| <= reach = sqrt(2N + 1) + 6, holds
+    both factors.  The cross terms of its even and odd parts E, O in t
+    cancel, so a block is the symmetric (E E^T - O O^T) dt/2 over l >= 0
+    on the set's rows, with the column sign (-1)^n.  A parity set costs a
+    quarter of the full product, and the blocks of several sets share the
+    table.  The trapezoid sum has no catastrophic cancellation, unlike
+    recurrence or Laguerre-series routes.
+
+    Exactness: each factor's Fourier transform lies within sqrt(2N + 1) up
+    to Gaussian tails, so the integrand's lies within 2 sqrt(2N + 1); by
+    Poisson summation the rule at dt = pi/(2 reach) errs only by the
+    integrand's spectrum at 2 pi/dt = 4 reach, an exponentially small
+    alias.  Past |t| = reach one factor is beyond its turning point by 6,
+    so the cut tail is as small.  `dim` is checked against
+    `build_dim_cap()`.
     """
     check_build_dim(dim)
-    parts, step = _overlap_parts(shift, dim, (slice(0, None, 2), slice(1, None, 2)))
-    return tuple((e @ e.T - o @ o.T) * ((-1.0) ** p * 0.5 * step) for p, (e, o) in enumerate(parts))
-
-
-def _overlap_parts(shift: float, dim: int, rows: tuple[slice, ...]) -> tuple[list, float]:
-    """[(even, odd)] per row set in `rows`, the parts in t of h_n(t + shift/2) at t = l dt, l >= 0; and dt.
-
-    The cross terms of the two parts sum to zero in the overlap
-    int h_m(t + s/2) h_n(-t + s/2) dt, and each part is one symmetric
-    product over l >= 0 (column 0 of the even part is halved in weight).
-    Each row set selects orders n of the one table, so the parity halves
-    share it and get contiguous parts.
-    """
     reach = _lattice_reach(dim)
     step = math.pi / (2.0 * reach)
     half = math.floor(reach / step)
     h = _hermite_lattice(dim, 0.5 * shift, step, -half, half)
     parts = []
-    for sel in rows:
+    for sel in sets:
         right, left = h[sel, half:], h[sel, half::-1]
         even, odd = right + left, right - left
         even[:, 0] *= math.sqrt(0.5)
         parts.append((even, odd))
-    return parts, step
+    # the table is freed before the products
+    del h, right, left
+    blocks = []
+    for sel, (even, odd) in zip(sets, parts):
+        block = (even @ even.T - odd @ odd.T) * (0.5 * step)
+        numbers = range(dim)[sel]
+        if numbers.step % 2:  # both parities: every other column
+            block[:, 1 - numbers.start % 2 :: 2] *= -1.0
+        elif numbers.start % 2:  # odd photon numbers only
+            block *= -1.0
+        blocks.append(block)
+    return blocks
 
 
 def fidelity(s1: FockState, s2: FockState) -> float:
@@ -360,26 +350,23 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
 
     The state's dimension is checked against `build_dim_cap()`.  The
     lattice table, the y-by-row products and the phase matrix are kept
-    within 15 cap^2 floats (120 cap^2 bytes, above the 65 N^2 bytes
-    one displacement block peaks at) by processing x rows in chunks;
-    a grid whose single row does not fit raises ResourceCapError.
+    within 15 cap^2 floats (120 cap^2 bytes, above the 52 N^2 bytes
+    one displacement block peaks at) by processing x rows in chunks; a
+    grid whose single row does not fit, however wide or finely stepped,
+    raises ResourceCapError before any array is made (`_wigner_lattice`).
     """
     check_build_dim(state.dim)
     xs = _wigner_axis(xs, "xs")
     ps = _wigner_axis(ps, "ps")
     reach = _lattice_reach(state.dim)
     limit = math.pi / (reach + float(np.abs(ps).max()))
+    dx = 0.5 * limit  # one x point: any step serves, and this one gives m = 1
     if xs.size > 1:
         dx = (xs[-1] - xs[0]) / (xs.size - 1)
         if not dx > 0.0 or np.abs(np.diff(xs) - dx).max() > 1e-9 * dx:
             raise ValueError("xs must be increasing and evenly spaced")
-        m = math.floor(dx / limit) + 1
-        dy = dx / m
-    else:
-        m, dy = 1, 0.5 * limit
-    half = math.ceil(reach / dy)
+    m, dy, half, rows = _wigner_lattice(state.dim, dx, limit, reach, ps.size)
     ks = np.arange(-half, half + 1)
-    rows = _wigner_rows_per_chunk(state.dim, m, ks.size, ps.size)
     phases = np.exp(2j * np.outer(ks * dy, ps))
     amps = state.amplitudes
     out = np.zeros((xs.size, ps.size))
@@ -402,21 +389,32 @@ def _wigner_axis(values, name: str) -> np.ndarray:
     return axis
 
 
-def _wigner_rows_per_chunk(dim: int, m: int, width: int, n_p: int) -> int:
-    """x rows per chunk so that one chunk's arrays stay within 15 cap^2 floats.
+def _wigner_lattice(dim: int, dx: float, limit: float, reach: float, n_p: int) -> tuple[int, float, int, int]:
+    """(m, dy, half, rows): `wigner`'s y step dx/m, its lattice -half..half, and x rows per chunk.
 
-    A chunk of c rows holds a Hermite table of dim x ((c - 1) m + width)
-    floats, three complex c x width arrays (the two psi gathers and F), the
-    complex c x n_p product, and shares the complex width x n_p phases.
+    m = floor(dx/limit) + 1 and half = ceil(reach/dy).  A chunk of c rows
+    holds a Hermite table of dim x ((c - 1) m + width) floats,
+    width = 2 half + 1, three complex c x width arrays (the two psi gathers
+    and F), the complex c x n_p product, and shares the complex
+    width x n_p phases; `rows` keeps it within 15 cap^2 floats.  The counts
+    are taken in floating point, where an overflow is inf, and checked
+    before any array exists, so an axis too wide or too finely stepped for
+    one row raises ResourceCapError.
     """
     cap = build_dim_cap()
     budget = 15 * cap * cap
-    fixed = dim * (width - m) + 2 * width * n_p
-    per_row = dim * m + 6 * width + 2 * n_p
-    rows = (budget - fixed) // per_row
-    if rows < 1:
+    with np.errstate(over="ignore", divide="ignore"):
+        m = np.floor(dx / limit) + 1.0
+        dy = dx / m
+        half = np.ceil(reach / dy)
+    per_width = dim + 6 + 2 * n_p
+    one_row = per_width * (2.0 * half + 1.0) + 2 * n_p
+    if not one_row <= budget:
         raise ResourceCapError(
-            f"wigner needs {fixed + per_row} floats for one x row, above the {budget} "
-            f"allowed at cap {cap}; raise {BUILD_DIM_CAP_ENV} or use fewer p points"
+            f"wigner needs {one_row:.4g} floats for one x row, above the {budget} "
+            f"allowed at cap {cap}; raise {BUILD_DIM_CAP_ENV}, or use fewer or smaller p values or a coarser x step"
         )
-    return rows
+    m, half = int(m), int(half)
+    width = 2 * half + 1
+    rows = 1 + (budget - per_width * width - 2 * n_p) // (dim * m + 6 * width + 2 * n_p)
+    return m, dy, half, rows

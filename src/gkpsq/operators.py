@@ -20,13 +20,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .fock import (
     DensityMatrix,
     FockState,
     check_build_dim,
     coherent_displacement,
-    displacement_halves,
+    displacement_blocks,
     hermite_functions,
 )
 
@@ -166,30 +167,17 @@ class TruncatedOperator:
         return self.matrix.shape[0]
 
 
-def _row_exponential(c1: float, c2: float, d: float, dim: int) -> np.ndarray:
-    """Exact block of exp(2i(c1*x + c2*p + d)) = e^{2id} D(alpha).
-
-    With the package convention exp(i(cx*x + cp*p)) = D((-cp + i*cx)/sqrt(2)),
-    the doubled row gives alpha = sqrt(2)*(-c2 + i*c1).
-    """
-    alpha = math.sqrt(2.0) * complex(-c2, c1)
-    block = coherent_displacement(alpha, dim)
-    if d != 0.0:
-        block = block * complex(math.cos(2.0 * d), math.sin(2.0 * d))
-    return block
-
-
 def _row_step(c1: float, c2: float) -> tuple[float, complex]:
-    """Shift s = sqrt(2)|alpha| of the row's displacement D(alpha), and w = e^{2i arg alpha}.
+    """Shift s = sqrt(2)|alpha| of the row's displacement D(alpha), and u = alpha/|alpha|.
 
-    On a parity half the entry <m|D|n>, m - n = 2k, carries the phase w^k.
-    w is the square of the unit direction alpha/|alpha|, so rows along the
-    axes give w = +-1 exactly, and two rows mirrored across a diagonal, as
-    hex's are, give w and -conj(w) to the bit.
+    With exp(i(cx*x + cp*p)) = D((-cp + i*cx)/sqrt(2)), the doubled row
+    gives alpha = sqrt(2)*(-c2 + i*c1), and D(alpha) = diag(u^n) R diag(u^-n)
+    with R the real displacement by s.  Rows along the axes give u^2 = +-1
+    exactly, and two rows mirrored across a diagonal, as hex's are, give
+    u1^2 and -conj(u1^2) to the bit.
     """
     alpha = math.sqrt(2.0) * complex(-c2, c1)
-    unit = alpha / abs(alpha)
-    return math.sqrt(2.0) * abs(alpha), unit * unit
+    return math.sqrt(2.0) * abs(alpha), alpha / abs(alpha)
 
 
 def _powers(w: complex, count: int) -> np.ndarray:
@@ -204,6 +192,13 @@ def _powers(w: complex, count: int) -> np.ndarray:
     return out
 
 
+def _toeplitz(down: np.ndarray, up: np.ndarray, size: int) -> np.ndarray:
+    """T[i, j] = down[i - j] for i >= j and up[j - i] above: a read-only view of line[size - 1 + i - j]."""
+    line = np.concatenate((up[size - 1 : 0 : -1], down[:size]))
+    step = line.strides[0]
+    return as_strided(line[size - 1 :], (size, size), (step, -step), writeable=False)
+
+
 def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     """Fock-basis matrix of the grid operator.
 
@@ -213,41 +208,35 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     number states: its minimal eigenvalue is a variational value of Q and
     cannot increase with `dim`.
 
-    When `_invariant_blocks` splits the basis by parity, only the two
-    parity halves are formed, from `displacement_halves` (half the flops of
-    a full block; rows of equal length share one table).  There
-    e^{2id} = cos 2d = +-1, and the entry m - n = 2k of a row's half is
-    w^k times the real half, with w from `_row_step` (`_powers`), so
-    `matrix` holds zeros between the parities and each half is Hermitian
-    entry for entry.  On q0, q1, s0 and s1 every w is +-1 and the halves
-    are real; on hex they are real after the exact rotation `ground_state`
-    applies (`_quarter_turn`); on other split grids they are complex.
-    Otherwise each row subtracts (B + B^H)/2 of its full
-    `coherent_displacement` block B, whose (m, n) entry is the exact
-    conjugate of its (n, m) entry, so the sum is Hermitian entry for entry
-    without a further symmetrization.
+    A row's term (e^{2id} B + h.c.)/2, B = D(alpha), has the entry
+    h_g R[m, n] at the gap g = m - n, with R the real block and u from
+    `_row_step`: h_g = u^g cos 2d for even g and u^g i sin 2d for odd g
+    (`_powers`).  Since R[n, m] = (-1)^g R[m, n], the entry at -g is
+    (-1)^g conj(h_g), so `matrix` is Hermitian entry for entry.  Only the
+    blocks of `_invariant_blocks` are formed, from `displacement_blocks`,
+    and rows of equal length share one table.  On a parity split every
+    odd gap lies between the blocks, where `matrix` holds zeros, and
+    |sin 2d| < PARITY_ATOL rounds cos 2d to +-1; the phases are then powers
+    of u^2, exactly +-1 on q0, q1, s0 and s1, and the halves of hex are
+    real after the exact rotation `ground_state` applies (`_quarter_turn`).
     """
-    if len(_invariant_blocks(grid)) == 1:
-        mat = 2.0 * np.eye(dim, dtype=complex)
-        for c1, c2, d in grid.rows():
-            block = _row_exponential(c1, c2, d, dim)
-            mat -= 0.5 * (block + block.conj().T)
-        return TruncatedOperator(matrix=mat, grid=grid)
-    # Rows of equal shift read one table, and their phases add.
-    phases: dict[float, list[tuple[float, complex]]] = {}
+    sets = _invariant_blocks(grid)
+    odd = np.arange(dim) % 2 == 1
+    # Rows of equal shift read one table, and their gap weights add.
+    weights: dict[float, np.ndarray] = {}
     for c1, c2, d in grid.rows():
-        shift, w = _row_step(c1, c2)
-        # |sin 2d| < PARITY_ATOL puts cos 2d within 1e-26 of +-1: it rounds to +-1.
-        phases.setdefault(shift, []).append((math.cos(2.0 * d), w))
-    size = (dim + 1) // 2
-    gap = np.arange(size)[:, None] - np.arange(size)[None, :]
+        shift, u = _row_step(c1, c2)
+        h = np.where(odd, 1j * math.sin(2.0 * d), math.cos(2.0 * d)) * _powers(u, dim)
+        weights[shift] = weights.get(shift, 0) + h
+    # The sets share one stride, so the largest set's Toeplitz serves them all.
+    stride, size = sets[0].step or 1, len(range(dim)[sets[0]])
     mat = 2.0 * np.eye(dim, dtype=complex)
-    for shift, terms in phases.items():
-        by_k = sum(sign * _powers(w, size) for sign, w in terms)
-        # toeplitz[i, j] = by_k[i - j], and conj(by_k[j - i]) above the diagonal
-        toeplitz = np.concatenate((by_k[:0:-1].conj(), by_k))[gap + (size - 1)]
-        for p, half in enumerate(displacement_halves(shift, dim)):
-            mat[p::2, p::2] -= toeplitz[: len(half), : len(half)] * half
+    for shift, h in weights.items():
+        back = h.conj()
+        back[odd] = -back[odd]
+        toeplitz = _toeplitz(h[::stride], back[::stride], size)
+        for sel, block in zip(sets, displacement_blocks(shift, dim, sets)):
+            mat[sel, sel] -= toeplitz[: len(block), : len(block)] * block
     return TruncatedOperator(matrix=mat, grid=grid)
 
 
@@ -282,7 +271,8 @@ def _quarter_turn(grid: GridSpec) -> bool:
     (-i)^k w2^k = conj((-i)^k w1^k), so on a shared table with equal
     offset signs the imaginary parts cancel exactly after the rotation.
     """
-    (_, w1), (_, w2) = (_row_step(c1, c2) for c1, c2, _ in grid.rows())
+    (_, u1), (_, u2) = (_row_step(c1, c2) for c1, c2, _ in grid.rows())
+    w1, w2 = u1 * u1, u2 * u2
     return w1.imag != 0.0 and w2 == -w1.conjugate()
 
 
@@ -350,10 +340,14 @@ def expectation(op: TruncatedOperator, state: FockState | DensityMatrix) -> floa
 def sin2_expectation(state: FockState | DensityMatrix, c1: float, c2: float, d: float = 0.0) -> float:
     """<sin^2(c1*x + c2*p + d)> = (1 - Re<exp(2i(c1*x + c2*p + d))>)/2.
 
-    Uses the same exact displacement block as `build_operator`, so it is
-    exact for states supported inside the truncation.
+    Uses the exact `coherent_displacement` block, whose real part comes
+    from the primitive `build_operator` reads, so it is exact for states
+    supported inside the truncation.
     """
-    return 0.5 * (1.0 - _mean(state, _row_exponential(c1, c2, d, state.dim)).real)
+    block = coherent_displacement(math.sqrt(2.0) * complex(-c2, c1), state.dim)
+    if d != 0.0:
+        block = block * complex(math.cos(2.0 * d), math.sin(2.0 * d))
+    return 0.5 * (1.0 - _mean(state, block).real)
 
 
 @dataclass(frozen=True)

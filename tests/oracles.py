@@ -89,20 +89,25 @@ def trapezoid_operator(grid, dim: int) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def full_block_ground_state(grid, dim: int) -> tuple[float, np.ndarray, int]:
-    """(xi_min, amplitudes, degeneracy) from full complex blocks and a complex `eigh` per parity block.
-
-    The operator is 2 - sum over rows of (B + B^H)/2, B = e^{2id} D(sqrt(2)(-c2 + i c1))
-    the full `coherent_displacement` block.  When both offsets have
-    |sin 2d| < 1e-13 its even and odd number states are solved apart, each
-    by a complex `np.linalg.eigh`; otherwise the whole basis is one block.
-    `degeneracy` counts the eigenvalues within max(1e-8, 1e-8 |xi_min|) of
-    the lowest; the amplitudes carry whatever phase `eigh` gives.
-    """
+def full_block_operator(grid, dim: int) -> np.ndarray:
+    """2 - sum over rows of (B + B^H)/2, B = e^{2id} D(sqrt(2)(-c2 + i c1)) the full `coherent_displacement` block."""
     mat = 2.0 * np.eye(dim, dtype=complex)
     for c1, c2, d in grid.rows():
         block = np.exp(2j * d) * coherent_displacement(math.sqrt(2.0) * complex(-c2, c1), dim)
         mat -= 0.5 * (block + block.conj().T)
+    return mat
+
+
+def full_block_ground_state(grid, dim: int) -> tuple[float, np.ndarray, int]:
+    """(xi_min, amplitudes, degeneracy) of `full_block_operator` from a complex `eigh` per parity block.
+
+    When both offsets have |sin 2d| < 1e-13 the even and odd number states
+    are solved apart, each by a complex `np.linalg.eigh`; otherwise the
+    whole basis is one block.  `degeneracy` counts the eigenvalues within
+    max(1e-8, 1e-8 |xi_min|) of the lowest; the amplitudes carry whatever
+    phase `eigh` gives.
+    """
+    mat = full_block_operator(grid, dim)
     split = all(abs(math.sin(2.0 * d)) < 1e-13 for d in (grid.d1, grid.d2))
     blocks = [np.arange(p, dim, 2) for p in (0, 1)] if split else [np.arange(dim)]
     spectra, states = [], []

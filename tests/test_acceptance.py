@@ -27,7 +27,7 @@ from gkpsq.analytic import (
 )
 from gkpsq.cli import main
 from gkpsq.estimator import estimate_xi, optimize_xi, synthesize_samples
-from gkpsq.fock import DensityMatrix, FockState, coherent_displacement, hermite_functions
+from gkpsq.fock import DensityMatrix, FockState, hermite_functions
 from gkpsq.operators import (
     ChannelParams,
     GridSpec,
@@ -178,13 +178,26 @@ def test_criterion_6_channel_consistency():
     print(f"criterion 6 PASS: analytic map vs apply_channel, worst gap {worst:.2e} ({elapsed:.0f} s)")
 
 
-def _breeding_simulation(psi: FockState, a_out: float, b_out: float) -> float:
-    """Balanced beam splitter, ideal p measurement, feed-forward, then <Q>."""
-    dim = psi.dim
+def _balanced_beam_splitter(dim: int) -> np.ndarray:
+    """exp(-i pi/4 H) on two modes of dimension `dim`, H = i(a^dag b - a b^dag), from one `eigh`."""
     alow, adag = ladder_matrices(dim)
     hop = 1j * (np.kron(adag, alow) - np.kron(alow, adag))
     vals, vecs = np.linalg.eigh(hop)
-    bs = (vecs * np.exp(-1j * (math.pi / 4.0) * vals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * (math.pi / 4.0) * vals)) @ vecs.conj().T
+
+
+def _breeding_simulation(psi: FockState, bs: np.ndarray, a_out: float, b_out: float) -> float:
+    """Balanced beam splitter `bs`, ideal p measurement, feed-forward, then <Q>.
+
+    The feed-forward exp(-i pm x) of every outcome pm is applied at once in
+    the position representation: each conditional state's wavefunction is
+    tabulated on an x grid, multiplied by the phase and projected back onto
+    the first `dim` number states.  The trapezoid rule is exact there up to
+    an exponentially small alias (step 0.05, |x| <= sqrt(2 dim + 1) + 6),
+    so this is the truncated block of exp(-i pm x), as `coherent_displacement`
+    gives it, applied to each state.
+    """
+    dim = psi.dim
     joint = bs @ np.kron(psi.amplitudes, psi.amplitudes)
 
     span = math.sqrt(2.0 * dim + 1.0) + 5.0
@@ -192,13 +205,16 @@ def _breeding_simulation(psi: FockState, a_out: float, b_out: float) -> float:
     mom = ((-1j) ** np.arange(dim))[:, None] * hermite_functions(dim - 1, p_grid).astype(complex)
     conditional = joint.reshape(dim, dim) @ mom
     dp = p_grid[1] - p_grid[0]
-    rho = np.zeros((dim, dim), dtype=complex)
-    for k, pm in enumerate(p_grid):
-        vec = conditional[:, k]
-        if np.vdot(vec, vec).real * dp < 1e-18:
-            continue
-        shifted = coherent_displacement(complex(0.0, -pm) / math.sqrt(2.0), dim) @ vec
-        rho += np.outer(shifted, shifted.conj()) * dp
+    kept = np.sum(np.abs(conditional) ** 2, axis=0) * dp >= 1e-18
+    conditional, p_kept = conditional[:, kept], p_grid[kept]
+
+    dx = 0.05
+    reach = math.sqrt(2.0 * dim + 1.0) + 6.0
+    x_grid = np.arange(-reach, reach + dx, dx)
+    h = hermite_functions(dim - 1, x_grid)
+    wave = np.exp(-1j * np.outer(x_grid, p_kept)) * (h.T @ conditional)
+    shifted = (h @ wave) * dx
+    rho = (shifted * dp) @ shifted.conj().T
     rho /= np.trace(rho).real
     op = build_operator(GridSpec(a_out, 0.0, 0.0, b_out, label="bred"), dim)
     return float(np.trace(rho @ op.matrix).real)
@@ -208,13 +224,14 @@ def test_criterion_7_breeding_step():
     # inputs chosen to fit per-mode dimension 30; softer peaks (larger g)
     # keep the beam-splitter and feed-forward truncation far below 1e-4
     dim = 30
+    bs = _balanced_beam_splitter(dim)
     for g, s_max in ((0.4, 1), (0.5, 1)):
         psi = approx_gkp_state(ApproxGKPParams(g=g, a=SQRT_PI_2, s_max=s_max), dim)
         a_out, b_out = math.sqrt(2.0) * SQRT_PI_2, SQRT_PI_2 / math.sqrt(2.0)
         t = sin2_expectation(psi, a_out / math.sqrt(2.0), 0.0)
         s = sin2_expectation(psi, 0.0, b_out * math.sqrt(2.0))
         formula = breeding_step_xi(t, s)
-        simulated = _breeding_simulation(psi, a_out, b_out)
+        simulated = _breeding_simulation(psi, bs, a_out, b_out)
         assert simulated == pytest.approx(formula, abs=1e-4), (g, simulated, formula)
 
     # formula-level scan: one step never improves on the matched input value

@@ -171,6 +171,14 @@ def test_wigner_resource_cap_exit_code(tmp_path, monkeypatch):
                  "--output", str(tmp_path / "w.csv")]) == 3
 
 
+@pytest.mark.parametrize("extent", ["1e12", "1e20", "1e200", "1e300"])
+def test_wigner_extreme_extent_exits_on_the_cap(tmp_path, capsys, extent):
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--dims", "5", "--extent", extent, "--resolution", "3", "--output", str(out)]) == 3
+    assert "floats for one x row" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fidelity_sweep(tmp_path):
     out = tmp_path / "f.csv"
     code = main(["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1", "5",

@@ -334,6 +334,21 @@ def test_wigner_resource_cap(monkeypatch, rng):
         wigner(state, xs, np.linspace(-1.0, 1.0, 200))
 
 
+@pytest.mark.parametrize("xs, ps", [
+    *[(np.linspace(-e, e, 3),) * 2 for e in (1e-300, 1e12, 1e20, 1e200, 1e300)],
+    ([0.0, 1e308], [0.0]),  # x step over the alias limit overflows to inf
+])
+def test_wigner_lattice_past_the_budget_raises_before_allocating(monkeypatch, xs, ps):
+    # the y lattice is counted before any array is made: no table is built, and
+    # no count overflows, however wide or finely stepped the axes are
+    def no_table(*args, **kwargs):
+        raise AssertionError("Hermite table built past the budget")
+
+    monkeypatch.setattr(fock, "hermite_functions", no_table)
+    with pytest.raises(ResourceCapError):
+        wigner(FockState.number_state(0, 5), xs, ps)
+
+
 def test_hermite_functions_orthonormal():
     q = np.linspace(-12, 12, 4001)
     h = hermite_functions(14, q)

@@ -35,6 +35,7 @@ from gkpsq.analytic import ApproxGKPParams, channel_affine_xi, channel_output_xi
 from oracles import (
     binomial_shift_full_slices,
     full_block_ground_state,
+    full_block_operator,
     gauss_hermite_channel,
     trapezoid_operator,
     vacuum_sin2_integral,
@@ -288,6 +289,17 @@ def test_general_offsets_solve_one_block(name, A, d1, d2, dim):
     grid = dataclasses.replace(transform_grid(preset_grid(name), A), d1=d1, d2=d2)
     assert _invariant_blocks(grid) == (slice(None),)
     assert_matches_full_eigensolve(build_operator(grid, dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), A=symplectic_maps,
+       d1=st.floats(-math.pi, math.pi), d2=st.floats(-math.pi, math.pi), dim=st.integers(1, 60))
+def test_odd_gaps_match_full_blocks(name, A, d1, d2, dim):
+    # one route for every grid: the entry at gap g is u^g cos 2d (g even) or
+    # u^g i sin 2d (g odd) times the real block, and (-1)^g conj of it at -g
+    assume(max(abs(math.sin(2.0 * d1)), abs(math.sin(2.0 * d2))) > 1e-6)
+    grid = dataclasses.replace(transform_grid(preset_grid(name), A), d1=d1, d2=d2)
+    assert np.abs(build_operator(grid, dim).matrix - full_block_operator(grid, dim)).max() <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,11 +3,13 @@
     PYTHONPATH=<tree>/src python3 tools/layer_timings.py [GROUP ...] [--out FILE]
 
 Runs the named groups, or all three.  `large_n`: `build_operator` and
-`ground_state` for q0 and hex at N = 400 and 1000 and for q0 at N = 2000,
-with `xi_min`, `degeneracy` and the tracemalloc peak of one build and
-solve.  `channel`: one `apply_channel` call for loss, noise and both
-at cutoffs 40, 100 and 200, on seeded pure states of support 12 and of full
-support, with a SHA-256 digest of each output.  `sample_io`: `load_samples`
+`ground_state` for q0 and hex at N = 400 and 1000, for q0 at N = 2000 and
+for the custom grid of `tools/cli_outputs.py` (rows of unequal length,
+offsets that break parity) at N = 400 and 1000, with `xi_min`,
+`degeneracy` and the tracemalloc peak of one build and solve.  `channel`:
+one `apply_channel` call for loss, noise and both at cutoffs 40, 100 and
+200, on seeded pure states of support 12 and of full support, with a
+SHA-256 digest of each output.  `sample_io`: `load_samples`
 and `save_samples` on a seeded 2 x 2e5-row q0 sample file, each with its
 tracemalloc peak, a digest of the loaded records and their plain q0 `xi`.
 Every timing is the median and quartiles of a fixed number of runs.  The
@@ -40,7 +42,7 @@ import gkpsq  # noqa: E402
 from gkpsq.estimator import estimate_xi, load_samples, save_samples, synthesize_samples  # noqa: E402
 from gkpsq.fock import FockState  # noqa: E402
 from gkpsq.operators import ChannelConvergenceWarning, ChannelParams, apply_channel  # noqa: E402
-from gkpsq.operators import build_operator, ground_state, preset_grid  # noqa: E402
+from gkpsq.operators import GridSpec, build_operator, ground_state, preset_grid  # noqa: E402
 
 CHANNELS = {"loss": ChannelParams(0.9), "noise": ChannelParams(1.0, 0.1), "composed": ChannelParams(0.8, 0.1)}
 SAMPLE_ANGLES = (0.0, math.pi / 2.0)
@@ -67,19 +69,22 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-LARGE_N_CASES = (("q0", 400), ("q0", 1000), ("hex", 400), ("hex", 1000), ("q0", 2000))
+CUSTOM_GRID = GridSpec(0.8, 0.3, -0.5, 2.1, d1=0.25, d2=-1.1, label="custom")
+LARGE_N_CASES = (("q0", 400), ("q0", 1000), ("hex", 400), ("hex", 1000), ("q0", 2000),
+                 ("custom", 400), ("custom", 1000))
 
 
 def large_n() -> dict:
     cases = []
     for name, dim in LARGE_N_CASES:
-        build, op = timed(lambda: build_operator(preset_grid(name), dim), 3)
+        grid = CUSTOM_GRID if name == "custom" else preset_grid(name)
+        build, op = timed(lambda: build_operator(grid, dim), 3)
         solve, gs = timed(lambda: ground_state(op), 3)
         del op
-        peak = peak_mb(lambda: ground_state(build_operator(preset_grid(name), dim)))
+        peak = peak_mb(lambda: ground_state(build_operator(grid, dim)))
         cases.append({"topology": name, "N": dim, "build_operator": build, "ground_state": solve,
                       "tracemalloc_peak_mb": peak, "xi_min": gs.xi_min, "degeneracy": gs.degeneracy})
-    return {"runs": 3, "cases": cases}
+    return {"runs": 3, "custom_grid": CUSTOM_GRID.rows(), "cases": cases}
 
 
 def channel() -> dict:
