@@ -7,26 +7,12 @@ photon-number basis |0>, ..., |N-1>.
 
 Exponentials of quadrature combinations are coherent displacements,
 exp(i(cx*x + cp*p)) = D(alpha) with alpha = (-cp + i*cx)/sqrt(2).  Every
-displacement matrix element comes from one primitive,
-`displacement_blocks`, which returns the blocks R[sel, sel] of the real
-displacement R = D(|alpha|) on given index sets (the whole basis, or its
-even and odd photon numbers), exact for m, n < N; `coherent_displacement`
-puts the phases e^{i theta (m - n)} on the full block.  An operator
-assembled from these blocks is therefore the exact compression of the
-untruncated one onto the first N number states.  The block is not
-unitary; callers must not assume unitarity.  The primitive reads one
-dense Hermite table of about 3 N^2 floats (4 reach^2/pi points per order,
-reach = sqrt(2N + 1) + 6) and takes its even and odd parts in the
-integration variable, then frees the table before the products, so the
-full block and the two parity blocks each peak near 52 N^2 bytes.  The
-dimension N is capped (`GKPSQ_MAX_BUILD_DIM`, default 2000, about 0.2 GB
-per call at the cap).
-
-`wigner` needs no displacement blocks: it evaluates the Wigner-Weyl
-integral on a product grid from one Hermite table on a lattice that holds
-every x +- y it needs.  Every table comes from `_hermite_lattice`, with
-the reach from `_lattice_reach`.  It checks the same cap and keeps its
-arrays within 15 cap^2 floats.
+displacement matrix element comes from one primitive, `displacement_blocks`,
+exact for m, n < N, so an operator assembled from its blocks is the exact
+compression of the untruncated one onto the first N number states (the
+blocks are not unitary).  `wigner` needs no blocks.  Every Hermite table
+comes from `_hermite_lattice`, and every call checks the dimension cap
+(`GKPSQ_MAX_BUILD_DIM`, default 2000).
 """
 
 from __future__ import annotations
@@ -36,6 +22,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 DEFAULT_BUILD_DIM_CAP = 2000
 BUILD_DIM_CAP_ENV = "GKPSQ_MAX_BUILD_DIM"
@@ -168,24 +155,41 @@ class DensityMatrix:
 def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> for m, n < dim.
 
-    A real-amplitude displacement is a position translation by
-    s = sqrt(2)|alpha|, whose real block comes from `displacement_blocks`;
-    the phase rotation e^{i theta n} then supplies the complex direction.
-    Because the block holds the untruncated operator's matrix elements, it
-    is exact for any alpha, and expectations against states supported
-    inside the truncation carry no truncation error.  `dim` is checked
-    against `build_dim_cap()` (ResourceCapError above it), as it is by
-    `displacement_blocks` and `wigner`.
+    The real block of the translation by s = sqrt(2)|alpha| comes from
+    `displacement_blocks`; the phases u^(m - n) below the diagonal and
+    conj(u)^(n - m) above it, u = alpha/|alpha| raised by `_powers` as in
+    `operators.build_operator`, give the direction.  The block holds the
+    untruncated operator's matrix elements, so expectations against states
+    supported inside the truncation carry no truncation error.  Raises
+    ResourceCapError when `dim` exceeds `build_dim_cap()`.
     """
     check_build_dim(dim)
     beta = complex(alpha)
     r = abs(beta)
     if r == 0.0:
         return np.eye(dim, dtype=complex)
-    theta = math.atan2(beta.imag, beta.real)
     [real_block] = displacement_blocks(math.sqrt(2.0) * r, dim, (slice(None),))
-    phases = np.exp(1j * theta * np.arange(dim))
-    return phases[:, None] * real_block * phases.conj()[None, :]
+    phases = _powers(beta / r, dim)
+    return _toeplitz(phases, phases.conj(), dim) * real_block
+
+
+def _powers(w: complex, count: int) -> np.ndarray:
+    """w^k for 0 <= k < count by doubling: each is a product of at most log2(count) + 1 factors."""
+    out = np.ones(count, dtype=complex)
+    filled, power = 1, w
+    while filled < count:
+        take = min(filled, count - filled)
+        out[filled : filled + take] = out[:take] * power
+        filled += take
+        power = power * power
+    return out
+
+
+def _toeplitz(down: np.ndarray, up: np.ndarray, size: int) -> np.ndarray:
+    """T[i, j] = down[i - j] for i >= j and up[j - i] above: a read-only view of line[size - 1 + i - j]."""
+    line = np.concatenate((up[size - 1 : 0 : -1], down[:size]))
+    step = line.strides[0]
+    return as_strided(line[size - 1 :], (size, size), (step, -step), writeable=False)
 
 
 def displacement_blocks(shift: float, dim: int, sets: tuple[slice, ...]) -> list[np.ndarray]:
@@ -198,17 +202,17 @@ def displacement_blocks(shift: float, dim: int, sets: tuple[slice, ...]) -> list
     both factors.  The cross terms of its even and odd parts E, O in t
     cancel, so a block is the symmetric (E E^T - O O^T) dt/2 over l >= 0
     on the set's rows, with the column sign (-1)^n.  A parity set costs a
-    quarter of the full product, and the blocks of several sets share the
-    table.  The trapezoid sum has no catastrophic cancellation, unlike
-    recurrence or Laguerre-series routes.
+    quarter of the full product.  The sets share the table, about 3 N^2
+    floats, freed before the products: a call peaks near 52 N^2 bytes,
+    0.2 GB at the default cap.  The trapezoid sum has no catastrophic
+    cancellation, unlike recurrence or Laguerre-series routes.
 
     Exactness: each factor's Fourier transform lies within sqrt(2N + 1) up
     to Gaussian tails, so the integrand's lies within 2 sqrt(2N + 1); by
     Poisson summation the rule at dt = pi/(2 reach) errs only by the
     integrand's spectrum at 2 pi/dt = 4 reach, an exponentially small
     alias.  Past |t| = reach one factor is beyond its turning point by 6,
-    so the cut tail is as small.  `dim` is checked against
-    `build_dim_cap()`.
+    so the cut tail is as small.  `dim` is checked against the cap.
     """
     check_build_dim(dim)
     reach = _lattice_reach(dim)
@@ -333,27 +337,20 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
     by the trapezoid rule in y.  `xs` must be evenly spaced and increasing;
     `ps` is any axis.  The y step dy = dx/m is the first integer fraction of
     the x step below the alias limit pi/(reach + max|p|), with
-    reach = sqrt(2N + 1) + 6, so every x_i +- y_k lies on one lattice
-    xs[0] + l*dy and psi is tabulated there by one `hermite_functions` call.
+    reach = sqrt(2N + 1) + 6, so every x_i +- y_k of a chunk of rows lies on
+    one lattice x_first + l*dy, tabulated by one `hermite_functions` call.
     The integrand's spectrum lies within 2(reach + |p|) up to Gaussian
     tails, so by Poisson summation the rule is exact up to an exponentially
     small alias; |y| <= reach covers every point where both factors are
-    non-negligible.  For |x| > reach one of x +- y lies past the reach for
-    every y, so W is as small as the cut tail there: such rows are written
-    as 0.0 without tabulating psi, which keeps the cost flat in the extent.
+    non-negligible.  Rows with |x| > reach, where W is as small as the cut
+    tail, are written as 0.0 untabulated, so the cost is flat in the extent.
+    By Cauchy-Schwarz and the same rule, |W| <= 1/pi for any normalized
+    input.
 
-    Bound: by Cauchy-Schwarz the y sum is at most the product of the square
-    roots of two lattice sums of |psi|^2 (at x + y_k and at x - y_k).  At
-    this step the trapezoid makes each of them ||psi||^2 = 1, up to the
-    same alias and the tail past the reach, so |W| <= 1/pi for any
-    normalized input.
-
-    The state's dimension is checked against `build_dim_cap()`.  The
-    lattice table, the y-by-row products and the phase matrix are kept
-    within 15 cap^2 floats (120 cap^2 bytes, above the 52 N^2 bytes
-    one displacement block peaks at) by processing x rows in chunks; a
-    grid whose single row does not fit, however wide or finely stepped,
-    raises ResourceCapError before any array is made (`_wigner_lattice`).
+    The state's dimension is checked against `build_dim_cap()`.  The rows
+    run in chunks whose arrays stay within 15 cap^2 floats; a grid whose
+    single row does not fit raises ResourceCapError before any array is
+    made (`_wigner_lattice`).
     """
     check_build_dim(state.dim)
     xs = _wigner_axis(xs, "xs")
@@ -374,9 +371,9 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
     end = int(np.searchsorted(xs, reach, side="right"))
     for start in range(first, end, rows):
         stop = min(start + rows, end)
-        h = _hermite_lattice(state.dim, xs[0], dy, start * m - half, (stop - 1) * m + half)
+        h = _hermite_lattice(state.dim, xs[start], dy, -half, (stop - 1 - start) * m + half)
         psi = amps.real @ h + 1j * (amps.imag @ h)
-        centres = (np.arange(stop - start) * m + half)[:, None]
+        centres = np.array(range(half, half + (stop - start) * m, m))[:, None]
         f = psi[centres + ks].conj() * psi[centres - ks]
         out[start:stop] = (f @ phases).real * (dy / math.pi)
     return out
@@ -393,13 +390,11 @@ def _wigner_lattice(dim: int, dx: float, limit: float, reach: float, n_p: int) -
     """(m, dy, half, rows): `wigner`'s y step dx/m, its lattice -half..half, and x rows per chunk.
 
     m = floor(dx/limit) + 1 and half = ceil(reach/dy).  A chunk of c rows
-    holds a Hermite table of dim x ((c - 1) m + width) floats,
-    width = 2 half + 1, three complex c x width arrays (the two psi gathers
-    and F), the complex c x n_p product, and shares the complex
-    width x n_p phases; `rows` keeps it within 15 cap^2 floats.  The counts
-    are taken in floating point, where an overflow is inf, and checked
-    before any array exists, so an axis too wide or too finely stepped for
-    one row raises ResourceCapError.
+    holds a dim x ((c - 1) m + width) Hermite table, width = 2 half + 1,
+    three complex c x width arrays, the complex c x n_p product, and the
+    shared complex width x n_p phases; `rows` keeps it within 15 cap^2
+    floats.  The counts are taken in floating point, where an overflow is
+    inf, and checked before any array exists.
     """
     cap = build_dim_cap()
     budget = 15 * cap * cap

@@ -25,6 +25,8 @@ from numpy.lib.stride_tricks import as_strided
 from .fock import (
     DensityMatrix,
     FockState,
+    _powers,
+    _toeplitz,
     check_build_dim,
     coherent_displacement,
     displacement_blocks,
@@ -180,25 +182,6 @@ def _row_step(c1: float, c2: float) -> tuple[float, complex]:
     return math.sqrt(2.0) * abs(alpha), alpha / abs(alpha)
 
 
-def _powers(w: complex, count: int) -> np.ndarray:
-    """w^k for 0 <= k < count by doubling: each is a product of at most log2(count) + 1 factors."""
-    out = np.ones(count, dtype=complex)
-    filled, power = 1, w
-    while filled < count:
-        take = min(filled, count - filled)
-        out[filled : filled + take] = out[:take] * power
-        filled += take
-        power = power * power
-    return out
-
-
-def _toeplitz(down: np.ndarray, up: np.ndarray, size: int) -> np.ndarray:
-    """T[i, j] = down[i - j] for i >= j and up[j - i] above: a read-only view of line[size - 1 + i - j]."""
-    line = np.concatenate((up[size - 1 : 0 : -1], down[:size]))
-    step = line.strides[0]
-    return as_strided(line[size - 1 :], (size, size), (step, -step), writeable=False)
-
-
 def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     """Fock-basis matrix of the grid operator.
 
@@ -285,15 +268,12 @@ def ground_state(op: TruncatedOperator) -> GroundState:
     Each block of `_invariant_blocks` is solved on its own by
     `np.linalg.eigh`.  When `_quarter_turn` holds, the block M is first
     turned into U^H M U with U = diag(i^j) on its local index j, an exact
-    rotation since every factor is +-1 or +-i.  The solve is in real
-    arithmetic when the block's imaginary part is then exactly zero, as on
-    the parity halves of q0, q1, s0, s1 and hex, and complex otherwise; a
-    real solve costs about a quarter of a complex one.  The eigenvector is
-    rotated back, so the state is in the number basis.  `degeneracy`
+    rotation.  The solve is real, at about a quarter of the cost, when the
+    block's imaginary part is then exactly zero, as on the parity halves of
+    q0, q1, s0, s1 and hex.  The eigenvector is rotated back.  `degeneracy`
     counts the eigenvalues of all blocks within a relative 1e-8 of the
-    lowest.  On a tie across blocks the first block's state is returned.
-    The state's phase is fixed so that its largest-magnitude amplitude is
-    real and positive.
+    lowest; on a tie across blocks the first block's state is returned,
+    with its largest-magnitude amplitude real and positive.
     """
     turn = _quarter_turn(op.grid)
     spectra, states = [], []
@@ -376,6 +356,9 @@ class ChannelParams:
         )
 
 
+_SHIFT_GROUP_ENTRIES = 4096  # terms of one group of shifts in `_binomial_shift`
+
+
 def _binomial_shift(mat: np.ndarray, ln_t: float, ln_rest: float, up: bool) -> np.ndarray:
     """Sum over j of the j-step diagonal shift of `mat`, binomially weighted.
 
@@ -390,7 +373,12 @@ def _binomial_shift(mat: np.ndarray, ln_t: float, ln_rest: float, up: bool) -> n
     holding an exactly nonzero entry, so every term skipped is an exact
     zero.  Loss runs the shifts j < s on (s - j)-square slices, O(s^3) in
     all; the amplifier runs every j < cutoff on min(cutoff - j, s)-square
-    slices, O(cutoff s^2).
+    slices, O(cutoff s^2).  Consecutive shifts whose slices, at the first
+    one's size, hold at most _SHIFT_GROUP_ENTRIES terms run as one group:
+    loss reads them as one strided view of a zero-padded copy and sums
+    them after the running total; the amplifier scatters them by
+    `np.add.at` into an output padded by the largest group's overhang.
+    Every entry sees the additions of shift-by-shift order, to the bit.
     """
     dim = mat.shape[0]
     used = np.flatnonzero(mat.any(axis=0) | mat.any(axis=1))
@@ -402,14 +390,30 @@ def _binomial_shift(mat: np.ndarray, ln_t: float, ln_rest: float, up: bool) -> n
     weights = np.exp(
         0.5 * (lfact[js + ms] - lfact[ms] - lfact[js]) + 0.5 * ln_t * ms + 0.5 * ln_rest * js
     )
-    out = np.zeros_like(mat)
-    for j in range(shifts):
+    groups, j = [], 0
+    while j < shifts:
         k = min(dim - j, support) if up else support - j
-        v = weights[j, :k]
-        if up:
-            out[j : j + k, j : j + k] += np.outer(v, v) * mat[:k, :k]
+        groups.append((j, min(shifts - j, max(1, _SHIFT_GROUP_ENTRIES // max(k * k, 1))), k))
+        j += groups[-1][1]
+    pad = max((g for _, g, _ in groups), default=1) - 1 if up else 0
+    full = np.zeros((dim + pad, dim + pad), dtype=mat.dtype)
+    out = full[:dim, :dim]
+    for j, g, k in groups:
+        v = weights[j : j + g, :k]
+        w = v[:, :, None] * v[:, None, :]
+        if g == 1 and up:
+            out[j : j + k, j : j + k] += w[0] * mat[:k, :k]
+        elif g == 1:
+            out[:k, :k] += w[0] * mat[j : j + k, j : j + k]
+        elif up:
+            cells = np.arange(k)[:, None] * len(full) + np.arange(k)
+            at = cells + (len(full) + 1) * np.arange(j, j + g)[:, None, None]
+            np.add.at(full.reshape(-1), at.reshape(-1), (w * mat[:k, :k]).reshape(-1))
         else:
-            out[:k, :k] += np.outer(v, v) * mat[j : j + k, j : j + k]
+            src = np.zeros((k + g - 1, k + g - 1), dtype=mat.dtype)
+            src[:k, :k] = mat[j : j + k, j : j + k]
+            shifted = as_strided(src, (g, k, k), (sum(src.strides), *src.strides), writeable=False)
+            np.add.reduce(np.concatenate((out[None, :k, :k], w * shifted)), axis=0, out=out[:k, :k])
     return out
 
 
@@ -422,7 +426,8 @@ def apply_channel(rho: DensityMatrix, ch: ChannelParams, cutoff: int) -> Density
     phase-covariant with closed-form binomial weights (`_binomial_shift`;
     the amplifier's weights are those of loss 1/G, divided by G).  For an
     input supported on its first s number states, loss costs O(s^3) and
-    the amplifier O(cutoff s^2); loss never widens the support.
+    the amplifier O(cutoff s^2) in a few cutoff^2 entries of memory; loss
+    never widens the support.
 
     The input is zero-padded to `cutoff`.  Loss never leaves that space, so
     the result before renormalization is the exact compression of the

@@ -130,8 +130,11 @@ def gauss_hermite_channel(rho: np.ndarray, eta: float, n_thermal: float, order: 
 
     Loss is a loop of dense binomial Kraus matmuls.  Noise of variance
     `n_thermal` per quadrature averages D(alpha) rho D(alpha)^dag over an
-    `order` x `order` Gauss-Hermite product rule, with every block from
-    `laguerre_displacement_matrix`.  Both act on the first rho.shape[0]
+    `order` x `order` Gauss-Hermite product rule.  Each block is
+    e^{i theta (m - n)} D(|alpha|)[m, n] with theta = arg alpha, and the
+    real blocks D(|alpha|) come from one `laguerre_displacement_matrix`
+    call over the distinct |alpha| of the rule (nodes mirrored across the
+    axes or the diagonal share one).  Both act on the first rho.shape[0]
     number states, so population pushed past them is dropped before the
     trace is restored.  Exact up to the quadrature error of the rule.
     """
@@ -151,11 +154,14 @@ def gauss_hermite_channel(rho: np.ndarray, eta: float, n_thermal: float, order: 
         nodes, weights = np.polynomial.hermite.hermgauss(order)
         weights = weights / math.sqrt(math.pi)
         shifts = math.sqrt(2.0 * n_thermal) * nodes
+        betas = (shifts[:, None] + 1j * shifts[None, :]) / math.sqrt(2.0)
+        radii, which = np.unique(np.abs(betas), return_inverse=True)
+        real_blocks = laguerre_displacement_matrix(radii[:, None, None], dim).real
+        phases = np.exp(1j * np.angle(betas)[:, :, None] * np.arange(dim))
         noisy = np.zeros_like(out)
-        for i in range(order):
-            for j in range(order):
-                disp = laguerre_displacement_matrix(complex(shifts[i], shifts[j]) / math.sqrt(2.0), dim)
-                noisy += (weights[i] * weights[j]) * (disp @ out @ disp.conj().T)
+        for i in range(order):  # one row of nodes at a time
+            disp = phases[i, :, :, None] * real_blocks[which[i]] * phases[i, :, None, :].conj()
+            noisy += np.tensordot(weights[i] * weights, disp @ out @ disp.conj().transpose(0, 2, 1), axes=1)
         out = noisy
     out = out / np.trace(out).real
     return 0.5 * (out + out.conj().T)

@@ -349,6 +349,13 @@ def test_wigner_lattice_past_the_budget_raises_before_allocating(monkeypatch, xs
         wigner(FockState.number_state(0, 5), xs, ps)
 
 
+def test_wigner_far_apart_rows():
+    # each chunk tabulates from its own first row, so rows 1e300 apart index nothing huge
+    w = wigner(FockState.number_state(0, 5), [-1e300, 0.0, 1e300], [0.0])
+    assert w[0, 0] == w[2, 0] == 0.0
+    assert w[1, 0] == pytest.approx(1.0 / math.pi, abs=1e-15)
+
+
 def test_hermite_functions_orthonormal():
     q = np.linspace(-12, 12, 4001)
     h = hermite_functions(14, q)

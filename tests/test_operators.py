@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -302,6 +303,14 @@ def test_odd_gaps_match_full_blocks(name, A, d1, d2, dim):
     assert np.abs(build_operator(grid, dim).matrix - full_block_operator(grid, dim)).max() <= 1e-13
 
 
+def test_full_blocks_share_the_build_phases():
+    # coherent_displacement puts build_operator's powers u^g on the gap, so the
+    # full-block route agrees to a few roundings; phases e^{i theta n} would
+    # carry the rounding of theta n, about 1e-14 at this size
+    grid = GridSpec(0.8, 0.3, -0.5, 2.1, d1=0.25, d2=-1.1)
+    assert np.abs(build_operator(grid, 301).matrix - full_block_operator(grid, 301)).max() <= 1e-15
+
+
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(PRESET_NAMES), A=st.one_of(st.just(np.eye(2)), symplectic_maps),
        offsets=half_pi_offsets, dim=st.integers(1, 40))
@@ -536,6 +545,45 @@ def test_apply_channel_equals_full_slice_route(rho_cutoff, ch):
         with mock.patch.object(operators, "_binomial_shift", binomial_shift_full_slices):
             expected = apply_channel(rho, ch, cutoff).entries
     assert np.array_equal(got, expected)
+
+
+def channel_input(cutoff, support):
+    rng = np.random.default_rng(12 + support)
+    raw = rng.normal(size=support) + 1j * rng.normal(size=support)
+    return FockState.normalized(raw).density_matrix().padded(cutoff)
+
+
+BRANCHES = (ChannelParams(0.9), ChannelParams(1.0, 0.1), ChannelParams(0.8, 0.1))
+
+
+@pytest.mark.parametrize("cutoff, support", [(120, 12), (120, 120), (200, 12), (200, 200)])
+def test_grouped_shifts_equal_full_slice_route(cutoff, support):
+    # support 12 runs every shift in groups; full support runs its large
+    # slices one shift at a time and groups only the small ones at the end
+    rho = channel_input(cutoff, support)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ChannelConvergenceWarning)
+        for ch in BRANCHES:
+            got = apply_channel(rho, ch, cutoff).entries
+            with mock.patch.object(operators, "_binomial_shift", binomial_shift_full_slices):
+                expected = apply_channel(rho, ch, cutoff).entries
+            assert got.tobytes() == expected.tobytes(), ch
+
+
+@pytest.mark.parametrize("ch", BRANCHES)
+def test_apply_channel_memory_at_full_support(ch):
+    # the groups' terms stay within a fixed budget, so the peak is a few cutoff^2 entries
+    cutoff = 200
+    rho = channel_input(cutoff, cutoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ChannelConvergenceWarning)
+        tracemalloc.start()
+        try:
+            apply_channel(rho, ch, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 8 * 16 * cutoff**2
 
 
 @settings(max_examples=30, deadline=None)

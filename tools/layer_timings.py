@@ -8,10 +8,11 @@ for the custom grid of `tools/cli_outputs.py` (rows of unequal length,
 offsets that break parity) at N = 400 and 1000, with `xi_min`,
 `degeneracy` and the tracemalloc peak of one build and solve.  `channel`:
 one `apply_channel` call for loss, noise and both at cutoffs 40, 100 and
-200, on seeded pure states of support 12 and of full support, with a
-SHA-256 digest of each output.  `sample_io`: `load_samples`
-and `save_samples` on a seeded 2 x 2e5-row q0 sample file, each with its
-tracemalloc peak, a digest of the loaded records and their plain q0 `xi`.
+200, on seeded pure states of support 12 and of full support, with the
+tracemalloc peak of one call and a SHA-256 digest of each output.
+`sample_io`: `load_samples` and `save_samples` on a seeded 2 x 2e5-row q0
+sample file, each with its tracemalloc peak, a digest of the loaded
+records and their plain q0 `xi`.
 Every timing is the median and quartiles of a fixed number of runs.  The
 reported values are deterministic, so two trees' outputs must match bit
 for bit; the JSON carries the numpy, Python and package versions.
@@ -100,7 +101,9 @@ def channel() -> dict:
                 for kind, params in CHANNELS.items():
                     timing, out = timed(lambda: apply_channel(rho, params, cutoff), 15)
                     digest = hashlib.sha256(np.ascontiguousarray(out.entries).tobytes()).hexdigest()
-                    cases.append({"cutoff": cutoff, "support": support, "channel": kind, **timing, "digest": digest})
+                    peak = peak_mb(lambda: apply_channel(rho, params, cutoff))
+                    cases.append({"cutoff": cutoff, "support": support, "channel": kind, **timing,
+                                  "tracemalloc_peak_mb": peak, "digest": digest})
     return {"runs": 15, "cases": cases}
 
 
