@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fock import build_dim_cap, check_build_dim
 from .operators import ChannelParams, GridSpec, preset_grid
 
 LN2 = math.log(2.0)
@@ -145,13 +146,18 @@ class ApproxGKPParams:
             raise ValueError(f"logical_bit must be 0 or 1, got {self.logical_bit}")
 
     def peak_centers_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Peak centres (2s + bit) * a and Gaussian weights exp(-g/2 * centre^2)."""
+        """Peak centres (2s + bit) * a and Gaussian weights exp(-g/2 * centre^2).
+
+        The closed forms tabulate every pair of the 2 s_max + 1 peaks, so a
+        peak count above `build_dim_cap()` raises ResourceCapError first.
+        """
         if self.s_max is None:
-            # include every peak whose Gaussian weight clears the cutoff
+            # every peak whose weight clears the cutoff, or past the cap if more
             bound = math.sqrt(-2.0 * math.log(PEAK_WEIGHT_CUTOFF) / self.g)
-            s_max = max(1, int(math.ceil((bound / self.a + 1.0) / 2.0)))
+            s_max = max(1, math.ceil(min((bound / self.a + 1.0) / 2.0, build_dim_cap())))
         else:
             s_max = self.s_max
+        check_build_dim(2 * s_max + 1)
         s = np.arange(-s_max, s_max + 1)
         centers = (2.0 * s + (1.0 if self.logical_bit else 0.0)) * self.a
         weights = np.exp(-0.5 * self.g * centers**2)
@@ -167,10 +173,19 @@ def approx_state_displacement_mean(params: ApproxGKPParams, c1: float, c2: float
     (x_j, x_k) contributes
     exp(-c1^2 g/4 - (c2 + x_j - x_k)^2/(4g) + i c1 (x_j + x_k)/2).
     """
+    return _displacement_mean(params, _peak_table(params), c1, c2)
+
+
+def _peak_table(params: ApproxGKPParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Peak-pair centres x_j, x_k, weights w_j w_k and the state's norm."""
     centers, weights = params.peak_centers_weights()
     x1, x2 = np.meshgrid(centers, centers, indexing="ij")
     ww = np.outer(weights, weights)
-    norm = float(np.sum(ww * np.exp(-((x1 - x2) ** 2) / (4.0 * params.g))))
+    return x1, x2, ww, float(np.sum(ww * np.exp(-((x1 - x2) ** 2) / (4.0 * params.g))))
+
+
+def _displacement_mean(params: ApproxGKPParams, table, c1: float, c2: float) -> complex:
+    x1, x2, ww, norm = table
     val = math.exp(-c1 * c1 * params.g / 4.0) * np.sum(
         ww * np.exp(-((c2 + x1 - x2) ** 2) / (4.0 * params.g) + 0.5j * c1 * (x1 + x2))
     )
@@ -180,11 +195,13 @@ def approx_state_displacement_mean(params: ApproxGKPParams, c1: float, c2: float
 def xi_finite_superposition(params: ApproxGKPParams, grid: GridSpec) -> float:
     """<Q_grid> on a finite peak superposition, for any grid.
 
-    Each row (c1, c2, d) contributes 1 - Re(e^{2id} <exp(2i(c1 x + c2 p))>).
+    Each row (c1, c2, d) contributes 1 - Re(e^{2id} <exp(2i(c1 x + c2 p))>),
+    both rows from one peak table.
     """
+    table = _peak_table(params)
     xi = 2.0
     for c1, c2, d in grid.rows():
-        mean = approx_state_displacement_mean(params, 2.0 * c1, 2.0 * c2)
+        mean = _displacement_mean(params, table, 2.0 * c1, 2.0 * c2)
         xi -= (complex(math.cos(2.0 * d), math.sin(2.0 * d)) * mean).real
     return xi
 

@@ -5,13 +5,15 @@ are written with repr, i.e. the shortest string that parses back to the
 same value, so emitted CSVs round-trip bit-identically.
 
 Exit codes: 0 success, 2 configuration error, 3 resource cap exceeded,
-4 input parse error.
+4 input parse error.  `main` may be called repeatedly in one process; the
+parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -81,10 +83,19 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _write_csv(path, header, rows, preamble=()) -> None:
+    reprs: dict[float, str] = {}  # nonzero non-NaN float -> repr; 0.0 == -0.0 would share a key
+
+    def cell(value) -> str:
+        if type(value) is float and value == value and value != 0.0:
+            text = reprs.get(value)
+            if text is None:
+                text = reprs[value] = repr(value)
+            return text
+        return _fmt(value)
+
     lines = [f"# {line}" for line in preamble]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(cell, row)) for row in rows)
     _write_lines(path, lines)
 
 
@@ -316,6 +327,7 @@ def cmd_thresholds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkpsq",

@@ -34,6 +34,7 @@ from gkpsq.analytic import (
     xi_finite_superposition,
     xi_from_grid_squeezing,
 )
+from gkpsq.fock import ResourceCapError
 from gkpsq.operators import (
     PRESET_NAMES,
     ChannelParams,
@@ -149,6 +150,49 @@ def test_finite_superposition_converges_to_closed_form():
     at6 = xi_finite_superposition(ApproxGKPParams(g=0.1, a=SQRT_PI_2, s_max=6), s0)
     assert abs(at6 - limit) < 1e-9
     assert abs(at6 - xi_approx_symmetric(0.1)) < 1e-6
+
+
+custom_grids = st.tuples(*[st.floats(-3.0, 3.0)] * 4, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)).filter(
+    lambda v: (v[0], v[1]) != (0.0, 0.0) and (v[2], v[3]) != (0.0, 0.0)
+).map(lambda v: GridSpec(*v[:4], d1=v[4], d2=v[5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.floats(0.01, 3.0),
+    a=st.floats(0.2, 3.0),
+    s_max=st.one_of(st.none(), st.integers(0, 12)),
+    bit=st.sampled_from([0, 1]),
+    grid=st.one_of(reshaped_grids, custom_grids),
+)
+def test_finite_superposition_is_bit_identical_to_per_row_means(g, a, s_max, bit, grid):
+    # one shared peak table gives the same bits as a fresh table per row
+    params = ApproxGKPParams(g=g, a=a, s_max=s_max, logical_bit=bit)
+    expected = 2.0
+    for c1, c2, d in grid.rows():
+        mean = approx_state_displacement_mean(params, 2.0 * c1, 2.0 * c2)
+        expected -= (complex(math.cos(2.0 * d), math.sin(2.0 * d)) * mean).real
+    assert float.hex(xi_finite_superposition(params, grid)) == float.hex(expected)
+
+
+def test_peak_count_past_the_cap_raises_before_any_array(monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("peak array built past the cap")
+
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "21")
+    assert ApproxGKPParams(g=0.1, a=SQRT_PI_2, s_max=10).peak_centers_weights()[0].size == 21
+    monkeypatch.setattr(analytic.np, "arange", no_arrays)
+    for params in (
+        ApproxGKPParams(g=0.1, a=SQRT_PI_2, s_max=11),
+        ApproxGKPParams(g=0.1, a=SQRT_PI_2, s_max=10**12),
+        ApproxGKPParams(g=1e-4, a=SQRT_PI_2),  # auto count: 597 peaks
+        ApproxGKPParams(g=5e-324, a=SQRT_PI_2),  # auto count past the float range
+        ApproxGKPParams(g=0.1, a=5e-324),
+    ):
+        with pytest.raises(ResourceCapError, match="exceeds cap 21"):
+            xi_finite_superposition(params, preset_grid("s0"))
+        with pytest.raises(ResourceCapError):
+            approx_state_displacement_mean(params, 1.0, 0.0)
 
 
 FOCK_PEAK_DIM = 160

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gkpsq.analytic import THRESHOLDS
 from gkpsq import cli
@@ -134,14 +137,36 @@ def test_wigner_csv_bytes_match_per_cell_formatting(tmp_path):
     gs = ground_state(build_operator(preset_grid("q0"), 20))
     axis = np.linspace(-6.0, 6.0, 81)
     w = wigner(gs.state, axis, axis)
-    expected = tmp_path / "expected.csv"
-    cli._write_csv(
-        str(expected),
-        ("x", "p", "w"),
-        [(x, p, w[i, j]) for j, p in enumerate(axis) for i, x in enumerate(axis)],
-        preamble=[f"topology=q0 N=20 extent=6.0 resolution=81 xi_min={cli._fmt(gs.xi_min)}"],
-    )
-    assert out.read_bytes() == expected.read_bytes()
+    lines = [f"# topology=q0 N=20 extent=6.0 resolution=81 xi_min={cli._fmt(gs.xi_min)}", "x,p,w"]
+    lines += [",".join(cli._fmt(v) for v in (x, p, w[i, j])) for j, p in enumerate(axis) for i, x in enumerate(axis)]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+# Values that share a repr, differ only in sign, never compare equal, sit at
+# the float range's ends, or are not plain floats.
+csv_floats = st.sampled_from([0.1, 1 / 3, -2.5, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308])
+csv_values = st.one_of(
+    csv_floats,
+    st.floats(allow_nan=True),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=True).map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.1]), csv_floats, csv_values, csv_values), max_size=25),
+    preamble=st.lists(st.text(alphabet="abc= 0.1", max_size=8), max_size=2),
+)
+def test_write_csv_bytes_match_per_cell_formatting(tmp_path, rows, preamble):
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), ("zero", "float", "u", "v"), rows, preamble)
+    lines = [f"# {line}" for line in preamble] + ["zero,float,u,v"]
+    lines += [",".join(cli._fmt(v) for v in row) for row in rows]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -267,6 +292,22 @@ def test_peaks_sweep(tmp_path):
     xis = [float(r[2]) for r in rows]
     assert all(a > b for a, b in zip(xis, xis[1:]))  # more peaks approach the ideal
     assert xis[-1] == pytest.approx(2 - 2 * math.exp(-math.pi * 0.1 / 2), abs=1e-6)
+
+
+@pytest.mark.parametrize("cap", [None, "50"])
+def test_peaks_sweep_past_the_cap_exits_before_any_array(tmp_path, monkeypatch, capsys, cap):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("peak array built past the cap")
+
+    if cap is None:
+        monkeypatch.delenv("GKPSQ_MAX_BUILD_DIM", raising=False)
+    else:
+        monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", cap)
+    monkeypatch.setattr(np, "arange", no_arrays)
+    out = tmp_path / "p.csv"
+    assert main(["peaks-sweep", "--g", "0.1", "--smax", "100000", "--output", str(out)]) == 3
+    assert f"dimension 200001 exceeds cap {cap or 2000}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_command_vacuum(tmp_path):
@@ -492,6 +533,53 @@ def test_thresholds_report_the_requested_grid(tmp_path):
     }
 
 
+# Minimal arguments for each command, to read its parsed defaults.
+COMMAND_MINIMA = [
+    ["ground-sweep", "--dims", "3"],
+    ["wigner", "--dims", "3"],
+    ["fidelity-sweep", "--g", "0.1"],
+    ["channel-sweep", "--eta", "1.0"],
+    ["peaks-sweep", "--g", "0.1", "--smax", "1"],
+    ["estimate", "--input", "samples.csv"],
+    ["thresholds"],
+]
+
+
+def test_repeated_in_process_calls_write_identical_files(tmp_path, capsys):
+    samples = tmp_path / "vac.csv"
+    save_samples(synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 500, seed=44), samples)
+    runs = {
+        "ground.csv": ["ground-sweep", "--dims", "3", "6"],  # the default --topology list
+        "fidelity.csv": ["fidelity-sweep", "--g", "0.05", "0.2", "--fidelity-grid", "0", "1", "11"],
+        "channel.csv": ["channel-sweep", "--eta", "1.0", "0.9", "--nbar", "0.1", "--xi-in", "0", "2", "9"],
+        "peaks.csv": ["peaks-sweep", "--g", "0.1", "0.3", "--smax", "0", "3"],
+        "estimate.json": ["estimate", "--input", str(samples), "--bootstrap", "20"],
+        "thresholds.txt": ["thresholds", "--topology", "hex"],
+        "thresholds.json": ["thresholds", "--json"],
+    }
+    parser = cli.build_parser()
+    defaults = [vars(parser.parse_args(argv)) for argv in COMMAND_MINIMA]
+    snapshot = json.dumps(defaults, default=repr)
+
+    def run_round(name):
+        outdir = tmp_path / name
+        outdir.mkdir()
+        for filename, argv in runs.items():
+            assert main([*argv, "--output", str(outdir / filename)]) == 0, argv
+        return {path.name: path.read_bytes() for path in outdir.iterdir()}
+
+    first = run_round("first")
+    assert main(["ground-sweep", "--dims", "3", "--no-such-flag"]) == 2
+    assert main(["--help"]) == 0
+    assert "ground-sweep" in capsys.readouterr().out
+    second = run_round("second")
+    assert sorted(first) == sorted(runs) and first == second
+    # argparse hands every call the same default objects: none was mutated
+    assert json.dumps(defaults, default=repr) == snapshot
+    assert json.dumps([vars(parser.parse_args(argv)) for argv in COMMAND_MINIMA], default=repr) == snapshot
+    assert cli.build_parser() is parser
+
+
 def test_cli_outputs_compare_runs_without_the_package_on_the_path(tmp_path):
     tool = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -509,6 +597,23 @@ def test_cli_outputs_compare_runs_without_the_package_on_the_path(tmp_path):
     changed = compare(dirs[0], dirs[2])
     assert changed.returncode == 1 and changed.stderr == ""
     assert "out.csv:" in changed.stdout and "column y" in changed.stdout
+
+
+def test_bench_pairs_reports_xi_differences_per_field():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", tool)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def report(predicted):
+        xi = {"loss": {"state0 eta=0.9": {"xi": 1.5, "predicted": predicted, "gap": abs(1.5 - predicted)}},
+              "file_xi": [0.25, 0.5]}
+        metric = {"unit": "s", "value": 1.0}
+        return {"metrics": {"wall_s": metric}, "xi": xi, "seed": 0, "attempted": 1, "failed": 0, "failures": []}
+
+    result = bench_pairs.compare([(report(1.5), report(1.5 + 2**-40)), (report(1.5), report(1.5))])
+    assert result["xi_max_abs_diff"] == 2**-40
+    assert result["xi_max_abs_diff_by_field"] == {"file_xi": 0.0, "gap": 2**-40, "predicted": 2**-40, "xi": 0.0}
 
 
 def test_layer_timings_tool_imports_the_package():

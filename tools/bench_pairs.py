@@ -10,7 +10,10 @@ so every pair of a workload sees new inputs.  Running the two sides back to
 back keeps both in the same machine-speed regime.  The output
 holds, per workload and metric, both sides' medians and quartiles, how
 many pairs the `after` side won, every run's checks, and every `xi` value
-both sides computed with the largest difference between them.
+both sides computed with the largest difference between them, overall
+(`xi_max_abs_diff`) and per field, the last key on each value's path
+(`xi_max_abs_diff_by_field`, so the `channel` workload's measured `xi`
+shows apart from its closed-form `predicted` and `gap`).
 
 After writing `--out` it prints one line per workload and metric: both
 medians, the `after` side's wins, and `WORSE` where the `after` median is
@@ -39,19 +42,20 @@ def run_once(root: Path, workload: str, seed: int, report: Path) -> dict:
     return json.loads(report.read_text())
 
 
-def numeric_leaves(value, prefix: str = "") -> dict[str, float]:
+def numeric_leaves(value, prefix: str = "", field: str = "") -> dict[str, tuple[str, float]]:
+    """Each numeric leaf's path -> (field, value); the field is the last key on the path."""
     if isinstance(value, dict):
         out = {}
         for key, item in value.items():
-            out.update(numeric_leaves(item, f"{prefix}.{key}" if prefix else str(key)))
+            out.update(numeric_leaves(item, f"{prefix}.{key}" if prefix else str(key), str(key)))
         return out
     if isinstance(value, list):
         out = {}
         for index, item in enumerate(value):
-            out.update(numeric_leaves(item, f"{prefix}[{index}]"))
+            out.update(numeric_leaves(item, f"{prefix}[{index}]", field))
         return out
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return {prefix: float(value)}
+        return {prefix: (field, float(value))}
     return {}
 
 
@@ -75,7 +79,10 @@ def compare(runs: list[tuple[dict, dict]]) -> dict:
         }
     xi_before = [numeric_leaves(r["xi"]) for r in sides["before"]]
     xi_after = [numeric_leaves(r["xi"]) for r in sides["after"]]
-    diffs = [abs(b[k] - a[k]) for b, a in zip(xi_before, xi_after) for k in b.keys() & a.keys()]
+    diffs = [(b[k][0], abs(b[k][1] - a[k][1])) for b, a in zip(xi_before, xi_after) for k in b.keys() & a.keys()]
+    by_field: dict[str, float] = {}
+    for field, diff in diffs:
+        by_field[field] = max(by_field.get(field, 0.0), diff)
     return {
         "metrics": metrics,
         "checks": {
@@ -84,7 +91,8 @@ def compare(runs: list[tuple[dict, dict]]) -> dict:
             for side, results in sides.items()
         },
         "xi": {"before": [r["xi"] for r in sides["before"]], "after": [r["xi"] for r in sides["after"]]},
-        "xi_max_abs_diff": max(diffs, default=0.0),
+        "xi_max_abs_diff": max((diff for _, diff in diffs), default=0.0),
+        "xi_max_abs_diff_by_field": dict(sorted(by_field.items())),
     }
 
 
