@@ -427,7 +427,9 @@ def apply_channel(rho: DensityMatrix, ch: ChannelParams, cutoff: int) -> Density
     the amplifier's weights are those of loss 1/G, divided by G).  For an
     input supported on its first s number states, loss costs O(s^3) and
     the amplifier O(cutoff s^2) in a few cutoff^2 entries of memory; loss
-    never widens the support.
+    never widens the support.  Checking the output (support s_out, the
+    cutoff once noise acts) costs one Cholesky, O(s_out^3 / 3), and one
+    more s_out^2 complex copy (see `DensityMatrix`).
 
     The input is zero-padded to `cutoff`.  Loss never leaves that space, so
     the result before renormalization is the exact compression of the

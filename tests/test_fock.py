@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -396,6 +397,22 @@ def test_density_matrix_validation():
         DensityMatrix(neg)
 
 
+def test_density_matrix_rejects_empty():
+    with pytest.raises(ValueError, match="density matrix needs at least one entry"):
+        DensityMatrix(np.zeros((0, 0)))
+
+
+def test_density_matrix_large_norm_goes_to_the_eigensolve():
+    # trace one but far outside any trace-one PSD matrix's norm: the Cholesky
+    # test is skipped and eigvalsh rejects it with the eigensolve's message
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
+            mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        with pytest.raises(ValueError, match=r"^density matrix not positive semidefinite: min eigenvalue -1e\+08$"):
+            DensityMatrix(np.diag([1e8, 1.0 - 1e8]))
+    assert eigvalsh.call_count == 1
+    assert cholesky.call_count == 0
+
+
 @pytest.mark.parametrize(
     "entries",
     [np.full((2, 2), np.nan), [[1.0, np.nan], [np.nan, 0.0]], [[1.0, np.inf], [np.inf, 0.0]]],
@@ -434,3 +451,51 @@ def test_density_matrix_psd_check_matches_full_spectrum(dim, data, seed):
         assert "positive semidefinite" in str(exc)
         accepted = False
     assert accepted == (full_min >= fock.PSD_FLOOR)
+
+
+# at, inside and past the Cholesky test's margin |PSD_FLOOR|/2, both sides of
+# the floor by one part in 1e6, and clearly negative
+EDGE_EIGENVALUES = (0.0, -2.5e-10, -5e-10, -7.5e-10, fock.PSD_FLOOR * (1 + 1e-6), fock.PSD_FLOOR * (1 - 1e-6),
+                    -2e-9, -1e-6)
+
+
+def eigensolve_psd_message(mat):
+    """The eigensolve-only check on the Hermitized support block: None to accept, else its message."""
+    nonzero = mat != 0
+    s = int(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))[-1]) + 1
+    block = mat[:s, :s]
+    min_eig = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
+    if min_eig < fock.PSD_FLOOR:
+        return f"density matrix not positive semidefinite: min eigenvalue {min_eig:g}"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 200), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_density_matrix_psd_check_matches_eigensolve_up_to_dim_200(dim, data, seed):
+    # A trace-one Hermitian matrix on a random support of any size, with
+    # eigenvalues at the edge values above and random positive ones: the
+    # Cholesky test with its eigensolve fallback must give the eigensolve's
+    # decision and message, and agree with eigvalsh of the whole matrix.
+    rng = np.random.default_rng(seed)
+    size = dim - data.draw(st.integers(0, dim - 1), label="zero rows")
+    support = np.sort(rng.choice(dim, size, replace=False))
+    edges = data.draw(st.lists(st.sampled_from(EDGE_EIGENVALUES), max_size=size - 1), label="edge eigenvalues")
+    positive = rng.uniform(0.01, 1.0, size - len(edges))
+    lams = np.concatenate([edges, positive * ((1.0 - sum(edges)) / positive.sum())])
+    u, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[np.ix_(support, support)] = (u * lams) @ u.conj().T
+    expected = eigensolve_psd_message(mat)
+    try:
+        DensityMatrix(mat)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    assert message == expected
+    full_min = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
+    if abs(full_min - fock.PSD_FLOOR) > 1e-12:  # rounding-level ties are decided by the block's eigvalsh above
+        assert (message is None) == (full_min >= fock.PSD_FLOOR)
+    if message is not None:
+        reported = float(message.rsplit(" ", 1)[1])
+        assert abs(reported - full_min) <= 1e-5 * abs(full_min) + 1e-14

@@ -586,6 +586,17 @@ def test_apply_channel_memory_at_full_support(ch):
     assert peak <= 8 * 16 * cutoff**2
 
 
+@pytest.mark.parametrize("cutoff, support", [(40, 12), (40, 40), (200, 12), (200, 200)])
+def test_cholesky_test_alone_accepts_every_channel_output(cutoff, support):
+    # a channel output is PSD by construction, so its check never needs the eigensolve
+    rho = channel_input(cutoff, support)
+    with warnings.catch_warnings(), \
+            mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigensolve reached")):
+        warnings.simplefilter("ignore", ChannelConvergenceWarning)
+        for ch in BRANCHES:
+            assert apply_channel(rho, ch, cutoff).dim == cutoff
+
+
 @settings(max_examples=30, deadline=None)
 @given(rho=low_photon_states, c1=channels, c2=channels)
 def test_apply_channel_composes(rho, c1, c2):
