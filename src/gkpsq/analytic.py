@@ -11,7 +11,6 @@ for each formula.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -264,62 +263,21 @@ class GridSqueezingBounds:
     pessimistic_fixed_p_sq: float
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of f between xa and xb, where f changes sign, by Brent's method.
+def _symmetric_root(a: float, b: float, xi: float) -> float:
+    """Finite root d >= 0 of f(d) = -expm1(-a d) - expm1(-b d) - xi, by Newton's method from d = 0.
 
-    A line-for-line port of scipy's C `brentq` (BSD-3) with its defaults
-    xtol = 2e-12, rtol = 4 eps and maxiter = 100, raising the same errors:
-    it evaluates f at the same points and returns the same bits as
-    `scipy.optimize.brentq(f, xa, xb)`, which
-    `tests/test_analytic.py::test_brentq_matches_scipy` checks.
+    f is increasing and concave with f(0) = -xi <= 0, so each tangent step
+    lands at or below the root: the iterates climb to it with no bracket,
+    until a step no longer increases d.
     """
-    xtol, rtol = 2e-12, 4.0 * sys.float_info.epsilon
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
+    d = 0.0
     for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless interpolation gives a short enough step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # where C divides to inf or nan, and so bisects
-                pass
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
+        f = -math.expm1(-a * d) - math.expm1(-b * d) - xi
+        nxt = d - f / (a * math.exp(-a * d) + b * math.exp(-b * d))
+        if not d < nxt:
+            break
+        d = nxt
+    return d
 
 
 def grid_squeezing_bounds_from_xi(xi: float, grid: GridSpec | str) -> GridSqueezingBounds:
@@ -330,9 +288,12 @@ def grid_squeezing_bounds_from_xi(xi: float, grid: GridSpec | str) -> GridSqueez
     pessimistic scenario pins the second row at the sharpness
     exp(-pi * PESSIMISTIC_FIXED_P_SQ) and tracks the first row; it is None
     when the pinned row alone already exceeds xi.  A preset name is
-    resolved through `preset_grid`.  Raises ValueError when a squared row
-    length leaves the positive float range, or when the rows' lengths are
-    so far apart that the symmetric root does not converge.
+    resolved through `preset_grid`.  The symmetric Delta^2 solves
+    2 - exp(-z1^2 d) - exp(-z2^2 d) = xi by `_symmetric_root`, within a few
+    ulps or, where wider, a few eps over the slope of the left side.
+    Raises ValueError for xi outside [0, 1) and for a squared row length
+    that is not a positive float or puts its bound, which tops the
+    symmetric one, past the float range.
     """
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"bounds are defined for xi in [0, 1), got {xi}")
@@ -341,22 +302,15 @@ def grid_squeezing_bounds_from_xi(xi: float, grid: GridSpec | str) -> GridSqueez
     if not (0.0 < z1_sq < math.inf and 0.0 < z2_sq < math.inf):
         raise ValueError(f"squared row lengths {z1_sq!r}, {z2_sq!r} are not finite and positive")
     lg = math.log1p(-xi)
-    max_1, max_2 = -lg / z1_sq, -lg / z2_sq
-    try:
-        sym = _brentq(
-            lambda d: 2.0 - math.exp(-z1_sq * d) - math.exp(-z2_sq * d) - xi,
-            0.0,
-            max(max_1, max_2) + 1.0,
-        )
-    except RuntimeError as exc:
-        raise ValueError(f"symmetric bound for squared row lengths {z1_sq!r}, {z2_sq!r}: {exc}") from exc
+    if -lg / min(z1_sq, z2_sq) == math.inf:
+        raise ValueError(f"squared row length {min(z1_sq, z2_sq)!r} puts its bound past the float range")
     floor = math.exp(-math.pi * PESSIMISTIC_FIXED_P_SQ)
     arg = 2.0 - xi - floor
     return GridSqueezingBounds(
         grid=grid.label,
-        max_delta_x_sq=max_1,
-        max_delta_p_sq=max_2,
-        symmetric_delta_sq=float(sym),
+        max_delta_x_sq=-lg / z1_sq,
+        max_delta_p_sq=-lg / z2_sq,
+        symmetric_delta_sq=_symmetric_root(z1_sq, z2_sq, xi),
         pessimistic_delta_x_sq=-math.log(arg) / z1_sq if arg < 1.0 else None,
         pessimistic_fixed_p_sq=math.pi * PESSIMISTIC_FIXED_P_SQ / z2_sq,
     )

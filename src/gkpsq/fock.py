@@ -118,15 +118,17 @@ class FockState:
 class DensityMatrix:
     """Trace-one Hermitian positive-semidefinite matrix in the Fock basis.
 
-    The PSD check costs one Cholesky, O(s^3 / 3), and one s^2 complex copy,
-    on the Hermitized support block `herm` (s one past the last nonzero row
-    or column).  It accepts when |herm|_F^2 <= 4 and `herm + |PSD_FLOOR|/2`
-    has a Cholesky factor.  The factor is exact for that matrix plus an
-    error of order s eps trace (1e-13 at s = 1000), so every eigenvalue of
-    `herm` is above PSD_FLOOR/2 - 1e-13, and `eigvalsh`, off by about
-    s eps |herm| < 1e-12, would accept too.  Only other matrices reach
-    `eigvalsh`, which rejects below PSD_FLOOR and reports the minimum
-    eigenvalue, so every decision and message is the eigensolve's.
+    Every check but the trace's reads only the support block, s one past
+    the last nonzero row or column: NaN and inf count as nonzero, so the
+    matrix is finite, Hermitian and PSD exactly when that block is.  The
+    PSD check costs one Cholesky, O(s^3 / 3), and one s^2 complex copy, on
+    the Hermitized block `herm`.  It accepts when |herm|_F^2 <= 4 and
+    `herm + |PSD_FLOOR|/2` has a Cholesky factor.  The factor is exact for
+    that matrix plus an error of order s eps trace (1e-13 at s = 1000), so
+    every eigenvalue of `herm` is above PSD_FLOOR/2 - 1e-13, and `eigvalsh`,
+    off by about s eps |herm| < 1e-12, would accept too.  Only other
+    matrices reach `eigvalsh`, which rejects below PSD_FLOOR and reports
+    the minimum eigenvalue: every decision and message is the eigensolve's.
     """
 
     entries: np.ndarray
@@ -137,19 +139,16 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         if mat.size < 1:
             raise ValueError("density matrix needs at least one entry")
-        if not np.all(np.isfinite(mat)):
+        s = _support(mat)
+        block = mat[:s, :s]
+        if not np.all(np.isfinite(block)):
             raise ValueError("density matrix entries must be finite")
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
+        herm_defect = float(np.max(np.abs(block - block.conj().T), initial=0.0))
         if herm_defect > HERM_ATOL:
             raise ValueError(f"density matrix not Hermitian: defect {herm_defect:g}")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > NORM_ATOL:
             raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-        # Zero outside its leading s x s block (s one past the last nonzero
-        # row or column), a Hermitian matrix is PSD exactly when that block is.
-        nonzero = mat != 0
-        s = int(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))[-1]) + 1
-        block = mat[:s, :s]
         herm = 0.5 * (block + block.conj().T)
         if not _cholesky_accepts(herm):
             min_eig = float(np.linalg.eigvalsh(herm).min())
@@ -167,6 +166,12 @@ class DensityMatrix:
         out = np.zeros((dim, dim), dtype=complex)
         out[: self.dim, : self.dim] = self.entries
         return DensityMatrix(out)
+
+
+def _support(mat: np.ndarray) -> int:
+    """One past the last row or column of `mat` holding a nonzero entry (NaN counts); 0 if none."""
+    used = np.flatnonzero(mat.any(axis=0) | mat.any(axis=1))
+    return int(used[-1]) + 1 if used.size else 0
 
 
 def _cholesky_accepts(herm: np.ndarray) -> bool:

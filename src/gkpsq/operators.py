@@ -26,6 +26,7 @@ from .fock import (
     DensityMatrix,
     FockState,
     _powers,
+    _support,
     _toeplitz,
     check_build_dim,
     coherent_displacement,
@@ -381,8 +382,7 @@ def _binomial_shift(mat: np.ndarray, ln_t: float, ln_rest: float, up: bool) -> n
     Every entry sees the additions of shift-by-shift order, to the bit.
     """
     dim = mat.shape[0]
-    used = np.flatnonzero(mat.any(axis=0) | mat.any(axis=1))
-    support = int(used[-1]) + 1 if used.size else 0
+    support = _support(mat)
     shifts = dim if up else support
     lfact = np.array([math.lgamma(k + 1.0) for k in range(shifts + support)])
     js = np.arange(shifts)[:, None]
@@ -427,9 +427,9 @@ def apply_channel(rho: DensityMatrix, ch: ChannelParams, cutoff: int) -> Density
     the amplifier's weights are those of loss 1/G, divided by G).  For an
     input supported on its first s number states, loss costs O(s^3) and
     the amplifier O(cutoff s^2) in a few cutoff^2 entries of memory; loss
-    never widens the support.  Checking the output (support s_out, the
-    cutoff once noise acts) costs one Cholesky, O(s_out^3 / 3), and one
-    more s_out^2 complex copy (see `DensityMatrix`).
+    never widens the support.  The output is rescaled, Hermitized and checked
+    on its support s_out, taken as the cutoff once noise acts: one Cholesky,
+    O(s_out^3 / 3), and one more s_out^2 complex copy (see `DensityMatrix`).
 
     The input is zero-padded to `cutoff`.  Loss never leaves that space, so
     the result before renormalization is the exact compression of the
@@ -458,8 +458,9 @@ def apply_channel(rho: DensityMatrix, ch: ChannelParams, cutoff: int) -> Density
             f"channel output trace drifted to {trace:.6f}; cutoff too small",
             ChannelConvergenceWarning,
         )
-    mat = mat / trace
-    mat = 0.5 * (mat + mat.conj().T)
+    s = cutoff if ch.n_thermal > 0.0 else _support(mat)
+    mat[:s, :s] /= trace
+    np.multiply(mat[:s, :s] + mat[:s, :s].conj().T, 0.5, out=mat[:s, :s])
     return DensityMatrix(mat)
 
 

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import eval_genlaguerre, gammaln, genlaguerre
 
-from gkpsq.fock import coherent_displacement, hermite_functions
+from gkpsq.fock import HERM_ATOL, NORM_ATOL, coherent_displacement, hermite_functions
 
 
 def laguerre_displacement_element(beta: complex, m: int, n: int) -> complex:
@@ -216,6 +216,49 @@ def bounded_brent_scipy(f, a: float, b: float) -> tuple[float, float]:
     """(x, f(x)) minimizing f on [a, b] by scipy's bounded Brent method at xatol 1e-10."""
     res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": 1e-10})
     return float(res.x), float(res.fun)
+
+
+def density_matrix_full_checks(mat: np.ndarray) -> str | None:
+    """`fock.DensityMatrix`'s finiteness, Hermiticity and trace checks, each over the whole matrix.
+
+    Returns the message of the first check that fails, or None.
+    """
+    if not np.all(np.isfinite(mat)):
+        return "density matrix entries must be finite"
+    herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm_defect > HERM_ATOL:
+        return f"density matrix not Hermitian: defect {herm_defect:g}"
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > NORM_ATOL:
+        return f"density matrix trace must be 1, got {tr!r}"
+    return None
+
+
+def symmetric_root_bisect(a: float, b: float, xi: float) -> float:
+    """Root of f(d) = -expm1(-a d) - expm1(-b d) - xi, d >= 0, bisected to adjacent floats.
+
+    Pure Python.  The upper end starts where the longer row alone reaches
+    xi, or at the smallest positive float, and doubles until f is positive
+    there; of the two adjacent floats left, the one with the smaller |f|
+    is returned.
+    """
+
+    def f(d):
+        return -math.expm1(-a * d) - math.expm1(-b * d) - xi
+
+    lo, hi = 0.0, max(-math.log1p(-xi) / max(a, b), math.ulp(0.0))
+    if f(lo) >= 0.0:
+        return lo
+    while f(hi) < 0.0:
+        hi *= 2.0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo if abs(f(lo)) < abs(f(hi)) else hi
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def peak_superposition_xi_bruteforce(g: float, a: float, s_max: int, logical_bit: int,

@@ -1,20 +1,20 @@
-import dataclasses
 import math
+import random
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from gkpsq import analytic
 from gkpsq.analytic import (
     CLASSIFICATIONS,
+    PESSIMISTIC_FIXED_P_SQ,
     THRESHOLDS,
     ApproxGKPParams,
     UnphysicalEstimateWarning,
-    _brentq,
     approx_state_displacement_mean,
     breeding_step_xi,
     channel_affine_xi,
@@ -44,7 +44,7 @@ from gkpsq.operators import (
     expectation,
     preset_grid,
 )
-from oracles import peak_superposition_xi_bruteforce, vacuum_sin2_integral
+from oracles import peak_superposition_xi_bruteforce, symmetric_root_bisect, vacuum_sin2_integral
 from strategies import reshaped_grids
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
@@ -294,111 +294,82 @@ def test_bounds_solve_back_to_xi_on_any_grid(grid, xi):
         assert xi_from_grid_squeezing(pair, grid).xi == pytest.approx(xi, abs=1e-10)
 
 
-def _solve_traced(solver, f, xa, xb):
-    """The solver's root, or its error, and every point where it evaluated f."""
-    points = []
-
-    def traced(x):
-        points.append(float(x).hex())
-        return f(x)
-
-    try:
-        outcome = float(solver(traced, xa, xb)).hex()
-    except (ValueError, RuntimeError) as exc:
-        outcome = f"{type(exc).__name__}: {exc}"
-    return outcome, points
-
-
-def _bounds_traced(solver, xi, grid):
-    calls = []
-
-    def traced(f, xa, xb):
-        calls.append(_solve_traced(solver, f, xa, xb))
-        return solver(f, xa, xb)
-
-    with mock.patch.object(analytic, "_brentq", traced):
-        bounds = grid_squeezing_bounds_from_xi(xi, grid)
-    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(bounds)], calls
-
-
 _coefficient = st.floats(-4.0, 4.0)
 custom_grids = st.tuples(_coefficient, _coefficient, _coefficient, _coefficient, _coefficient, _coefficient).filter(
     lambda c: math.hypot(c[0], c[1]) > 1e-3 and math.hypot(c[2], c[3]) > 1e-3
 ).map(lambda c: GridSpec(*c[:4], d1=c[4], d2=c[5], label="custom"))
 
 
+def _squared_row_lengths(grid):
+    (c11, c12, _), (c21, c22, _) = (preset_grid(grid) if isinstance(grid, str) else grid).rows()
+    return c11**2 + c12**2, c21**2 + c22**2
+
+
+def _root_tolerance(a, b, ref):
+    """4 ulps of the reference root plus its conditioning, 4 eps over the slope of f there."""
+    return 4.0 * math.ulp(ref) + 4.0 * sys.float_info.epsilon / (a * math.exp(-a * ref) + b * math.exp(-b * ref))
+
+
 @settings(max_examples=300, deadline=None)
-@given(xi=st.floats(0.0, 1.0, exclude_max=True), grid=st.sampled_from(PRESET_NAMES) | custom_grids)
-@example(xi=0.0, grid="q0")  # f(0) == 0: scipy returns at once
+@given(xi=st.floats(0.0, 1.0, exclude_max=True), grid=st.sampled_from(PRESET_NAMES) | custom_grids | reshaped_grids)
+@example(xi=0.0, grid="q0")  # f(0) == 0: the root is 0
 @example(xi=THRESHOLDS.ft_symmetric_xi0, grid="hex")
 @example(xi=0.9999999999999999, grid=GridSpec(0.01, 0.0, 0.0, 3.0, d1=0.5, d2=-1.0, label="custom"))
-def test_brentq_matches_scipy(xi, grid):
-    # scipy's brentq is the oracle for the symmetric-scenario root: the same
-    # bounds and evaluation points, compared through float.hex
-    assert _bounds_traced(_brentq, xi, grid) == _bounds_traced(brentq, xi, grid)
+def test_symmetric_bound_matches_bisection(xi, grid):
+    # the Newton root against the same f bisected to adjacent floats
+    a, b = _squared_row_lengths(grid)
+    ref = symmetric_root_bisect(a, b, xi)
+    sym = grid_squeezing_bounds_from_xi(xi, grid).symmetric_delta_sq
+    assert abs(sym - ref) <= _root_tolerance(a, b, ref)
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_brentq_matches_scipy_on_presets(name):
-    for xi in (0.0, THRESHOLDS.ft_symmetric_xi0, THRESHOLDS.ft_sufficient_xi0, THRESHOLDS.ft_necessary_xi0, 0.5):
-        assert _bounds_traced(_brentq, xi, name) == _bounds_traced(brentq, xi, name)
+@pytest.mark.parametrize("grid", ["s0", "s1", preset_grid("general", a=0.7, b=0.7), preset_grid("general", a=3.0, b=3.0)])
+def test_symmetric_bound_on_equal_rows_is_the_closed_form(grid):
+    # equal rows solve 2 - 2 exp(-a d) = xi: d = -log1p(-xi/2) / a
+    a, b = _squared_row_lengths(grid)
+    assert a == b
+    rng = np.random.default_rng(7)
+    for xi in [0.0, 1e-300, 1e-12, THRESHOLDS.ft_symmetric_xi0, 1.0 - 2.0**-53, *rng.uniform(0.0, 1.0, 200)]:
+        closed = -math.log1p(-xi / 2.0) / a
+        assert abs(grid_squeezing_bounds_from_xi(float(xi), grid).symmetric_delta_sq - closed) <= 4.0 * math.ulp(closed)
 
 
-@settings(max_examples=500, deadline=None)
-@given(
-    coeffs=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-    ends=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
-)
-@example(coeffs=(0.0, 1.0, 0.0, 0.0), ends=(0.0, 1.0))  # f(a) == 0
-@example(coeffs=(0.0, 1.0, 0.0, 0.0), ends=(-1.0, -0.0))  # f(b) == -0.0
-@example(coeffs=(1.0, 0.0, 0.0, 1.0), ends=(0.0, 1.0))  # no sign change
-def test_brentq_matches_scipy_on_any_bracket(coeffs, ends):
-    # cubic-plus-sine functions, roots and errors alike
-    c3, c1, s, c0 = coeffs
-
-    def f(x):
-        return c3 * x**3 + c1 * x + s * math.sin(3.0 * x) + c0
-
-    assert _solve_traced(_brentq, f, *ends) == _solve_traced(brentq, f, *ends)
+def test_symmetric_root_ends_well_inside_its_loop_bound():
+    # rows whose squared lengths are log-uniform over 600 decades, xi from
+    # 1e-300 to 1 - 2^-53: Newton from d = 0 takes at most 39 steps in 2e5
+    # such draws, against a loop bound of 100; each step calls expm1 twice
+    rng = random.Random(2024)
+    for _ in range(300):
+        a, b = 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 300.0)
+        xi = min(rng.choice([10.0 ** rng.uniform(-300.0, 0.0), rng.random(), 1.0 - 10.0 ** rng.uniform(-16.0, -1.0)]),
+                 1.0 - 2.0**-53)
+        with mock.patch("math.expm1", wraps=math.expm1) as expm1:
+            d = analytic._symmetric_root(a, b, xi)
+        assert expm1.call_count <= 2 * 45
+        ref = symmetric_root_bisect(a, b, xi)
+        assert abs(d - ref) <= _root_tolerance(a, b, ref)
 
 
-@pytest.mark.parametrize("nan_where", [(0.0, 0.0), (1.0, 1.0), (0.2, 0.9)])
-def test_brentq_raises_scipy_error_on_nan(nan_where):
-    def f(x):
-        return math.nan if nan_where[0] <= x <= nan_where[1] else x - 0.3
-
-    outcome, _ = _solve_traced(_brentq, f, 0.0, 1.0)
-    assert outcome.startswith("ValueError: The function value at x=")
-    assert _solve_traced(_brentq, f, 0.0, 1.0) == _solve_traced(brentq, f, 0.0, 1.0)
-
-
-def test_brentq_bisects_where_the_interpolation_divides_by_zero():
-    # slopes near 1e-170 underflow the inverse-quadratic denominator to 0,
-    # where scipy's C code divides to inf and bisects
-    def f(x):
-        return 1e-170 * (x**3 - 0.027)
-
-    assert _solve_traced(_brentq, f, 0.0, 1.0) == _solve_traced(brentq, f, 0.0, 1.0)
-
-
-def test_bounds_nan_error_matches_scipy():
-    # a first row so long that its squared length overflows makes f(0) NaN
+def test_bounds_reject_a_row_whose_squared_length_overflows():
     grid = GridSpec(1.2e154, 1.2e154, 0.0, 1.0, label="custom")
-    with mock.patch.object(analytic, "_brentq", brentq), pytest.raises(ValueError) as oracle:
+    with pytest.raises(ValueError, match=r"^squared row lengths inf, 1\.0 are not finite and positive$"):
         grid_squeezing_bounds_from_xi(0.1, grid)
-    with pytest.raises(ValueError) as ported:
-        grid_squeezing_bounds_from_xi(0.1, grid)
-    assert str(ported.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1e-155, 0.0, 0.0, 1.0), GridSpec(0.0, 1e-160, 1e-160, 0.0)])
+def test_bounds_reject_a_row_whose_bound_overflows(grid):
+    # squared lengths 1e-310 and 1e-320 put -ln(1 - xi) / z^2 past the float range
+    with pytest.raises(ValueError, match=r"^squared row length 1e-3[12]0 puts its bound past the float range$"):
+        grid_squeezing_bounds_from_xi(THRESHOLDS.ft_symmetric_xi0, grid)
 
 
 def test_pessimistic_scenario_crosses_band_at_ft_sufficient():
-    crossing = brentq(
-        lambda xi: grid_squeezing_bounds_from_xi(xi, "q0").pessimistic_delta_x_sq
-        - THRESHOLDS.grid_ft_delta_sq,
-        0.08,
-        0.2,
-    )
+    # the pinned row and a first row at the band add up to the crossing xi
+    z1_sq, _ = _squared_row_lengths("q0")
+    crossing = 2.0 - math.exp(-math.pi * PESSIMISTIC_FIXED_P_SQ) - math.exp(-THRESHOLDS.grid_ft_delta_sq * z1_sq)
     assert crossing == pytest.approx(THRESHOLDS.ft_sufficient_xi0, abs=5e-4)
+    bound = grid_squeezing_bounds_from_xi(crossing, "q0").pessimistic_delta_x_sq
+    assert bound == pytest.approx(THRESHOLDS.grid_ft_delta_sq, rel=1e-12)
 
 
 def test_fidelity_bounds():

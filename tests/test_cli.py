@@ -24,6 +24,7 @@ from gkpsq.estimator import (
 )
 from gkpsq.fock import FockState, wigner
 from gkpsq.operators import build_operator, ground_state, preset_grid
+from oracles import symmetric_root_bisect
 
 
 def read_csv(path):
@@ -492,7 +493,7 @@ def test_thresholds_bounds_follow_requested_grid(tmp_path):
     "grid",
     [
         ("1e200", "0", "0", "1e-200", "0", "0"),  # squares overflow and underflow
-        ("1e-100", "0", "0", "1e100", "0", "0"),  # the symmetric root's bracket spans 1e198
+        ("1e-160", "0", "0", "1", "0", "0"),  # a subnormal square puts its bound past the float range
         ("1.2e154", "1.2e154", "0", "1", "0", "0"),  # the sum of squares overflows
     ],
 )
@@ -500,6 +501,15 @@ def test_thresholds_rejects_extreme_rows(grid, capsys):
     assert main(["thresholds", "--grid", *grid]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --grid ") and "NaN" not in err
+
+
+def test_thresholds_solves_rows_far_apart(tmp_path):
+    # squared lengths 1e-200 and 1e200: the symmetric root needs no bracket
+    out = tmp_path / "t.json"
+    assert main(["thresholds", "--grid", "1e-100", "0", "0", "1e100", "0", "0", "--json", "--output", str(out)]) == 0
+    ref = symmetric_root_bisect(1e-100**2, 1e100**2, THRESHOLDS.ft_symmetric_xi0)
+    got = json.loads(out.read_text())["bounds_at_ft_symmetric"]["symmetric_delta_sq"]
+    assert abs(got - ref) <= 4.0 * math.ulp(ref)
 
 
 def test_thresholds_report_the_requested_grid(tmp_path):
@@ -659,13 +669,13 @@ def test_no_command_imports_scipy_or_concurrent_futures(tmp_path):
     One fresh interpreter runs every command: the five sweeps, `thresholds`
     as text and as JSON, and `estimate` plain, with `--bootstrap`, with
     `--optimize` and with `--optimize --no-gkp-valid`.  numpy is the only
-    runtime dependency; `thresholds`' root solve and `estimate --optimize`'s
-    Brent polish are in-house ports, so a scipy import anywhere in gkpsq,
-    even one deferred into a function, fails this test.  `estimate
-    --optimize` scans on a worker thread from `threading`, which the
-    interpreter loads at start-up; a thread pool from concurrent.futures
-    would add its import and fails this test too.  Modules imported by the
-    test session do not count.
+    runtime dependency; `thresholds`' symmetric root is a Newton iteration
+    and `estimate --optimize`'s Brent polish an in-house port, so a scipy
+    import anywhere in gkpsq, even one deferred into a function, fails this
+    test.  `estimate --optimize` scans on a worker thread from `threading`,
+    which the interpreter loads at start-up; a thread pool from
+    concurrent.futures would add its import and fails this test too.
+    Modules imported by the test session do not count.
     """
     save_samples(synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 2000, seed=43),
                  tmp_path / "vac.csv")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from gkpsq.fock import (
 )
 from gkpsq.operators import GridSpec, build_operator, preset_grid
 from oracles import (
+    density_matrix_full_checks,
     displaced_parity_wigner,
     hermite_wavefunction_direct,
     laguerre_displacement_element,
@@ -468,6 +470,55 @@ def eigensolve_psd_message(mat):
     if min_eig < fock.PSD_FLOOR:
         return f"density matrix not positive semidefinite: min eigenvalue {min_eig:g}"
     return None
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(dim=st.integers(1, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_density_matrix_support_checks_match_full_matrix_checks(dim, data, seed):
+    # A Hermitian block on a random leading support (none: the zero matrix),
+    # maybe off trace, maybe with one non-Hermitian entry and with NaN or inf
+    # anywhere: checking finiteness and Hermiticity on the support block
+    # alone must give the full-matrix checks' message, or else the
+    # eigensolve's.
+    rng = np.random.default_rng(seed)
+    s = data.draw(st.integers(0, dim), label="support")
+    mat = np.zeros((dim, dim), dtype=complex)
+    if s:
+        g = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        block = g @ g.conj().T if data.draw(st.booleans(), label="psd") else g + g.conj().T
+        mat[:s, :s] = block / np.trace(block).real
+    mat *= data.draw(st.sampled_from([1.0, 1.0, 0.5, 1.0 + 2e-10]), label="trace")
+    index = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    if data.draw(st.booleans(), label="non-Hermitian"):
+        mat[data.draw(index, label="at")] += data.draw(st.sampled_from([5e-11, 2e-10, 0.3, 0.3j]), label="by")
+    for _ in range(data.draw(st.integers(0, 2), label="non-finite entries")):
+        mat[data.draw(index, label="at")] = data.draw(st.sampled_from(NON_FINITE), label="value")
+    expected = density_matrix_full_checks(mat) or eigensolve_psd_message(mat)
+    try:
+        DensityMatrix(mat)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    assert message == expected
+
+
+@pytest.mark.parametrize(
+    "mat, message",
+    [
+        (np.zeros((1, 1)), "density matrix trace must be 1, got 0j"),
+        (np.zeros((7, 7)), "density matrix trace must be 1, got 0j"),
+        (np.diag([0.5, 0.5 + 0.3j, 0.0]), "density matrix not Hermitian: defect 0.6"),  # in the block's last row only
+        (np.diag([1.0, 0.0, np.nan]), "density matrix entries must be finite"),  # NaN widens the support
+    ],
+    ids=["zero-1", "zero-7", "last-diagonal-imaginary", "nan-past-the-rest"],
+)
+def test_density_matrix_support_edge_cases(mat, message):
+    assert density_matrix_full_checks(mat) == message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DensityMatrix(mat)
 
 
 @settings(max_examples=100, deadline=None)

@@ -545,6 +545,7 @@ def test_apply_channel_equals_full_slice_route(rho_cutoff, ch):
         with mock.patch.object(operators, "_binomial_shift", binomial_shift_full_slices):
             expected = apply_channel(rho, ch, cutoff).entries
     assert np.array_equal(got, expected)
+    assert np.array_equal(got, got.conj().T)  # Hermitized over the whole support
 
 
 def channel_input(cutoff, support):
