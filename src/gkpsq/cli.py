@@ -73,6 +73,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _six_places(value: float) -> str:
+    """Six decimals inside [1e-3, 1e6), six significant digits in exponent form outside it."""
+    return f"{value:.6f}" if 1e-3 <= value < 1e6 else f"{value:.6e}"
+
+
 def _write_lines(path: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
@@ -297,7 +302,7 @@ def cmd_thresholds(args) -> int:
         "grid_ft_db": THRESHOLDS.grid_ft_db,
         "bound_formulas": {
             grid.label or "custom": [
-                f"delta_{i}_sq(u={2.0 * z:.6f}) <= -ln(1 - xi) / {z * z:.6f}"
+                f"delta_{i}_sq(u={_six_places(2.0 * z)}) <= -ln(1 - xi) / {_six_places(z * z)}"
                 for i, (z, _, _) in enumerate(grid.row_waves(), start=1)
             ],
         },

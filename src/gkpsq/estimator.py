@@ -15,7 +15,6 @@ import cmath
 import math
 import os
 import re
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +34,8 @@ MAX_LOG_SCALE = 2.0
 # Points of the fixed log-scale scan whose best bracket the Brent step polishes.
 SCAN_POINTS = 101
 _SCAN = np.linspace(-MAX_LOG_SCALE, MAX_LOG_SCALE, SCAN_POINTS)
+# Lattice step of the cells `_scan` bins a record into.
+SCAN_BIN = 0.02
 # ASCII characters that `np.loadtxt` strips from a field as whitespace where
 # the line parser does not: `str.splitlines` ends a line at \x0b, \x0c and
 # \x1c-\x1e, and `float()` rejects \x1c-\x1f.  The non-ASCII line breaks
@@ -137,11 +138,7 @@ class OptimizeResult:
 def _canonical_direction(phi: float) -> tuple[float, float]:
     """Reduce a direction to [0, pi); x(phi) = sign * x(canonical)."""
     phi = phi % TWO_PI
-    sign = 1.0
-    if phi >= math.pi:
-        phi -= math.pi
-        sign = -1.0
-    return phi, sign
+    return (phi - math.pi, -1.0) if phi >= math.pi else (phi, 1.0)
 
 
 def _match_angle(
@@ -178,13 +175,8 @@ def _sin2_terms(values: np.ndarray, z: float, d: float, sign: float) -> np.ndarr
 
 def _term_mean_se(term: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of a per-sample term array."""
-    n = term.size
-    mean = float(np.mean(term))
-    if n > 1:
-        se = float(np.std(term, ddof=1) / math.sqrt(n))
-    else:
-        se = math.inf
-    return mean, se
+    se = float(np.std(term, ddof=1) / math.sqrt(term.size)) if term.size > 1 else math.inf
+    return float(np.mean(term)), se
 
 
 def estimate_xi(
@@ -203,8 +195,7 @@ def estimate_xi(
     sample sets are independent; pass a `bootstrap` resample count for a
     resampling error bar instead (seeded, so still deterministic).
     """
-    total = 0.0
-    var = 0.0
+    total = var = 0.0
     terms = []
     for z, phi, d in grid.row_waves():
         values, sign, _ = _match_angle(phi, samples, angle_tolerance)
@@ -308,34 +299,38 @@ def _char_fn(values: np.ndarray, u: float) -> complex:
     return complex(np.mean(z))
 
 
+def _scan(values: np.ndarray, us) -> tuple[np.ndarray, np.ndarray]:
+    """|phi(u)| at each u in `us` from binned moments, and a bound on its distance from |`_char_fn`|.
+
+    Each sample splits as q = c + t with c on the SCAN_BIN lattice, and the
+    cubic Taylor polynomial of e^{iut} needs four moments of t per cell: it
+    errs by at most (u T)^4 / 4!, T the largest |t|.  The rest is rounding:
+    with eps = 2^-53, a product of u and a sample or cell errs by
+    eps u (Q + T), Q the largest |q|; numpy's sin, cos and complex exp are
+    taken to err by 4 ulps; a sum of m terms by 1.01 m eps times the sum of
+    their magnitudes, at most n e^{uT}.  Over both routes that stays below
+    2^-50 e^{uT} (u (Q + T) + n + 8).  A bound is inf or NaN where the
+    lattice or the moments overflow.  Memory is O(n + cells).
+    """
+    n, us = values.size, np.asarray(us)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells, inverse = np.unique(np.rint(values / SCAN_BIN), return_inverse=True)
+        centres = cells * SCAN_BIN
+        t = values - centres[inverse]
+        moments = np.array([np.bincount(inverse, t**j, cells.size) for j in range(4)], dtype=complex)
+        # e^{iut} ~ 1 + iut - (ut)^2 / 2 - i (ut)^3 / 6, summed cell by cell
+        phis = (np.array([1.0, 1j * u, -u * u / 2.0, -1j * u**3 / 6.0]) @ (moments @ np.exp(1j * u * centres))
+                for u in us)
+        approx = np.abs(np.fromiter(phis, complex, us.size)) / n
+        spread = float(np.max(np.abs(t)))
+        reach = float(np.max(np.abs(values))) + spread
+        bound = (us * spread) ** 4 / 24.0 + 2.0**-50 * np.exp(us * spread) * (us * reach + n + 8)
+    return approx, bound
+
+
 def _closed_form_offset(phi: complex) -> float:
     """The d in [0, pi) minimizing mean 2 sin^2(z q + d) = 1 - Re(e^{2id} phi(2z))."""
     return (-0.5 * cmath.phase(phi)) % math.pi
-
-
-def _in_parallel(first, second):
-    """(first(), second()), with first() on a worker thread while the caller runs second().
-
-    numpy releases the GIL inside each `_char_fn`, so two scans take about
-    the time of one on two cores.  An error raised by first() is raised here.
-    """
-    out = {}
-
-    def work():
-        try:
-            out["value"] = first()
-        except BaseException as exc:
-            out["error"] = exc
-
-    worker = threading.Thread(target=work, name="gkpsq-scan")
-    worker.start()
-    try:
-        second_value = second()
-    finally:
-        worker.join()
-    if "error" in out:
-        raise out["error"]
-    return out["value"], second_value
 
 
 def _bounded_brent(f, a: float, b: float) -> tuple[float, float]:
@@ -422,11 +417,26 @@ def _minimize_on_box(f, values: list[float]) -> tuple[float, float]:
     return float(_SCAN[k]), values[k]
 
 
-def optimize_xi(
-    samples: QuadratureSamples,
-    constrain_gkp_valid: bool = True,
-    angle_tolerance: float = DEFAULT_ANGLE_TOLERANCE,
-) -> OptimizeResult:
+def _minimize_profile(rows, base: float) -> tuple[float, float]:
+    """Minimize xi(r) = sum over rows (values, sign) of 1 - |phi(2 base e^{sign r})| on the box."""
+
+    def xi(r):
+        value = float(len(rows))
+        for values, sign in rows:
+            value -= abs(_char_fn(values, 2.0 * base * math.exp(sign * r)))
+        return value
+
+    approx, bound = float(len(rows)), 2.0**-50  # both routes' subtractions forming xi, each within 2^-52
+    for values, sign in rows:
+        scan, error = _scan(values, [2.0 * base * math.exp(sign * r) for r in _SCAN])
+        approx, bound = approx - scan, bound + error
+    lower = np.nextafter(approx - bound, -np.inf)  # each end rounded outward
+    ruled_out = np.isfinite(lower) & (lower > np.nextafter(approx + bound, np.inf).min())
+    return _minimize_on_box(xi, [math.inf if out else xi(r) for out, r in zip(ruled_out, _SCAN)])
+
+
+def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
+                angle_tolerance: float = DEFAULT_ANGLE_TOLERANCE) -> OptimizeResult:
     """Minimize the estimated squeezing over grids with measured directions.
 
     Rows are z1 * x(phi1) + d1 and z2 * x(phi2) + d2 with (phi1, phi2)
@@ -439,61 +449,43 @@ def optimize_xi(
     1-D search over its log scale.  Log scales are boxed at MAX_LOG_SCALE
     (see above) and searched by `_minimize_on_box`.  Returns the
     negative-log monotone m_gkp = -ln(xi_opt) alongside the winning grid.
+
+    The scan is certified: `_scan` bounds the profile at every scan point,
+    a point whose lower bound is finite and strictly above the smallest
+    upper bound gets +inf, and every other point its exact value.  Each
+    point that ties the exact minimum is kept, so the box search sees the
+    argmin (the first on ties), bracket and value of the exhaustive scan,
+    and every output is its bits.  In the worst case no point is ruled
+    out, and the scan costs one exact serial scan of 101 points.
     """
     pairs = _distinct_angle_pairs(samples, angle_tolerance)
     if not pairs:
-        raise UnmeasurableGridError(
-            "optimization needs samples at two distinct angles (mod pi)",
-            required_angles=(),
-        )
+        raise UnmeasurableGridError("optimization needs samples at two distinct angles (mod pi)")
 
     best = None
     for i, j in pairs:
         phi1, q1 = samples.records[i]
         phi2, q2 = samples.records[j]
         base = math.sqrt(GKP_DET / math.sin(phi2 - phi1))
-
-        def sharpness(values, r):
-            return abs(_char_fn(values, 2.0 * base * math.exp(r)))
-
-        sign2 = -1.0 if constrain_gkp_valid else 1.0
-        s1, s2 = _in_parallel(
-            lambda: [sharpness(q1, r) for r in _SCAN],
-            lambda: [sharpness(q2, sign2 * r) for r in _SCAN],
-        )
         if constrain_gkp_valid:
-            r, xi = _minimize_on_box(
-                lambda r: 2.0 - sharpness(q1, r) - sharpness(q2, -r), [2.0 - a - b for a, b in zip(s1, s2)]
-            )
-            r1, r2 = r, -r
+            r1, xi = _minimize_profile(((q1, 1.0), (q2, -1.0)), base)
+            r2 = -r1
         else:
-            r1, xi1 = _minimize_on_box(lambda r: 1.0 - sharpness(q1, r), [1.0 - a for a in s1])
-            r2, xi2 = _minimize_on_box(lambda r: 1.0 - sharpness(q2, r), [1.0 - b for b in s2])
+            (r1, xi1), (r2, xi2) = _minimize_profile(((q1, 1.0),), base), _minimize_profile(((q2, 1.0),), base)
             xi = xi1 + xi2
         if best is None or xi < best[0]:
             best = (xi, phi1, phi2, q1, q2, base * math.exp(r1), base * math.exp(r2))
 
     _, phi1, phi2, q1, q2, z1, z2 = best
-    grid = GridSpec(
-        z1 * math.cos(phi1),
-        z1 * math.sin(phi1),
-        z2 * math.cos(phi2),
-        z2 * math.sin(phi2),
-        d1=_closed_form_offset(_char_fn(q1, 2.0 * z1)),
-        d2=_closed_form_offset(_char_fn(q2, 2.0 * z2)),
-        label="optimized",
-    )
+    grid = GridSpec(z1 * math.cos(phi1), z1 * math.sin(phi1), z2 * math.cos(phi2), z2 * math.sin(phi2),
+                    d1=_closed_form_offset(_char_fn(q1, 2.0 * z1)), d2=_closed_form_offset(_char_fn(q2, 2.0 * z2)),
+                    label="optimized")
     report = estimate_xi(samples, grid, angle_tolerance)
     m_gkp = -math.log(report.xi) if report.xi > 0 else math.inf
     return OptimizeResult(best_grid=grid, m_gkp=m_gkp, angles_used=(phi1, phi2), report=report)
 
 
-def synthesize_samples(
-    state: FockState,
-    angles,
-    n_per_angle: int,
-    seed: int,
-) -> QuadratureSamples:
+def synthesize_samples(state: FockState, angles, n_per_angle: int, seed: int) -> QuadratureSamples:
     """Draw quadrature samples from a pure state by inverse-CDF sampling.
 
     The pdf is tabulated on a dense grid wide enough for the state's energy

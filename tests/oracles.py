@@ -9,6 +9,9 @@ the Laguerre series loses the digits a 1e-13 comparison needs at N = 300.
 For the same reason at N = 1000, `trapezoid_displacement` tabulates with the
 package's `hermite_functions`, which `tests/test_fock.py` checks for
 orthonormality past order 700.
+`optimize_xi_exhaustive` checks `estimator.optimize_xi`'s certified scan
+alone, so it reuses everything else of the optimizer: the angle pairs, the
+box search `_minimize_on_box`, the closed-form offsets and `estimate_xi`.
 """
 
 import math
@@ -18,7 +21,18 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import eval_genlaguerre, gammaln, genlaguerre
 
+from gkpsq.estimator import (
+    _SCAN,
+    DEFAULT_ANGLE_TOLERANCE,
+    OptimizeResult,
+    _char_fn,
+    _closed_form_offset,
+    _distinct_angle_pairs,
+    _minimize_on_box,
+    estimate_xi,
+)
 from gkpsq.fock import HERM_ATOL, NORM_ATOL, coherent_displacement, hermite_functions
+from gkpsq.operators import GKP_DET, GridSpec
 
 
 def laguerre_displacement_element(beta: complex, m: int, n: int) -> complex:
@@ -210,6 +224,43 @@ def vacuum_characteristic(u: float) -> float:
 def char_fn_complex_exp(values: np.ndarray, u: float) -> complex:
     """Empirical characteristic function mean exp(i u q) through the complex exp."""
     return complex(np.mean(np.exp(1j * u * values)))
+
+
+def optimize_xi_exhaustive(samples, constrain_gkp_valid: bool = True, char_fn=_char_fn) -> OptimizeResult:
+    """`estimator.optimize_xi` with the exhaustive scan: every scan point exact, one thread.
+
+    `char_fn` stands in for `_char_fn` in the scan, the polish and the
+    offsets, for example `char_fn_complex_exp`.
+    """
+
+    def minimize(f):
+        return _minimize_on_box(f, [f(r) for r in _SCAN])
+
+    best = None
+    for i, j in _distinct_angle_pairs(samples, DEFAULT_ANGLE_TOLERANCE):
+        phi1, q1 = samples.records[i]
+        phi2, q2 = samples.records[j]
+        base = math.sqrt(GKP_DET / math.sin(phi2 - phi1))
+
+        def sharpness(values, r):
+            return abs(char_fn(values, 2.0 * base * math.exp(r)))
+
+        if constrain_gkp_valid:
+            r1, xi = minimize(lambda r: 2.0 - sharpness(q1, r) - sharpness(q2, -r))
+            r2 = -r1
+        else:
+            r1, xi1 = minimize(lambda r: 1.0 - sharpness(q1, r))
+            r2, xi2 = minimize(lambda r: 1.0 - sharpness(q2, r))
+            xi = xi1 + xi2
+        if best is None or xi < best[0]:
+            best = (xi, phi1, phi2, q1, q2, base * math.exp(r1), base * math.exp(r2))
+    _, phi1, phi2, q1, q2, z1, z2 = best
+    grid = GridSpec(z1 * math.cos(phi1), z1 * math.sin(phi1), z2 * math.cos(phi2), z2 * math.sin(phi2),
+                    d1=_closed_form_offset(char_fn(q1, 2.0 * z1)), d2=_closed_form_offset(char_fn(q2, 2.0 * z2)),
+                    label="optimized")
+    report = estimate_xi(samples, grid)
+    m_gkp = -math.log(report.xi) if report.xi > 0 else math.inf
+    return OptimizeResult(best_grid=grid, m_gkp=m_gkp, angles_used=(phi1, phi2), report=report)
 
 
 def bounded_brent_scipy(f, a: float, b: float) -> tuple[float, float]:

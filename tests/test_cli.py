@@ -512,6 +512,27 @@ def test_thresholds_solves_rows_far_apart(tmp_path):
     assert abs(got - ref) <= 4.0 * math.ulp(ref)
 
 
+def test_thresholds_formulas_print_tiny_and_huge_rows_in_exponent_form(tmp_path):
+    # fixed-point would print a division by 0.000000 and a 200-digit divisor
+    grid = ["--grid", "1e-100", "0", "0", "1e100", "0", "0"]
+    formulas = [
+        "delta_1_sq(u=2.000000e-100) <= -ln(1 - xi) / 1.000000e-200",
+        "delta_2_sq(u=2.000000e+100) <= -ln(1 - xi) / 1.000000e+200",
+    ]
+    assert main(["thresholds", *grid, "--json", "--output", str(tmp_path / "t.json")]) == 0
+    assert json.loads((tmp_path / "t.json").read_text())["bound_formulas"] == {"custom": formulas}
+    assert main(["thresholds", *grid, "--output", str(tmp_path / "t.txt")]) == 0
+    lines = (tmp_path / "t.txt").read_text().splitlines()
+    assert [line for line in lines if "delta_" in line and "sq(" in line] == [f"  custom: {f}" for f in formulas]
+    # the switch sits at 1e-3 and 1e6: u = 2z and z^2 straddle it on these rows
+    assert main(["thresholds", "--grid", "0.001", "0", "0", "1000", "0", "0", "--json",
+                 "--output", str(tmp_path / "e.json")]) == 0
+    assert json.loads((tmp_path / "e.json").read_text())["bound_formulas"] == {"custom": [
+        "delta_1_sq(u=0.002000) <= -ln(1 - xi) / 1.000000e-06",
+        "delta_2_sq(u=2000.000000) <= -ln(1 - xi) / 1.000000e+06",
+    ]}
+
+
 def test_thresholds_report_the_requested_grid(tmp_path):
     out = tmp_path / "t.json"
     assert main(["thresholds", "--grid", "0.5", "0", "0", "0.5", "0", "0", "--json",
@@ -638,6 +659,18 @@ def test_layer_timings_tool_imports_the_package():
 
 EVERY_COMMAND = """
 import sys
+import threading
+
+started = []
+start_thread = threading.Thread.start
+
+
+def record_start(self):
+    started.append(self.name)
+    start_thread(self)
+
+
+threading.Thread.start = record_start
 
 from gkpsq import cli
 
@@ -660,11 +693,12 @@ for i, argv in enumerate(runs):
 print(" ".join(sorted(
     name for name in sys.modules if name.split(".")[0] == "scipy" or name == "concurrent.futures"
 )))
+print(started, threading.active_count())
 """
 
 
 def test_no_command_imports_scipy_or_concurrent_futures(tmp_path):
-    """Start-up guard: no command loads scipy or concurrent.futures.
+    """Start-up guard: no command loads scipy or concurrent.futures, or starts a thread.
 
     One fresh interpreter runs every command: the five sweeps, `thresholds`
     as text and as JSON, and `estimate` plain, with `--bootstrap`, with
@@ -672,10 +706,10 @@ def test_no_command_imports_scipy_or_concurrent_futures(tmp_path):
     runtime dependency; `thresholds`' symmetric root is a Newton iteration
     and `estimate --optimize`'s Brent polish an in-house port, so a scipy
     import anywhere in gkpsq, even one deferred into a function, fails this
-    test.  `estimate --optimize` scans on a worker thread from `threading`,
-    which the interpreter loads at start-up; a thread pool from
-    concurrent.futures would add its import and fails this test too.
-    Modules imported by the test session do not count.
+    test.  Every command runs on the calling thread: the interpreter
+    records each `threading.Thread.start`, and a started thread, or a
+    thread pool from concurrent.futures, fails this test.  Modules imported
+    by the test session do not count.
     """
     save_samples(synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 2000, seed=43),
                  tmp_path / "vac.csv")
@@ -684,7 +718,7 @@ def test_no_command_imports_scipy_or_concurrent_futures(tmp_path):
     run = subprocess.run([sys.executable, "-c", EVERY_COMMAND], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == ""
+    assert run.stdout.splitlines() == ["", "[] 1"]  # no scipy module; no thread started, one alive
     assert json.loads((tmp_path / "out6").read_text())["command"] == "thresholds"
     assert json.loads((tmp_path / "out9").read_text())["optimized"] is True
     assert json.loads((tmp_path / "out10").read_text())["optimized"] is True

@@ -4,7 +4,6 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,9 @@ from hypothesis import strategies as st
 from gkpsq import estimator
 from gkpsq.analytic import ApproxGKPParams
 from gkpsq.estimator import (
+    _SCAN,
     MAX_LOG_SCALE,
+    SCAN_POINTS,
     QuadratureSamples,
     SampleParseError,
     UnmeasurableGridError,
@@ -23,6 +24,8 @@ from gkpsq.estimator import (
     _closed_form_offset,
     _load_samples_by_line,
     _load_table,
+    _minimize_on_box,
+    _scan,
     _sin2_terms,
     _term_mean_se,
     estimate_displacement_mean,
@@ -42,7 +45,7 @@ from gkpsq.operators import (
     preset_grid,
     sin2_expectation,
 )
-from oracles import bounded_brent_scipy, char_fn_complex_exp
+from oracles import bounded_brent_scipy, char_fn_complex_exp, optimize_xi_exhaustive
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 VACUUM_XI_S0 = 2.0 - 2.0 * math.exp(-math.pi / 2.0)
@@ -337,37 +340,182 @@ def test_char_fn_matches_complex_exp_bit_for_bit(values, u):
     assert _bits(_char_fn(values, u)) == _bits(char_fn_complex_exp(values, u))
 
 
-class _SerialThread:
-    """Stand-in for threading.Thread that runs its target inside start()."""
-
-    def __init__(self, target, **_):
-        self._target = target
-
-    def start(self):
-        self._target()
-
-    def join(self):
-        pass
-
-
 def _optimize_fields(res) -> list:
     grid = [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(res.best_grid)]
     return [grid, res.xi_opt.hex(), res.std_error.hex(), res.m_gkp.hex(), [a.hex() for a in res.angles_used]]
 
 
+def _optimize_outcome(optimize, samples, constrained):
+    """`_optimize_fields` of the result, or the type and message of the error raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # cos and sin of overflowed phases
+        try:
+            return _optimize_fields(optimize(samples, constrain_gkp_valid=constrained))
+        except ValueError as exc:
+            return [type(exc).__name__, str(exc)]
+
+
 @pytest.mark.parametrize("angles", [(0.0, math.pi / 2.0), (0.0, math.pi / 3.0, math.pi / 2.0)])
 @pytest.mark.parametrize("constrained", [True, False])
-def test_optimizer_matches_serial_complex_exp_scan(tmp_path, monkeypatch, angles, constrained):
-    # differential check of the scan: the two-thread, cos-and-sin route gives
-    # the same bits as one thread scanning with the complex exp
+def test_optimizer_matches_serial_complex_exp_scan(tmp_path, angles, constrained):
+    # differential check of the scan: the certified, cos-and-sin route gives
+    # the same bits as an exhaustive serial scan with the complex exp
     gs = ground_state(build_operator(preset_grid("q0"), 20))
     save_samples(synthesize_samples(gs.state, angles, 3000, seed=len(angles)), tmp_path / "s.csv")
     samples = load_samples(tmp_path / "s.csv")
-    fast = optimize_xi(samples, constrain_gkp_valid=constrained)
-    monkeypatch.setattr(estimator, "_char_fn", char_fn_complex_exp)
-    monkeypatch.setattr(estimator, "threading", SimpleNamespace(Thread=_SerialThread))
-    serial = optimize_xi(samples, constrain_gkp_valid=constrained)
-    assert _optimize_fields(fast) == _optimize_fields(serial)
+    serial = optimize_xi_exhaustive(samples, constrain_gkp_valid=constrained, char_fn=char_fn_complex_exp)
+    assert _optimize_fields(optimize_xi(samples, constrain_gkp_valid=constrained)) == _optimize_fields(serial)
+
+
+def _comb(seed: int, n: int, width: float) -> np.ndarray:
+    """n seeded draws from Gaussian peaks of standard deviation `width` on the sqrt(pi) comb."""
+    rng = np.random.default_rng(seed)
+    return math.sqrt(math.pi) * rng.integers(-4, 5, n) + width * rng.normal(size=n)
+
+
+_HALF_CELLS = 0.02 * np.arange(-200, 200) + 0.01  # every sample at the largest offset from its cell
+_HUGE = (1.7976931348623157e308, -1.7e308, 1.6e308)  # past the lattice: values / SCAN_BIN overflows
+
+record_values = st.one_of(
+    st.builds(_comb, st.integers(0, 2**32 - 1), st.integers(1, 3000), st.floats(0.05, 1.0)),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50).map(np.array),
+    st.builds(np.full, st.integers(1, 300), st.floats(-1e3, 1e3)),  # all equal: a flat profile
+    st.lists(st.sampled_from([5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0]), min_size=1,
+             max_size=20).map(np.array),
+    st.lists(st.sampled_from(_HUGE) | st.floats(-1.0, 1.0), min_size=1, max_size=5).map(np.array),
+    st.lists(st.sampled_from(_HALF_CELLS), min_size=1, max_size=400).map(np.array),
+    st.lists(st.floats(-1e17, 1e17), min_size=1, max_size=20).map(np.array),  # lattice coarser than SCAN_BIN
+)
+
+
+@st.composite
+def sample_sets(draw):
+    angles = draw(st.sampled_from([(0.0, math.pi / 2.0), (0.0, math.pi / 3.0, math.pi / 2.0), (0.3, 1.9)]))
+    first = draw(record_values)
+    if draw(st.booleans()):  # one record on every angle: at (0, pi/2) the constrained profile is symmetric in r
+        return QuadratureSamples([(angle, first) for angle in angles])
+    return QuadratureSamples([(angles[0], first)] + [(angle, draw(record_values)) for angle in angles[1:]])
+
+
+def _tie(values, angles=(0.0, math.pi / 2.0)):
+    return QuadratureSamples([(angle, np.asarray(values, dtype=float)) for angle in angles])
+
+
+EDGE_CASES = {
+    "near-tie": _tie(_comb(7, 2000, 0.3)),
+    "all-equal": _tie(np.full(50, 1.234)),
+    "single": _tie([0.7]),
+    "subnormal": _tie([5e-324, -1e-310, 2.2250738585072014e-308]),
+    "huge": _tie(_HUGE + (0.5,)),
+    "huge-and-comb": QuadratureSamples([(0.0, np.array(_HUGE)), (math.pi / 2.0, _comb(3, 100, 0.2))]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=sample_sets(), constrained=st.booleans())
+@example(samples=EDGE_CASES["near-tie"], constrained=True)
+@example(samples=EDGE_CASES["all-equal"], constrained=True)
+@example(samples=EDGE_CASES["single"], constrained=False)
+@example(samples=EDGE_CASES["subnormal"], constrained=True)
+@example(samples=EDGE_CASES["huge"], constrained=True)
+@example(samples=EDGE_CASES["huge-and-comb"], constrained=True)
+@example(samples=EDGE_CASES["huge-and-comb"], constrained=False)
+def test_certified_scan_matches_exhaustive_scan(samples, constrained):
+    # every field, or the error raised, is the exhaustive scan's to the bit
+    assert _optimize_outcome(optimize_xi, samples, constrained) == _optimize_outcome(
+        optimize_xi_exhaustive, samples, constrained
+    )
+
+
+def _scan_profiles(monkeypatch, samples, constrained) -> list:
+    """(exact profile, values `_minimize_on_box` is given) for each box search of `optimize_xi`."""
+    seen = []
+
+    def spy(f, values):
+        seen.append((f, values))
+        return _minimize_on_box(f, values)
+
+    monkeypatch.setattr(estimator, "_minimize_on_box", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            optimize_xi(samples, constrain_gkp_valid=constrained)
+        except ValueError:  # a NaN offset fails the grid check after the scans
+            pass
+        return [([f(r) for r in _SCAN], values) for f, values in seen]
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=sample_sets(), constrained=st.booleans())
+@example(samples=EDGE_CASES["near-tie"], constrained=True)
+@example(samples=EDGE_CASES["all-equal"], constrained=True)
+@example(samples=EDGE_CASES["huge-and-comb"], constrained=False)
+def test_certified_scan_keeps_the_exact_argmin(samples, constrained):
+    # a kept point carries its exact value, and the exact argmin is kept
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        profiles = _scan_profiles(monkeypatch, samples, constrained)
+    assert profiles
+    for exact, values in profiles:
+        kept = [k for k, v in enumerate(values) if v != math.inf]
+        assert [float(values[k]).hex() for k in kept] == [float(exact[k]).hex() for k in kept]
+        assert int(np.argmin(exact)) in kept
+
+
+@pytest.mark.parametrize(
+    "case, fewest, most",
+    [("all-equal", SCAN_POINTS, SCAN_POINTS), ("huge", SCAN_POINTS, SCAN_POINTS), ("near-tie", 1, 3), ("q0", 1, 3)],
+)
+def test_certified_scan_kept_point_counts(monkeypatch, case, fewest, most):
+    # a flat profile and an overflowing lattice keep every point; a
+    # realistic record keeps a handful, so the scan costs few exact evaluations
+    if case == "q0":
+        gs = ground_state(build_operator(preset_grid("q0"), 20))
+        samples = synthesize_samples(gs.state, [0.0, math.pi / 2.0], 10**4, seed=5)
+    else:
+        samples = EDGE_CASES[case]
+    for constrained in (True, False):
+        for _, values in _scan_profiles(monkeypatch, samples, constrained):
+            assert fewest <= sum(v != math.inf for v in values) <= most
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=record_values, base=st.floats(0.5, 3.0))
+@example(values=_HALF_CELLS, base=math.sqrt(math.pi / 2.0))  # the Taylor term is tight here
+@example(values=np.full(10**4, 0.01), base=2.0)
+@example(values=np.array([5e-324]), base=1.0)
+def test_scan_bound_holds_at_every_scan_point(values, base):
+    us = [2.0 * base * math.exp(r) for r in _SCAN]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        approx, bound = _scan(values, us)
+        exact = np.array([abs(_char_fn(values, u)) for u in us])
+    finite = np.isfinite(bound)
+    assert np.all(np.abs(approx - exact)[finite] <= bound[finite])
+    if np.all(np.abs(values) < 1e300):  # the lattice only overflows past the float range
+        assert finite.all()
+
+
+class _ScanFailure(Exception):
+    pass
+
+
+def test_optimizer_starts_no_thread(monkeypatch):
+    # the scan runs on the calling thread; an error in it reaches the caller
+    def refuse(self):
+        raise AssertionError(f"optimize_xi started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    samples = vacuum_samples(500)
+    for constrained in (True, False):
+        optimize_xi(samples, constrain_gkp_valid=constrained)
+
+    def failing_char_fn(values, u):
+        raise _ScanFailure(u)
+
+    monkeypatch.setattr(estimator, "_char_fn", failing_char_fn)
+    for constrained in (True, False):
+        with pytest.raises(_ScanFailure):
+            optimize_xi(samples, constrain_gkp_valid=constrained)
 
 
 def _test_function(coeffs, digits):
@@ -428,30 +576,6 @@ def test_optimizer_matches_scipy_polish(tmp_path, monkeypatch, angles, constrain
     ported = optimize_xi(samples, constrain_gkp_valid=constrained)
     monkeypatch.setattr(estimator, "_bounded_brent", bounded_brent_scipy)
     assert _optimize_fields(ported) == _optimize_fields(optimize_xi(samples, constrain_gkp_valid=constrained))
-
-
-class _ScanFailure(Exception):
-    pass
-
-
-@pytest.mark.parametrize("failing_side", ["worker", "caller"])
-def test_scan_errors_reach_the_caller_and_no_thread_outlives_the_call(monkeypatch, failing_side):
-    samples = vacuum_samples(500)
-    start = threading.active_count()
-    optimize_xi(samples)
-    assert threading.active_count() == start
-    caller = threading.current_thread()
-
-    def failing_char_fn(values, u):
-        if (threading.current_thread() is caller) == (failing_side == "caller"):
-            raise _ScanFailure(failing_side)
-        return char_fn_complex_exp(values, u)
-
-    monkeypatch.setattr(estimator, "_char_fn", failing_char_fn)
-    for constrained in (True, False):
-        with pytest.raises(_ScanFailure, match=failing_side):
-            optimize_xi(samples, constrain_gkp_valid=constrained)
-        assert threading.active_count() == start
 
 
 def test_optimizer_error_bar_calibration():

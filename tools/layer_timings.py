@@ -12,7 +12,8 @@ one `apply_channel` call for loss, noise and both at cutoffs 40, 100 and
 tracemalloc peak of one call and a SHA-256 digest of each output.
 `sample_io`: `load_samples` and `save_samples` on a seeded 2 x 2e5-row q0
 sample file, each with its tracemalloc peak, a digest of the loaded
-records and their plain q0 `xi`.
+records and their plain q0 `xi`; then `optimize_xi` on those records,
+constrained and free, with the `float.hex` of every result field.
 Every timing is the median and quartiles of a fixed number of runs.  The
 reported values are deterministic, so two trees' outputs must match bit
 for bit; the JSON carries the numpy, Python and package versions.
@@ -26,6 +27,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -40,7 +43,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import gkpsq  # noqa: E402
-from gkpsq.estimator import estimate_xi, load_samples, save_samples, synthesize_samples  # noqa: E402
+from gkpsq.estimator import estimate_xi, load_samples, optimize_xi, save_samples, synthesize_samples  # noqa: E402
 from gkpsq.fock import FockState  # noqa: E402
 from gkpsq.operators import ChannelConvergenceWarning, ChannelParams, apply_channel  # noqa: E402
 from gkpsq.operators import GridSpec, build_operator, ground_state, preset_grid  # noqa: E402
@@ -115,6 +118,13 @@ def records_digest(samples) -> str:
     return h.hexdigest()
 
 
+def optimize_fields(res) -> dict:
+    """Every field of an `optimize_xi` result, floats as `float.hex`."""
+    grid = {k: v.hex() if isinstance(v, float) else v for k, v in dataclasses.asdict(res.best_grid).items()}
+    return {"best_grid": grid, "xi_opt": res.xi_opt.hex(), "std_error": res.std_error.hex(),
+            "m_gkp": res.m_gkp.hex(), "angles_used": [a.hex() for a in res.angles_used]}
+
+
 def sample_io() -> dict:
     state = ground_state(build_operator(preset_grid("q0"), 40)).state
     samples = synthesize_samples(state, list(SAMPLE_ANGLES), SAMPLES_PER_ANGLE, seed=20260)
@@ -126,6 +136,11 @@ def sample_io() -> dict:
         save, _ = timed(lambda: save_samples(loaded, copy), 5)
         save["tracemalloc_peak_mb"] = peak_mb(lambda: save_samples(loaded, copy))
         size = path.stat().st_size
+    optimize = {}
+    for mode, constrained in (("constrained", True), ("free", False)):
+        run = functools.partial(optimize_xi, loaded, constrain_gkp_valid=constrained)
+        timing, res = timed(run, 5)
+        optimize[mode] = {**timing, "tracemalloc_peak_mb": peak_mb(run), "result": optimize_fields(res)}
     return {
         "runs": 5,
         "file": {"topology": "q0", "N": 40, "angles": list(SAMPLE_ANGLES), "samples_per_angle": SAMPLES_PER_ANGLE,
@@ -133,6 +148,7 @@ def sample_io() -> dict:
         "load_samples": {**load, "records_sha256": records_digest(loaded)},
         "save_samples": save,
         "xi_q0_plain": estimate_xi(loaded, preset_grid("q0")).xi,
+        "optimize_xi": optimize,
     }
 
 
