@@ -173,6 +173,14 @@ def _sin2_terms(values: np.ndarray, z: float, d: float, sign: float) -> np.ndarr
     return 2.0 * np.sin(z * (sign * values) + d) ** 2
 
 
+def _reject_overflow(values: np.ndarray, u: float, angle: float, d: float = 0.0) -> None:
+    """Raise ValueError when the phase u q + d of a sample q of the record at `angle` can overflow."""
+    peak = float(max(values.max(), -values.min()))
+    if math.isinf(u * peak + abs(d)):
+        raise ValueError(f"samples at angle {angle!r} reach magnitude {peak:g}, "
+                         f"which overflows the phase {u:g} q + {d:g}")
+
+
 def _term_mean_se(term: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of a per-sample term array."""
     se = float(np.std(term, ddof=1) / math.sqrt(term.size)) if term.size > 1 else math.inf
@@ -193,12 +201,14 @@ def estimate_xi(
     outcomes).  By default the standard errors of the two terms come from
     the delta method and add in quadrature, which assumes the per-angle
     sample sets are independent; pass a `bootstrap` resample count for a
-    resampling error bar instead (seeded, so still deterministic).
+    resampling error bar instead (seeded, so still deterministic).  A
+    sample whose phase z q + d overflows raises ValueError.
     """
     total = var = 0.0
     terms = []
     for z, phi, d in grid.row_waves():
-        values, sign, _ = _match_angle(phi, samples, angle_tolerance)
+        values, sign, angle = _match_angle(phi, samples, angle_tolerance)
+        _reject_overflow(values, z, angle, d)
         terms.append(_sin2_terms(values, z, d, sign))
         mean, se = _term_mean_se(terms[-1])
         total += mean
@@ -291,11 +301,14 @@ def _char_fn(values: np.ndarray, u: float) -> complex:
     Bit-identical to `np.mean(np.exp(1j * u * values))` in less time: the
     complex exp of 0 + i u q is (cos, sin)(u q).  Only the sign of a -0.0
     phase's sine differs, and numpy's sum, which starts from +0.0, drops it.
+    Overflowing phases give NaN silently; `optimize_xi` rejects the record
+    when its best grid reads it.
     """
-    phase = u * values
-    z = np.empty(phase.size, dtype=complex)
-    np.cos(phase, out=z.real)
-    np.sin(phase, out=z.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = u * values
+        z = np.empty(phase.size, dtype=complex)
+        np.cos(phase, out=z.real)
+        np.sin(phase, out=z.imag)
     return complex(np.mean(z))
 
 
@@ -456,7 +469,8 @@ def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
     point that ties the exact minimum is kept, so the box search sees the
     argmin (the first on ties), bracket and value of the exhaustive scan,
     and every output is its bits.  In the worst case no point is ruled
-    out, and the scan costs one exact serial scan of 101 points.
+    out, and the scan costs one exact serial scan of 101 points.  A
+    sample whose phase 2 z q overflows on the best grid raises ValueError.
     """
     pairs = _distinct_angle_pairs(samples, angle_tolerance)
     if not pairs:
@@ -477,6 +491,8 @@ def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
             best = (xi, phi1, phi2, q1, q2, base * math.exp(r1), base * math.exp(r2))
 
     _, phi1, phi2, q1, q2, z1, z2 = best
+    for angle, values, z in ((phi1, q1, z1), (phi2, q2, z2)):
+        _reject_overflow(values, 2.0 * z, angle)
     grid = GridSpec(z1 * math.cos(phi1), z1 * math.sin(phi1), z2 * math.cos(phi2), z2 * math.sin(phi2),
                     d1=_closed_form_offset(_char_fn(q1, 2.0 * z1)), d2=_closed_form_offset(_char_fn(q2, 2.0 * z2)),
                     label="optimized")

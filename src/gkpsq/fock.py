@@ -11,8 +11,8 @@ displacement matrix element comes from one primitive, `displacement_blocks`,
 exact for m, n < N, so an operator assembled from its blocks is the exact
 compression of the untruncated one onto the first N number states (the
 blocks are not unitary).  `wigner` needs no blocks.  Every Hermite table
-comes from `_hermite_lattice`, and every call checks the dimension cap
-(`GKPSQ_MAX_BUILD_DIM`, default 2000).
+comes from `hermite_functions`, and it and every other dense entry point
+check the dimension cap (`GKPSQ_MAX_BUILD_DIM`, default 2000) first.
 """
 
 from __future__ import annotations
@@ -265,11 +265,7 @@ def displacement_blocks(shift: float, dim: int, sets: tuple[slice, ...]) -> list
     blocks = []
     for sel, (even, odd) in zip(sets, parts):
         block = (even @ even.T - odd @ odd.T) * (0.5 * step)
-        numbers = range(dim)[sel]
-        if numbers.step % 2:  # both parities: every other column
-            block[:, 1 - numbers.start % 2 :: 2] *= -1.0
-        elif numbers.start % 2:  # odd photon numbers only
-            block *= -1.0
+        block *= (-1.0) ** np.arange(dim)[sel]  # the column sign (-1)^n
         blocks.append(block)
     return blocks
 
@@ -291,8 +287,9 @@ def hermite_functions(n_max: int, q: np.ndarray) -> np.ndarray:
     factorial overflow.  Past |q| = HERMITE_SEED_LIMIT the Gaussian seed
     would underflow before orders with turning point sqrt(2n + 1) beyond
     that point (n above about 700) grow back to O(1), so those points are
-    recomputed with a per-point exponent.
+    recomputed with a per-point exponent; n_max + 1 is checked against the cap.
     """
+    check_build_dim(n_max + 1)
     q = np.asarray(q, dtype=float)
     h = np.empty((n_max + 1, q.size))
     h[0] = np.pi ** -0.25 * np.exp(-0.5 * q * q)

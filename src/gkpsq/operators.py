@@ -170,19 +170,6 @@ class TruncatedOperator:
         return self.matrix.shape[0]
 
 
-def _row_step(c1: float, c2: float) -> tuple[float, complex]:
-    """Shift s = sqrt(2)|alpha| of the row's displacement D(alpha), and u = alpha/|alpha|.
-
-    With exp(i(cx*x + cp*p)) = D((-cp + i*cx)/sqrt(2)), the doubled row
-    gives alpha = sqrt(2)*(-c2 + i*c1), and D(alpha) = diag(u^n) R diag(u^-n)
-    with R the real displacement by s.  Rows along the axes give u^2 = +-1
-    exactly, and two rows mirrored across a diagonal, as hex's are, give
-    u1^2 and -conj(u1^2) to the bit.
-    """
-    alpha = math.sqrt(2.0) * complex(-c2, c1)
-    return math.sqrt(2.0) * abs(alpha), alpha / abs(alpha)
-
-
 def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     """Fock-basis matrix of the grid operator.
 
@@ -192,24 +179,31 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     number states: its minimal eigenvalue is a variational value of Q and
     cannot increase with `dim`.
 
-    A row's term (e^{2id} B + h.c.)/2, B = D(alpha), has the entry
-    h_g R[m, n] at the gap g = m - n, with R the real block and u from
-    `_row_step`: h_g = u^g cos 2d for even g and u^g i sin 2d for odd g
-    (`_powers`).  Since R[n, m] = (-1)^g R[m, n], the entry at -g is
-    (-1)^g conj(h_g), so `matrix` is Hermitian entry for entry.  Only the
-    blocks of `_invariant_blocks` are formed, from `displacement_blocks`,
-    and rows of equal length share one table.  On a parity split every
-    odd gap lies between the blocks, where `matrix` holds zeros, and
+    A row's term is (e^{2id} B + h.c.)/2 with B = D(alpha), since
+    exp(i(cx*x + cp*p)) = D((-cp + i*cx)/sqrt(2)) gives the doubled row
+    alpha = sqrt(2)*(-c2 + i*c1); and B = diag(u^n) R diag(u^-n), with
+    u = alpha/|alpha| and R the real displacement by s = sqrt(2)|alpha|.
+    The term's entry at the gap g = m - n is h_g R[m, n], with
+    h_g = u^g cos 2d for even g and u^g i sin 2d for odd g (`_powers`).
+    Since R[n, m] = (-1)^g R[m, n], the entry at -g is (-1)^g conj(h_g),
+    so `matrix` is Hermitian entry for entry.  Only the blocks of
+    `_invariant_blocks` are formed, from `displacement_blocks`, and rows
+    of equal length share one table.  On a parity split every odd gap
+    lies between the blocks, where `matrix` holds zeros, and
     |sin 2d| < PARITY_ATOL rounds cos 2d to +-1; the phases are then powers
-    of u^2, exactly +-1 on q0, q1, s0 and s1, and the halves of hex are
-    real after the exact rotation `ground_state` applies (`_quarter_turn`).
+    of u^2, exactly +-1 on rows along the axes (q0, q1, s0, s1).  Two rows
+    mirrored across a diagonal, as hex's are, give u1^2 and -conj(u1^2) to
+    the bit, and `ground_state` turns such halves exactly real.  `dim` is
+    checked against the cap first.
     """
+    check_build_dim(dim)
     sets = _invariant_blocks(grid)
     odd = np.arange(dim) % 2 == 1
     # Rows of equal shift read one table, and their gap weights add.
     weights: dict[float, np.ndarray] = {}
     for c1, c2, d in grid.rows():
-        shift, u = _row_step(c1, c2)
+        alpha = math.sqrt(2.0) * complex(-c2, c1)
+        shift, u = math.sqrt(2.0) * abs(alpha), alpha / abs(alpha)
         h = np.where(odd, 1j * math.sin(2.0 * d), math.cos(2.0 * d)) * _powers(u, dim)
         weights[shift] = weights.get(shift, 0) + h
     # The sets share one stride, so the largest set's Toeplitz serves them all.
@@ -247,45 +241,34 @@ def _invariant_blocks(grid: GridSpec) -> tuple[slice, ...]:
     return (slice(None),)
 
 
-def _quarter_turn(grid: GridSpec) -> bool:
-    """Whether the parity halves turn real under the exact rotation (-i)^(i - j).
-
-    On a half the two rows' phases are w1^k and w2^k.  When w2 = -conj(w1)
-    with w1 off the real axis (rows mirrored across a diagonal, as on hex),
-    (-i)^k w2^k = conj((-i)^k w1^k), so on a shared table with equal
-    offset signs the imaginary parts cancel exactly after the rotation.
-    """
-    (_, u1), (_, u2) = (_row_step(c1, c2) for c1, c2, _ in grid.rows())
-    w1, w2 = u1 * u1, u2 * u2
-    return w1.imag != 0.0 and w2 == -w1.conjugate()
-
-
-_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
-
-
 def ground_state(op: TruncatedOperator) -> GroundState:
     """Lowest eigenpair of the truncated operator, block by invariant block.
 
     Each block of `_invariant_blocks` is solved on its own by
-    `np.linalg.eigh`.  When `_quarter_turn` holds, the block M is first
+    `np.linalg.eigh`, in real arithmetic at about a quarter of the cost
+    when its imaginary part is exactly zero.  A complex parity half M is
     turned into U^H M U with U = diag(i^j) on its local index j, an exact
-    rotation.  The solve is real, at about a quarter of the cost, when the
-    block's imaginary part is then exactly zero, as on the parity halves of
-    q0, q1, s0, s1 and hex.  The eigenvector is rotated back.  `degeneracy`
-    counts the eigenvalues of all blocks within a relative 1e-8 of the
-    lowest; on a tie across blocks the first block's state is returned,
-    with its largest-magnitude amplitude real and positive.
+    rotation, and the turn is kept only when it leaves the half exactly
+    real, as on hex; the eigenvector is then rotated back.  A block that
+    is not a parity half is never turned.  `degeneracy` counts the
+    eigenvalues of all blocks within a relative 1e-8 of the lowest; on a
+    tie across blocks the first block's state is returned, with its
+    largest-magnitude amplitude real and positive.
     """
-    turn = _quarter_turn(op.grid)
+    blocks = _invariant_blocks(op.grid)
     spectra, states = [], []
-    for block in _invariant_blocks(op.grid):
-        sub = op.matrix[block, block]
+    for block in blocks:
+        sub, u = op.matrix[block, block], 1.0
         if not sub.size:
             continue
-        u = _QUARTER_TURNS[np.arange(len(sub)) % 4] if turn else 1.0
-        if turn:
+        real = not sub.imag.any()
+        if not real and len(blocks) > 1:
+            u = np.resize([1.0, 1j, -1.0, -1j], len(sub))  # i^j
             sub = u.conj()[:, None] * sub * u
-        vals, vecs = np.linalg.eigh(sub if sub.imag.any() else sub.real)
+            real = not sub.imag.any()
+            if not real:  # the turn leaves the half complex: solve it unturned
+                sub, u = op.matrix[block, block], 1.0
+        vals, vecs = np.linalg.eigh(sub.real if real else sub)
         vec = u * vecs[:, 0]
         lead = vec[np.argmax(np.abs(vec))]
         amps = np.zeros(op.dim, dtype=complex)

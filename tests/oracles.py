@@ -29,6 +29,7 @@ from gkpsq.estimator import (
     _closed_form_offset,
     _distinct_angle_pairs,
     _minimize_on_box,
+    _reject_overflow,
     estimate_xi,
 )
 from gkpsq.fock import HERM_ATOL, NORM_ATOL, coherent_displacement, hermite_functions
@@ -255,6 +256,8 @@ def optimize_xi_exhaustive(samples, constrain_gkp_valid: bool = True, char_fn=_c
         if best is None or xi < best[0]:
             best = (xi, phi1, phi2, q1, q2, base * math.exp(r1), base * math.exp(r2))
     _, phi1, phi2, q1, q2, z1, z2 = best
+    for angle, values, z in ((phi1, q1, z1), (phi2, q2, z2)):
+        _reject_overflow(values, 2.0 * z, angle)
     grid = GridSpec(z1 * math.cos(phi1), z1 * math.sin(phi1), z2 * math.cos(phi2), z2 * math.sin(phi2),
                     d1=_closed_form_offset(char_fn(q1, 2.0 * z1)), d2=_closed_form_offset(char_fn(q2, 2.0 * z2)),
                     label="optimized")

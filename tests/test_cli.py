@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,27 @@ def test_estimate_rejects_near_duplicate_records(tmp_path):
     for extra in ([], ["--optimize"]):
         assert main(["estimate", "--input", str(path), "--topology", "q0",
                      "--output", str(tmp_path / "r.json")] + extra) == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--bootstrap", "50"], ["--optimize"],
+                                   ["--grid", "1", "0", "0", "1", "1e308", "0"]],
+                         ids=["plain", "bootstrap", "optimize", "offset"])
+def test_estimate_rejects_samples_that_overflow(tmp_path, capsys, extra):
+    # s0 reads angle 0 at frequency sqrt(pi/2), the optimizer's grid at 2z
+    # > 1.06, and the custom grid at 1 with offset 1e308, so 1.7e308 overflows
+    # each phase: exit 2 naming the record, no NaN report and no numpy warning
+    path = tmp_path / "huge.csv"
+    path.write_text("angle,value\n0.0,0.25\n0,1.7e308\n0,-1.6e308\n1.5707963267948966,0.5\n"
+                    "1.5707963267948966,-0.3\n0.0,-0.1\n")
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", "--input", str(path), "--topology", "s0", "--output", str(out)] + extra)
+    assert code == 2
+    assert not caught
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "samples at angle 0.0 reach magnitude 1.7e+308, which overflows the phase" in err
 
 
 def test_estimate_parse_error_exit_code(tmp_path):

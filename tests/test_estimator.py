@@ -440,7 +440,7 @@ def _scan_profiles(monkeypatch, samples, constrained) -> list:
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             optimize_xi(samples, constrain_gkp_valid=constrained)
-        except ValueError:  # a NaN offset fails the grid check after the scans
+        except ValueError:  # an overflowing record is rejected after the scans
             pass
         return [([f(r) for r in _SCAN], values) for f, values in seen]
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,12 +16,23 @@ from gkpsq.fock import (
     FockState,
     ResourceCapError,
     coherent_displacement,
+    displacement_blocks,
     fidelity,
     hermite_functions,
     quadrature_pdf,
     wigner,
 )
-from gkpsq.operators import GridSpec, build_operator, preset_grid
+from gkpsq.analytic import ApproxGKPParams, xi_finite_superposition
+from gkpsq.estimator import synthesize_samples
+from gkpsq.operators import (
+    ChannelParams,
+    GridSpec,
+    apply_channel,
+    approx_gkp_state,
+    build_operator,
+    preset_grid,
+    sin2_expectation,
+)
 from oracles import (
     density_matrix_full_checks,
     displaced_parity_wigner,
@@ -138,6 +150,46 @@ def test_resource_cap(monkeypatch):
     monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "not-a-number")
     with pytest.raises(ValueError):
         coherent_displacement(0.5, 20)
+
+
+_STATE_20 = FockState.normalized(np.arange(1.0, 21.0))
+_SQRT_PI_2 = math.sqrt(math.pi / 2.0)
+DENSE_ENTRY_POINTS = {
+    "build_operator": lambda: build_operator(preset_grid("hex"), 20),
+    "coherent_displacement": lambda: coherent_displacement(0.5, 20),
+    "displacement_blocks": lambda: displacement_blocks(1.0, 20, (slice(None),)),
+    "hermite_functions": lambda: hermite_functions(19, np.linspace(-5.0, 5.0, 11)),
+    "wigner": lambda: wigner(_STATE_20, [0.0], [0.0]),
+    "quadrature_pdf": lambda: quadrature_pdf(_STATE_20, 0.3, np.linspace(-8.0, 8.0, 101)),
+    "sin2_expectation": lambda: sin2_expectation(_STATE_20, 1.0, 0.5),
+    "approx_gkp_state": lambda: approx_gkp_state(ApproxGKPParams(g=0.3, a=_SQRT_PI_2, s_max=2), 20),
+    "synthesize_samples": lambda: synthesize_samples(_STATE_20, [0.0], 10, seed=0),
+    "apply_channel": lambda: apply_channel(_STATE_20.density_matrix(), ChannelParams(0.9), 20),
+    "xi_finite_superposition": lambda: xi_finite_superposition(
+        ApproxGKPParams(g=0.3, a=_SQRT_PI_2, s_max=5), preset_grid("s0")),
+}
+
+
+@pytest.mark.parametrize("entry", DENSE_ENTRY_POINTS)
+def test_every_dense_entry_point_checks_the_cap(monkeypatch, entry):
+    # each runs at cap 20 and raises at cap 10: dimension 20, or 11 peaks
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "20")
+    DENSE_ENTRY_POINTS[entry]()
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "10")
+    with pytest.raises(ResourceCapError, match="exceeds cap 10"):
+        DENSE_ENTRY_POINTS[entry]()
+
+
+def test_build_operator_checks_the_cap_before_any_array(monkeypatch):
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "10")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="dimension 3000 exceeds cap 10"):
+            build_operator(preset_grid("q0"), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # a 3000-square complex matrix is 144 MB
 
 
 def test_coherent_displacement_large_amplitude_column():

@@ -21,7 +21,6 @@ from gkpsq.operators import (
     GridSpec,
     TruncatedOperator,
     _invariant_blocks,
-    _quarter_turn,
     apply_channel,
     approx_gkp_state,
     build_operator,
@@ -331,7 +330,6 @@ def test_parity_halves_match_full_block_oracle(name, A, offsets, dim):
 @pytest.mark.parametrize("dim", [1, 2, 7, 50, 301])
 def test_preset_parity_halves_are_real_after_the_rotation(name, dim):
     grid = preset_grid(name)
-    assert _quarter_turn(grid) == (name == "hex")
     op = build_operator(grid, dim)
     for p in (0, 1):
         half = op.matrix[p::2, p::2]
@@ -342,6 +340,48 @@ def test_preset_parity_halves_are_real_after_the_rotation(name, dim):
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         ground_state(op)
     assert [call.args[0].dtype for call in eigh.call_args_list] == [np.float64] * min(dim, 2)
+
+
+def _eigh_calls(op):
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        gs = ground_state(op)
+    return gs, [call.args[0] for call in eigh.call_args_list]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 50, 201])
+def test_non_split_block_is_solved_unturned(dim):
+    # hex's mirrored rows with offsets that break parity: one complex block,
+    # handed to eigh as the operator's own matrix, never turned or copied
+    op = build_operator(dataclasses.replace(preset_grid("hex"), d1=0.3, d2=-0.7), dim)
+    gs, blocks = _eigh_calls(op)
+    assert len(blocks) == 1 and np.shares_memory(blocks[0], op.matrix)
+    assert gs.xi_min.hex() == float(np.linalg.eigh(op.matrix)[0][0]).hex()
+
+
+@pytest.mark.parametrize("dim", [7, 50, 201])
+def test_split_halves_the_turn_cannot_make_real_take_the_complex_eigh(dim):
+    grid = transform_grid(preset_grid("q0"), [[1.0, 0.3], [0.0, 1.0]])
+    assert len(_invariant_blocks(grid)) == 2
+    gs, blocks = _eigh_calls(build_operator(grid, dim))
+    assert [block.dtype for block in blocks] == [np.complex128] * 2
+    xi_min, amps, degeneracy = full_block_ground_state(grid, dim)
+    assert abs(gs.xi_min - xi_min) <= 1e-13
+    assert gs.degeneracy == degeneracy
+
+
+@pytest.mark.parametrize("dim", [7, 50, 201])
+def test_split_halves_the_turn_makes_real_take_the_real_eigh(dim):
+    # rows along the diagonals with unequal lengths: u^2 = -i and +i on two
+    # tables, so each half is complex and its turn is exactly real
+    c = SQRT_PI / 2.0
+    grid = GridSpec(c, c, -2.0 * c, 2.0 * c)
+    gs, blocks = _eigh_calls(build_operator(grid, dim))
+    assert [block.dtype for block in blocks] == [np.float64] * 2
+    xi_min, amps, degeneracy = full_block_ground_state(grid, dim)
+    assert abs(gs.xi_min - xi_min) <= 1e-13
+    assert gs.degeneracy == degeneracy
+    if degeneracy == 1:
+        assert abs(abs(np.vdot(amps, gs.state.amplitudes)) - 1.0) <= 1e-10
 
 
 def test_degeneracy_counts_both_parity_blocks():

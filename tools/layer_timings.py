@@ -3,10 +3,12 @@
     PYTHONPATH=<tree>/src python3 tools/layer_timings.py [GROUP ...] [--out FILE]
 
 Runs the named groups, or all three.  `large_n`: `build_operator` and
-`ground_state` for q0 and hex at N = 400 and 1000, for q0 at N = 2000 and
-for the custom grid of `tools/cli_outputs.py` (rows of unequal length,
-offsets that break parity) at N = 400 and 1000, with `xi_min`,
-`degeneracy` and the tracemalloc peak of one build and solve.  `channel`:
+`ground_state` for q0 and hex at N = 400 and 1000, for q0 at N = 2000, and
+at N = 400 and 1000 for the custom grid of `tools/cli_outputs.py` (rows of
+unequal length, offsets that break parity) and for hex with the
+parity-breaking offsets (0.3, -0.7), with `xi_min` (also as `float.hex`),
+`degeneracy`, and the tracemalloc peaks of one solve and of one build and
+solve.  `channel`:
 one `apply_channel` call for loss, noise and both at cutoffs 40, 100 and
 200, on seeded pure states of support 12 and of full support, with the
 tracemalloc peak of one call and a SHA-256 digest of each output.
@@ -73,22 +75,25 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-CUSTOM_GRID = GridSpec(0.8, 0.3, -0.5, 2.1, d1=0.25, d2=-1.1, label="custom")
+CUSTOM_GRIDS = {"custom": GridSpec(0.8, 0.3, -0.5, 2.1, d1=0.25, d2=-1.1, label="custom"),
+                "hex_offsets": dataclasses.replace(preset_grid("hex"), d1=0.3, d2=-0.7, label="hex_offsets")}
 LARGE_N_CASES = (("q0", 400), ("q0", 1000), ("hex", 400), ("hex", 1000), ("q0", 2000),
-                 ("custom", 400), ("custom", 1000))
+                 ("custom", 400), ("custom", 1000), ("hex_offsets", 400), ("hex_offsets", 1000))
 
 
 def large_n() -> dict:
     cases = []
     for name, dim in LARGE_N_CASES:
-        grid = CUSTOM_GRID if name == "custom" else preset_grid(name)
+        grid = CUSTOM_GRIDS[name] if name in CUSTOM_GRIDS else preset_grid(name)
         build, op = timed(lambda: build_operator(grid, dim), 3)
         solve, gs = timed(lambda: ground_state(op), 3)
+        solve_peak = peak_mb(lambda: ground_state(op))
         del op
         peak = peak_mb(lambda: ground_state(build_operator(grid, dim)))
         cases.append({"topology": name, "N": dim, "build_operator": build, "ground_state": solve,
-                      "tracemalloc_peak_mb": peak, "xi_min": gs.xi_min, "degeneracy": gs.degeneracy})
-    return {"runs": 3, "custom_grid": CUSTOM_GRID.rows(), "cases": cases}
+                      "solve_tracemalloc_peak_mb": solve_peak, "tracemalloc_peak_mb": peak,
+                      "xi_min": gs.xi_min, "xi_min_hex": gs.xi_min.hex(), "degeneracy": gs.degeneracy})
+    return {"runs": 3, **{f"{name}_grid": grid.rows() for name, grid in CUSTOM_GRIDS.items()}, "cases": cases}
 
 
 def channel() -> dict:
