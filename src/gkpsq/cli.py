@@ -43,7 +43,7 @@ from .estimator import (
     optimize_xi,
 )
 from .fock import ResourceCapError, wigner
-from .operators import GridSpec, TruncatedOperator, build_operator, ground_state, preset_grid
+from .operators import GridSpec, build_operator, ground_state, preset_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -138,9 +138,9 @@ def cmd_ground_sweep(args) -> int:
         grid = preset_grid(name)
         # Each truncation is the exact compression of Q, hence the corner of
         # the largest one: build that once and solve its corners.
-        largest = build_operator(grid, dims[-1]).matrix
+        largest = build_operator(grid, dims[-1])
         for dim in dims:
-            gs = ground_state(TruncatedOperator(largest[:dim, :dim], grid))
+            gs = ground_state(dataclasses.replace(largest, dim=dim))
             rows.append((name, dim, gs.xi_min, db(gs.xi_min), gs.degeneracy))
     _write_csv(args.output, ("topology", "N", "xi_min", "xi_min_db", "degeneracy"), rows)
     return EXIT_OK

@@ -301,8 +301,8 @@ def _char_fn(values: np.ndarray, u: float) -> complex:
     Bit-identical to `np.mean(np.exp(1j * u * values))` in less time: the
     complex exp of 0 + i u q is (cos, sin)(u q).  Only the sign of a -0.0
     phase's sine differs, and numpy's sum, which starts from +0.0, drops it.
-    Overflowing phases give NaN silently; `optimize_xi` rejects the record
-    when its best grid reads it.
+    Overflowing phases give NaN silently; `optimize_xi` rejects a record
+    whose phase can overflow anywhere in its box before it reads it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         phase = u * values
@@ -469,8 +469,9 @@ def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
     point that ties the exact minimum is kept, so the box search sees the
     argmin (the first on ties), bracket and value of the exhaustive scan,
     and every output is its bits.  In the worst case no point is ruled
-    out, and the scan costs one exact serial scan of 101 points.  A
-    sample whose phase 2 z q overflows on the best grid raises ValueError.
+    out, and the scan costs one exact serial scan of 101 points.  A record
+    whose phase 2 z q overflows at its pair's largest z = base e^MAX_LOG_SCALE
+    raises ValueError before that pair is scanned.
     """
     pairs = _distinct_angle_pairs(samples, angle_tolerance)
     if not pairs:
@@ -481,6 +482,8 @@ def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
         phi1, q1 = samples.records[i]
         phi2, q2 = samples.records[j]
         base = math.sqrt(GKP_DET / math.sin(phi2 - phi1))
+        for angle, values in ((phi1, q1), (phi2, q2)):
+            _reject_overflow(values, 2.0 * base * math.exp(MAX_LOG_SCALE), angle)
         if constrain_gkp_valid:
             r1, xi = _minimize_profile(((q1, 1.0), (q2, -1.0)), base)
             r2 = -r1
@@ -491,8 +494,6 @@ def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
             best = (xi, phi1, phi2, q1, q2, base * math.exp(r1), base * math.exp(r2))
 
     _, phi1, phi2, q1, q2, z1, z2 = best
-    for angle, values, z in ((phi1, q1, z1), (phi2, q2, z2)):
-        _reject_overflow(values, 2.0 * z, angle)
     grid = GridSpec(z1 * math.cos(phi1), z1 * math.sin(phi1), z2 * math.cos(phi2), z2 * math.sin(phi2),
                     d1=_closed_form_offset(_char_fn(q1, 2.0 * z1)), d2=_closed_form_offset(_char_fn(q2, 2.0 * z2)),
                     label="optimized")

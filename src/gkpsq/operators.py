@@ -15,6 +15,7 @@ oracle for the closed forms in `analytic`.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -154,24 +155,35 @@ def gaussian_route_from_q0(target: str) -> tuple[np.ndarray, np.ndarray]:
     return A, alpha
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense Hermitian grid operator on a truncated Fock basis.
+    """Grid operator on the first `dim` number states, held as its invariant blocks.
 
-    `ground_state` reads one triangle of `matrix`, so the matrix must be
-    Hermitian; `build_operator` makes it so entry for entry.
+    Its entry (i, j) on set k of `_invariant_blocks` is turn_i blocks[k][i, j]
+    conj(turn_j) (see `build_operator`), read from the blocks' leading corner.
     """
 
-    matrix: np.ndarray
     grid: GridSpec
+    dim: int
+    blocks: tuple[np.ndarray, ...]
+    turn: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def __post_init__(self):
+        if not 1 <= self.dim <= sum(map(len, self.blocks)):
+            raise ValueError(f"dim {self.dim} outside 1..{sum(map(len, self.blocks))}, the states the blocks hold")
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense complex `dim x dim` matrix, assembled on first read."""
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        for sel, block in zip(_invariant_blocks(self.grid), self.blocks):
+            u = self.turn[: len(range(self.dim)[sel])]
+            mat[sel, sel] = u[:, None] * block[: u.size, : u.size] * u.conj()
+        return mat
 
 
 def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
-    """Fock-basis matrix of the grid operator.
+    """Invariant blocks of the grid operator's Fock-basis matrix.
 
     Each 2 sin^2(u) term expands as I - (e^{2iu} + e^{-2iu})/2, and every
     exponential is an exact displacement block, so the result is the
@@ -186,36 +198,40 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     The term's entry at the gap g = m - n is h_g R[m, n], with
     h_g = u^g cos 2d for even g and u^g i sin 2d for odd g (`_powers`).
     Since R[n, m] = (-1)^g R[m, n], the entry at -g is (-1)^g conj(h_g),
-    so `matrix` is Hermitian entry for entry.  Only the blocks of
+    so each block is Hermitian entry for entry.  Only the blocks of
     `_invariant_blocks` are formed, from `displacement_blocks`, and rows
-    of equal length share one table.  On a parity split every odd gap
-    lies between the blocks, where `matrix` holds zeros, and
-    |sin 2d| < PARITY_ATOL rounds cos 2d to +-1; the phases are then powers
-    of u^2, exactly +-1 on rows along the axes (q0, q1, s0, s1).  Two rows
-    mirrored across a diagonal, as hex's are, give u1^2 and -conj(u1^2) to
-    the bit, and `ground_state` turns such halves exactly real.  `dim` is
-    checked against the cap first.
+    of equal length share one table.  On a parity split every odd gap lies
+    between the blocks and |sin 2d| < PARITY_ATOL rounds cos 2d to +-1: the
+    weights h_2k are powers of u^2, exactly +-1 on rows along the axes (q0,
+    q1, s0, s1).  Mirrored rows, as hex's, give u1^2 and -conj(u1^2) to the
+    bit; the exact quarter turn U^H M U, U = diag(i^j) on a block's local
+    index j, multiplies h_2k by (-i)^k and is kept only when all weights come
+    out real, never on an unsplit basis.  Real weights give float64 blocks.
+    `dim` is checked against the cap first.
     """
     check_build_dim(dim)
     sets = _invariant_blocks(grid)
-    odd = np.arange(dim) % 2 == 1
+    # The sets share one stride, so the largest set's gap weights serve them all.
+    stride, size = sets[0].step or 1, len(range(dim)[sets[0]])
+    odd = stride * np.arange(size) % 2 == 1
     # Rows of equal shift read one table, and their gap weights add.
     weights: dict[float, np.ndarray] = {}
     for c1, c2, d in grid.rows():
         alpha = math.sqrt(2.0) * complex(-c2, c1)
         shift, u = math.sqrt(2.0) * abs(alpha), alpha / abs(alpha)
-        h = np.where(odd, 1j * math.sin(2.0 * d), math.cos(2.0 * d)) * _powers(u, dim)
+        h = np.where(odd, 1j * math.sin(2.0 * d), math.cos(2.0 * d)) * _powers(u * u if stride == 2 else u, size)
         weights[shift] = weights.get(shift, 0) + h
-    # The sets share one stride, so the largest set's Toeplitz serves them all.
-    stride, size = sets[0].step or 1, len(range(dim)[sets[0]])
-    mat = 2.0 * np.eye(dim, dtype=complex)
-    for shift, h in weights.items():
-        back = h.conj()
-        back[odd] = -back[odd]
-        toeplitz = _toeplitz(h[::stride], back[::stride], size)
-        for sel, block in zip(sets, displacement_blocks(shift, dim, sets)):
-            mat[sel, sel] -= toeplitz[: len(block), : len(block)] * block
-    return TruncatedOperator(matrix=mat, grid=grid)
+    w, turn = np.array(list(weights.values())), np.ones(size)
+    quarter = np.resize([1.0, 1j, -1.0, -1j], size)  # i^j
+    if stride == 2 and w.imag.any() and not (w * quarter.conj()).imag.any():
+        w, turn = w * quarter.conj(), quarter
+    w = w if w.imag.any() else w.real
+    blocks = [2.0 * np.eye(len(range(dim)[sel]), dtype=w.dtype) for sel in sets]
+    for shift, h in zip(weights, w):
+        toeplitz = _toeplitz(h, np.where(odd, -h, h).conj(), size)
+        for block, part in zip(blocks, displacement_blocks(shift, dim, sets)):
+            block -= toeplitz[: len(part), : len(part)] * part
+    return TruncatedOperator(grid, dim, tuple(blocks), turn)
 
 
 @dataclass
@@ -244,42 +260,26 @@ def _invariant_blocks(grid: GridSpec) -> tuple[slice, ...]:
 def ground_state(op: TruncatedOperator) -> GroundState:
     """Lowest eigenpair of the truncated operator, block by invariant block.
 
-    Each block of `_invariant_blocks` is solved on its own by
-    `np.linalg.eigh`, in real arithmetic at about a quarter of the cost
-    when its imaginary part is exactly zero.  A complex parity half M is
-    turned into U^H M U with U = diag(i^j) on its local index j, an exact
-    rotation, and the turn is kept only when it leaves the half exactly
-    real, as on hex; the eigenvector is then rotated back.  A block that
-    is not a parity half is never turned.  `degeneracy` counts the
+    Each block's leading corner goes to `np.linalg.eigh` as built, and its
+    eigenvector is turned back by `op.turn`.  `degeneracy` counts the
     eigenvalues of all blocks within a relative 1e-8 of the lowest; on a
     tie across blocks the first block's state is returned, with its
     largest-magnitude amplitude real and positive.
     """
-    blocks = _invariant_blocks(op.grid)
-    spectra, states = [], []
-    for block in blocks:
-        sub, u = op.matrix[block, block], 1.0
-        if not sub.size:
-            continue
-        real = not sub.imag.any()
-        if not real and len(blocks) > 1:
-            u = np.resize([1.0, 1j, -1.0, -1j], len(sub))  # i^j
-            sub = u.conj()[:, None] * sub * u
-            real = not sub.imag.any()
-            if not real:  # the turn leaves the half complex: solve it unturned
-                sub, u = op.matrix[block, block], 1.0
-        vals, vecs = np.linalg.eigh(sub.real if real else sub)
-        vec = u * vecs[:, 0]
-        lead = vec[np.argmax(np.abs(vec))]
-        amps = np.zeros(op.dim, dtype=complex)
-        amps[block] = vec * (np.abs(lead) / lead)
-        spectra.append(vals)
-        states.append(amps)
-    lowest = int(np.argmin([vals[0] for vals in spectra]))
-    xi_min = float(spectra[lowest][0])
+    solved = []
+    for sel, block in zip(_invariant_blocks(op.grid), op.blocks):
+        u = op.turn[: len(range(op.dim)[sel])]
+        if u.size:
+            vals, vecs = np.linalg.eigh(block[: u.size, : u.size])
+            solved.append((vals, sel, u * vecs[:, 0]))
+    vals, sel, vec = min(solved, key=lambda s: s[0][0])  # the first block on a tie
+    lead = vec[np.argmax(np.abs(vec))]
+    amps = np.zeros(op.dim, dtype=complex)
+    amps[sel] = vec * (np.abs(lead) / lead)
+    xi_min = float(vals[0])
     tol = max(1e-8, 1e-8 * abs(xi_min))
-    degeneracy = int(np.count_nonzero(np.concatenate(spectra) < xi_min + tol))
-    return GroundState(xi_min=xi_min, state=FockState.normalized(states[lowest]), degeneracy=degeneracy)
+    degeneracy = int(np.count_nonzero(np.concatenate([s[0] for s in solved]) < xi_min + tol))
+    return GroundState(xi_min=xi_min, state=FockState.normalized(amps), degeneracy=degeneracy)
 
 
 def _mean(state: FockState | DensityMatrix, matrix: np.ndarray) -> complex:

@@ -24,6 +24,7 @@ from scipy.special import eval_genlaguerre, gammaln, genlaguerre
 from gkpsq.estimator import (
     _SCAN,
     DEFAULT_ANGLE_TOLERANCE,
+    MAX_LOG_SCALE,
     OptimizeResult,
     _char_fn,
     _closed_form_offset,
@@ -242,6 +243,8 @@ def optimize_xi_exhaustive(samples, constrain_gkp_valid: bool = True, char_fn=_c
         phi1, q1 = samples.records[i]
         phi2, q2 = samples.records[j]
         base = math.sqrt(GKP_DET / math.sin(phi2 - phi1))
+        for angle, values in ((phi1, q1), (phi2, q2)):
+            _reject_overflow(values, 2.0 * base * math.exp(MAX_LOG_SCALE), angle)
 
         def sharpness(values, r):
             return abs(char_fn(values, 2.0 * base * math.exp(r)))
@@ -256,8 +259,6 @@ def optimize_xi_exhaustive(samples, constrain_gkp_valid: bool = True, char_fn=_c
         if best is None or xi < best[0]:
             best = (xi, phi1, phi2, q1, q2, base * math.exp(r1), base * math.exp(r2))
     _, phi1, phi2, q1, q2, z1, z2 = best
-    for angle, values, z in ((phi1, q1, z1), (phi2, q2, z2)):
-        _reject_overflow(values, 2.0 * z, angle)
     grid = GridSpec(z1 * math.cos(phi1), z1 * math.sin(phi1), z2 * math.cos(phi2), z2 * math.sin(phi2),
                     d1=_closed_form_offset(char_fn(q1, 2.0 * z1)), d2=_closed_form_offset(char_fn(q2, 2.0 * z2)),
                     label="optimized")

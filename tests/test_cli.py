@@ -449,6 +449,23 @@ def test_estimate_rejects_samples_that_overflow(tmp_path, capsys, extra):
     assert "samples at angle 0.0 reach magnitude 1.7e+308, which overflows the phase" in err
 
 
+@pytest.mark.parametrize("huge_first", [True, False], ids=["huge-first", "huge-last"])
+def test_optimize_rejects_an_overflowing_record_in_either_order(tmp_path, capsys, huge_first):
+    # angle 0's record overflows high in every pair's box, so it is rejected
+    # before any pair is scanned, whether its rows open or close the file
+    huge = "0.0,0.25\n0.0,1.7e308\n"
+    rest = "1.0471975511965976,0.5\n1.0471975511965976,-0.3\n1.5707963267948966,0.2\n1.5707963267948966,-0.1\n"
+    path, out = tmp_path / "huge.csv", tmp_path / "r.json"
+    path.write_text("angle,value\n" + (huge + rest if huge_first else rest + huge))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", "--input", str(path), "--optimize", "--output", str(out)])
+    assert code == 2
+    assert not caught
+    assert not out.exists()
+    assert "samples at angle 0.0 reach magnitude 1.7e+308, which overflows the phase" in capsys.readouterr().err
+
+
 def test_estimate_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("angle,value\n0.0,nope\n")

@@ -14,6 +14,7 @@ from gkpsq import estimator
 from gkpsq.analytic import ApproxGKPParams
 from gkpsq.estimator import (
     _SCAN,
+    DEFAULT_ANGLE_TOLERANCE,
     MAX_LOG_SCALE,
     SCAN_POINTS,
     QuadratureSamples,
@@ -22,9 +23,11 @@ from gkpsq.estimator import (
     _bounded_brent,
     _char_fn,
     _closed_form_offset,
+    _distinct_angle_pairs,
     _load_samples_by_line,
     _load_table,
     _minimize_on_box,
+    _minimize_profile,
     _scan,
     _sin2_terms,
     _term_mean_se,
@@ -38,6 +41,7 @@ from gkpsq.estimator import (
 )
 from gkpsq.fock import FockState, quadrature_pdf
 from gkpsq.operators import (
+    GKP_DET,
     approx_gkp_state,
     build_operator,
     expectation,
@@ -428,7 +432,11 @@ def test_certified_scan_matches_exhaustive_scan(samples, constrained):
 
 
 def _scan_profiles(monkeypatch, samples, constrained) -> list:
-    """(exact profile, values `_minimize_on_box` is given) for each box search of `optimize_xi`."""
+    """(exact profile, values `_minimize_on_box` is given) for each box search `optimize_xi` makes.
+
+    The profiles of every angle pair are minimized directly, so records that
+    `optimize_xi` rejects for overflow before scanning are scanned too.
+    """
     seen = []
 
     def spy(f, values):
@@ -438,10 +446,11 @@ def _scan_profiles(monkeypatch, samples, constrained) -> list:
     monkeypatch.setattr(estimator, "_minimize_on_box", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            optimize_xi(samples, constrain_gkp_valid=constrained)
-        except ValueError:  # an overflowing record is rejected after the scans
-            pass
+        for i, j in _distinct_angle_pairs(samples, DEFAULT_ANGLE_TOLERANCE):
+            (phi1, q1), (phi2, q2) = samples.records[i], samples.records[j]
+            base = math.sqrt(GKP_DET / math.sin(phi2 - phi1))
+            for rows in [((q1, 1.0), (q2, -1.0))] if constrained else [((q1, 1.0),), ((q2, 1.0),)]:
+                _minimize_profile(rows, base)
         return [([f(r) for r in _SCAN], values) for f, values in seen]
 
 

@@ -196,6 +196,7 @@ def test_operator_invariants(name, dim):
 
 @settings(max_examples=25, deadline=None)
 @given(grid=st.one_of(st.sampled_from(PRESET_NAMES).map(preset_grid), reshaped_grids), dim=st.integers(1, 60))
+@example(grid=dataclasses.replace(preset_grid("q0"), d1=1.0), dim=9)  # one real block with odd gaps
 def test_operator_is_hermitian_entry_for_entry(grid, dim):
     op = build_operator(grid, dim)
     assert np.array_equal(op.matrix, op.matrix.conj().T)
@@ -342,6 +343,42 @@ def test_preset_parity_halves_are_real_after_the_rotation(name, dim):
     assert [call.args[0].dtype for call in eigh.call_args_list] == [np.float64] * min(dim, 2)
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("dim", [1, 2, 7, 50, 301])
+def test_presets_hold_only_real_halves(name, dim):
+    # two float64 parity halves and no N x N complex array
+    op = build_operator(preset_grid(name), dim)
+    assert [block.dtype for block in op.blocks] == [np.float64] * 2
+    assert sum(block.nbytes for block in op.blocks) == 8 * (((dim + 1) // 2) ** 2 + (dim // 2) ** 2)
+    ground_state(op)
+    assert "matrix" not in vars(op)  # assembled only when read
+
+
+any_offsets = st.one_of(half_pi_offsets, st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), A=st.one_of(st.just(np.eye(2)), symplectic_maps),
+       offsets=any_offsets, dims=nested_dims)
+@example(name="hex", A=np.eye(2), offsets=(0.3, -0.7), dims=(7, 50))
+@example(name="q0", A=np.eye(2), offsets=(1.0, 0.0), dims=(2, 9))
+def test_corner_of_a_build_is_the_smaller_build(name, A, offsets, dims):
+    # replace(op, dim=n) reads the leading corner of the larger build's blocks
+    grid = dataclasses.replace(transform_grid(preset_grid(name), A), d1=offsets[0], d2=offsets[1])
+    n, m = dims
+    op = build_operator(grid, m)
+    corner = dataclasses.replace(op, dim=n)
+    assert np.array_equal(corner.matrix, op.matrix[:n, :n])
+    assert abs(ground_state(corner).xi_min - full_block_ground_state(grid, n)[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [0, 8])
+def test_corner_outside_the_build_raises(dim):
+    op = build_operator(preset_grid("hex"), 7)
+    with pytest.raises(ValueError, match="the states the blocks hold"):
+        dataclasses.replace(op, dim=dim)
+
+
 def _eigh_calls(op):
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         gs = ground_state(op)
@@ -350,11 +387,13 @@ def _eigh_calls(op):
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 50, 201])
 def test_non_split_block_is_solved_unturned(dim):
-    # hex's mirrored rows with offsets that break parity: one complex block,
-    # handed to eigh as the operator's own matrix, never turned or copied
+    # hex's mirrored rows with offsets that break parity: one block, complex
+    # past N = 1, never turned, handed to eigh as the operator's own block
     op = build_operator(dataclasses.replace(preset_grid("hex"), d1=0.3, d2=-0.7), dim)
+    assert len(op.blocks) == 1 and op.blocks[0].dtype == (np.float64 if dim == 1 else np.complex128)
+    assert np.array_equal(op.turn, np.ones(dim))
     gs, blocks = _eigh_calls(op)
-    assert len(blocks) == 1 and np.shares_memory(blocks[0], op.matrix)
+    assert len(blocks) == 1 and blocks[0].shape == (dim, dim) and np.shares_memory(blocks[0], op.blocks[0])
     assert gs.xi_min.hex() == float(np.linalg.eigh(op.matrix)[0][0]).hex()
 
 
@@ -385,7 +424,7 @@ def test_split_halves_the_turn_makes_real_take_the_real_eigh(dim):
 
 
 def test_degeneracy_counts_both_parity_blocks():
-    gs = ground_state(TruncatedOperator(2.0 * np.eye(7, dtype=complex), preset_grid("q0")))
+    gs = ground_state(TruncatedOperator(preset_grid("q0"), 7, (2.0 * np.eye(4), 2.0 * np.eye(3)), np.ones(4)))
     assert gs.xi_min == 2.0
     assert gs.degeneracy == 7
 

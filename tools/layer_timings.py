@@ -7,8 +7,8 @@ Runs the named groups, or all three.  `large_n`: `build_operator` and
 at N = 400 and 1000 for the custom grid of `tools/cli_outputs.py` (rows of
 unequal length, offsets that break parity) and for hex with the
 parity-breaking offsets (0.3, -0.7), with `xi_min` (also as `float.hex`),
-`degeneracy`, and the tracemalloc peaks of one solve and of one build and
-solve.  `channel`:
+`degeneracy`, the bytes of the arrays the built operator holds, and the
+tracemalloc peaks of one solve and of one build and solve.  `channel`:
 one `apply_channel` call for loss, noise and both at cutoffs 40, 100 and
 200, on seeded pure states of support 12 and of full support, with the
 tracemalloc peak of one call and a SHA-256 digest of each output.
@@ -81,6 +81,16 @@ LARGE_N_CASES = (("q0", 400), ("q0", 1000), ("hex", 400), ("hex", 1000), ("q0", 
                  ("custom", 400), ("custom", 1000), ("hex_offsets", 400), ("hex_offsets", 1000))
 
 
+def held_bytes(op) -> int:
+    """Bytes of the arrays among the operator's fields, tuples of arrays included."""
+    total = 0
+    for field in dataclasses.fields(op):
+        value = getattr(op, field.name)
+        total += sum(item.nbytes for item in (value if isinstance(value, tuple) else (value,))
+                     if isinstance(item, np.ndarray))
+    return total
+
+
 def large_n() -> dict:
     cases = []
     for name, dim in LARGE_N_CASES:
@@ -88,10 +98,11 @@ def large_n() -> dict:
         build, op = timed(lambda: build_operator(grid, dim), 3)
         solve, gs = timed(lambda: ground_state(op), 3)
         solve_peak = peak_mb(lambda: ground_state(op))
+        held = held_bytes(op)
         del op
         peak = peak_mb(lambda: ground_state(build_operator(grid, dim)))
         cases.append({"topology": name, "N": dim, "build_operator": build, "ground_state": solve,
-                      "solve_tracemalloc_peak_mb": solve_peak, "tracemalloc_peak_mb": peak,
+                      "operator_bytes": held, "solve_tracemalloc_peak_mb": solve_peak, "tracemalloc_peak_mb": peak,
                       "xi_min": gs.xi_min, "xi_min_hex": gs.xi_min.hex(), "degeneracy": gs.degeneracy})
     return {"runs": 3, **{f"{name}_grid": grid.rows() for name, grid in CUSTOM_GRIDS.items()}, "cases": cases}
 
