@@ -42,7 +42,7 @@ from .estimator import (
     load_samples,
     optimize_xi,
 )
-from .fock import ResourceCapError, wigner
+from .fock import ResourceCapError, _wigner_lattice, check_build_dim, wigner
 from .operators import GridSpec, build_operator, ground_state, preset_grid
 
 EXIT_OK = 0
@@ -152,6 +152,10 @@ def cmd_wigner(args) -> int:
     if args.resolution < 1:
         raise ValueError(f"--resolution must be >= 1, got {args.resolution}")
     dim = args.dims[0]
+    # `wigner`'s cap checks, from the spacing, extent and count, before any axis exists
+    check_build_dim(dim)
+    dx, p_max = (2.0 * args.extent / (args.resolution - 1), args.extent) if args.resolution > 1 else (None, 0.0)
+    _wigner_lattice(dim, dx, p_max, args.resolution)
     grid = preset_grid(args.topology[0])
     gs = ground_state(build_operator(grid, dim))
     axis = np.linspace(-args.extent, args.extent, args.resolution) if args.resolution > 1 else np.array([0.0])

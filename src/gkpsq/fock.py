@@ -253,7 +253,7 @@ def displacement_blocks(shift: float, dim: int, sets: tuple[slice, ...]) -> list
     reach = _lattice_reach(dim)
     step = math.pi / (2.0 * reach)
     half = math.floor(reach / step)
-    h = _hermite_lattice(dim, 0.5 * shift, step, -half, half)
+    h = hermite_functions(dim - 1, np.arange(-half, half + 1) * step + 0.5 * shift)
     parts = []
     for sel in sets:
         right, left = h[sel, half:], h[sel, half::-1]
@@ -286,52 +286,52 @@ def hermite_functions(n_max: int, q: np.ndarray) -> np.ndarray:
     vacuum-variance-1/2 convention; the stable normalized recurrence avoids
     factorial overflow.  Past |q| = HERMITE_SEED_LIMIT the Gaussian seed
     would underflow before orders with turning point sqrt(2n + 1) beyond
-    that point (n above about 700) grow back to O(1), so those points are
-    recomputed with a per-point exponent; n_max + 1 is checked against the cap.
+    that point (n above about 700) grow back to O(1), so those far columns
+    run the recurrence on mantissas with a per-point exponent instead.  One
+    loop over the orders computes each column once: the plain recurrence
+    runs in place on the hull of the near columns, one slice (every near
+    column on a sorted grid), and any far column inside it is overwritten
+    order by order.  When no column is far the only extra work is one
+    max |q| test.  n_max + 1 is checked against the cap.
     """
     check_build_dim(n_max + 1)
     q = np.asarray(q, dtype=float)
     h = np.empty((n_max + 1, q.size))
-    h[0] = np.pi ** -0.25 * np.exp(-0.5 * q * q)
-    if n_max >= 1:
-        h[1] = math.sqrt(2.0) * q * h[0]
-    for n in range(2, n_max + 1):
-        # h[n] = sqrt(2/n) q h[n-1] - sqrt((n-1)/n) h[n-2], written in place
-        row = np.multiply(q, math.sqrt(2.0 / n), out=h[n])
-        row *= h[n - 1]
-        row -= math.sqrt((n - 1.0) / n) * h[n - 2]
+    q_near, h_near, far = q, h, None
     if q.size and max(q.max(), -q.min()) > HERMITE_SEED_LIMIT:
+        near = np.flatnonzero(np.abs(q) <= HERMITE_SEED_LIMIT)
+        hull = slice(near[0], near[-1] + 1) if near.size else slice(0)
+        q_near, h_near = q[hull], h[:, hull]
         far = np.flatnonzero(np.abs(q) > HERMITE_SEED_LIMIT)
-        _hermite_rescaled(h, q[far], far)
+        q_far = q[far]
+        log_scale = -0.5 * q_far * q_far - 0.25 * math.log(math.pi)
+        scale = np.exp(log_scale)
+        prev = np.zeros_like(q_far)
+        cur = np.ones_like(q_far)
+    h_near[0] = np.pi ** -0.25 * np.exp(-0.5 * q_near * q_near)
+    if far is not None:  # after the hull, which may hold far columns
+        h[0, far] = scale
+    for n in range(1, n_max + 1):
+        # h[n] = sqrt(2/n) q h[n-1] - sqrt((n-1)/n) h[n-2], written in place
+        row = np.multiply(q_near, math.sqrt(2.0 / n), out=h_near[n])
+        row *= h_near[n - 1]
+        if n > 1:
+            row -= math.sqrt((n - 1.0) / n) * h_near[n - 2]
+        if far is not None:
+            prev, cur = cur, math.sqrt(2.0 / n) * q_far * cur - math.sqrt((n - 1.0) / n) * prev
+            big = np.abs(cur) > _MANTISSA_LIMIT
+            if big.any():
+                cur[big] /= _MANTISSA_LIMIT
+                prev[big] /= _MANTISSA_LIMIT
+                log_scale[big] += math.log(_MANTISSA_LIMIT)
+                scale[big] = np.exp(log_scale[big])
+            h[n, far] = cur * scale
     return h
 
 
 def _lattice_reach(dim: int) -> float:
     """sqrt(2 dim + 1) + 6: past it every h_n, n < dim, is beyond its turning point by 6."""
     return math.sqrt(2.0 * dim + 1.0) + 6.0
-
-
-def _hermite_lattice(dim: int, origin: float, step: float, lo: int, hi: int) -> np.ndarray:
-    """h_n(origin + l step) for n < dim and lo <= l <= hi: the one table every block and Wigner row reads."""
-    return hermite_functions(dim - 1, np.arange(lo, hi + 1) * step + origin)
-
-
-def _hermite_rescaled(h: np.ndarray, q: np.ndarray, cols: np.ndarray) -> None:
-    """Overwrite columns `cols` of `h` by the recurrence on scaled mantissas."""
-    log_scale = -0.5 * q * q - 0.25 * math.log(math.pi)
-    scale = np.exp(log_scale)
-    prev = np.zeros_like(q)
-    cur = np.ones_like(q)
-    h[0, cols] = scale
-    for n in range(1, h.shape[0]):
-        prev, cur = cur, math.sqrt(2.0 / n) * q * cur - math.sqrt((n - 1.0) / n) * prev
-        big = np.abs(cur) > _MANTISSA_LIMIT
-        if big.any():
-            cur[big] /= _MANTISSA_LIMIT
-            prev[big] /= _MANTISSA_LIMIT
-            log_scale[big] += math.log(_MANTISSA_LIMIT)
-            scale[big] = np.exp(log_scale[big])
-        h[n, cols] = cur * scale
 
 
 @dataclass
@@ -381,29 +381,30 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
 
     The state's dimension is checked against `build_dim_cap()`.  The rows
     run in chunks whose arrays stay within 15 cap^2 floats; a grid whose
-    single row does not fit raises ResourceCapError before any array is
-    made (`_wigner_lattice`).
+    single row does not fit raises ResourceCapError before any array the
+    size of an axis is made (`_wigner_lattice`).
     """
     check_build_dim(state.dim)
     xs = _wigner_axis(xs, "xs")
     ps = _wigner_axis(ps, "ps")
-    reach = _lattice_reach(state.dim)
-    limit = math.pi / (reach + float(np.abs(ps).max()))
-    dx = 0.5 * limit  # one x point: any step serves, and this one gives m = 1
+    dx = None
     if xs.size > 1:
         dx = (xs[-1] - xs[0]) / (xs.size - 1)
-        if not dx > 0.0 or np.abs(np.diff(xs) - dx).max() > 1e-9 * dx:
+        if not dx > 0.0:
             raise ValueError("xs must be increasing and evenly spaced")
-    m, dy, half, rows = _wigner_lattice(state.dim, dx, limit, reach, ps.size)
+    m, dy, half, rows = _wigner_lattice(state.dim, dx, max(ps.max(), -ps.min()), ps.size)
+    if xs.size > 1 and np.abs(np.diff(xs) - dx).max() > 1e-9 * dx:
+        raise ValueError("xs must be increasing and evenly spaced")
     ks = np.arange(-half, half + 1)
     phases = np.exp(2j * np.outer(ks * dy, ps))
     amps = state.amplitudes
     out = np.zeros((xs.size, ps.size))
+    reach = _lattice_reach(state.dim)
     first = int(np.searchsorted(xs, -reach, side="left"))
     end = int(np.searchsorted(xs, reach, side="right"))
     for start in range(first, end, rows):
         stop = min(start + rows, end)
-        h = _hermite_lattice(state.dim, xs[start], dy, -half, (stop - 1 - start) * m + half)
+        h = hermite_functions(state.dim - 1, np.arange(-half, (stop - start - 1) * m + half + 1) * dy + xs[start])
         psi = amps.real @ h + 1j * (amps.imag @ h)
         centres = np.array(range(half, half + (stop - start) * m, m))[:, None]
         f = psi[centres + ks].conj() * psi[centres - ks]
@@ -412,36 +413,54 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
 
 
 def _wigner_axis(values, name: str) -> np.ndarray:
+    """`values` as a float array, checked by two reductions: a NaN or inf shows in its min or max."""
     axis = np.asarray(values, dtype=float)
-    if axis.ndim != 1 or axis.size < 1 or not np.all(np.isfinite(axis)):
+    if axis.ndim != 1 or axis.size < 1 or not (np.isfinite(axis.min()) and np.isfinite(axis.max())):
         raise ValueError(f"{name} must be a non-empty 1-D array of finite values")
     return axis
 
 
-def _wigner_lattice(dim: int, dx: float, limit: float, reach: float, n_p: int) -> tuple[int, float, int, int]:
+def _wigner_lattice(dim: int, dx: float | None, p_max: float, n_p: int) -> tuple[int, float, int, int]:
     """(m, dy, half, rows): `wigner`'s y step dx/m, its lattice -half..half, and x rows per chunk.
 
-    m = floor(dx/limit) + 1 and half = ceil(reach/dy).  A chunk of c rows
-    holds a dim x ((c - 1) m + width) Hermite table, width = 2 half + 1,
-    three complex c x width arrays, the complex c x n_p product, and the
-    shared complex width x n_p phases; `rows` keeps it within 15 cap^2
-    floats.  The counts are taken in floating point, where an overflow is
-    inf, and checked before any array exists.
+    `dx` is the x step, None for a single x point (any step serves; half the
+    alias limit pi/(reach + p_max) gives m = 1), and `p_max` the largest
+    |p| of the n_p p values.  m = floor(dx/limit) + 1 and half =
+    ceil(reach/dy).  A chunk of c rows holds a dim x ((c - 1) m + width)
+    Hermite table, width = 2 half + 1, three complex c x width arrays, the
+    complex c x n_p product, and the shared complex width x n_p phases;
+    `rows` keeps it within the float budget.  The counts are taken in
+    floating point, where an overflow is inf, from these scalars alone, so
+    `cmd_wigner` checks a grid before making its axis.
     """
-    cap = build_dim_cap()
-    budget = 15 * cap * cap
+    reach = _lattice_reach(dim)
+    limit = math.pi / (reach + p_max)
+    if dx is None:
+        dx = 0.5 * limit
     with np.errstate(over="ignore", divide="ignore"):
         m = np.floor(dx / limit) + 1.0
         dy = dx / m
         half = np.ceil(reach / dy)
     per_width = dim + 6 + 2 * n_p
     one_row = per_width * (2.0 * half + 1.0) + 2 * n_p
-    if not one_row <= budget:
-        raise ResourceCapError(
-            f"wigner needs {one_row:.4g} floats for one x row, above the {budget} "
-            f"allowed at cap {cap}; raise {BUILD_DIM_CAP_ENV}, or use fewer or smaller p values or a coarser x step"
-        )
+    remedy = "use fewer or smaller p values or a coarser x step"
+    budget = _check_float_budget(one_row, "wigner", "one x row", remedy)
     m, half = int(m), int(half)
     width = 2 * half + 1
     rows = 1 + (budget - per_width * width - 2 * n_p) // (dim * m + 6 * width + 2 * n_p)
     return m, dy, half, rows
+
+
+def _check_float_budget(floats: float, what: str, item: str, remedy: str) -> int:
+    """The 15 cap^2 floats one table and its products may take; ResourceCapError when `floats` exceeds it.
+
+    `floats` is a count in floating point, inf on overflow.
+    """
+    cap = build_dim_cap()
+    budget = 15 * cap * cap
+    if not floats <= budget:
+        raise ResourceCapError(
+            f"{what} needs {floats:.4g} floats for {item}, above the {budget} "
+            f"allowed at cap {cap}; raise {BUILD_DIM_CAP_ENV}, or {remedy}"
+        )
+    return budget

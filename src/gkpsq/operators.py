@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import as_strided
 from .fock import (
     DensityMatrix,
     FockState,
+    _check_float_budget,
     _powers,
     _support,
     _toeplitz,
@@ -176,9 +177,14 @@ class TruncatedOperator:
     def matrix(self) -> np.ndarray:
         """The dense complex `dim x dim` matrix, assembled on first read."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
+        turned = not np.all(self.turn == 1.0)
         for sel, block in zip(_invariant_blocks(self.grid), self.blocks):
             u = self.turn[: len(range(self.dim)[sel])]
-            mat[sel, sel] = u[:, None] * block[: u.size, : u.size] * u.conj()
+            view = mat[sel, sel]
+            view[...] = block[: u.size, : u.size]
+            if turned:  # in place, in the order (u_i block_ij) conj(u_j)
+                view *= u[:, None]
+                view *= u.conj()
         return mat
 
 
@@ -456,13 +462,20 @@ def approx_gkp_state(params, dim: int) -> FockState:
     normalized quadrature variance g.  The wavefunction is projected onto
     the number basis by dense quadrature and renormalized after truncation,
     so `dim` must generously cover the state's support for the vector to be
-    faithful.
+    faithful.  `dim` is checked against the cap, and so is the table: dim
+    times the quadrature's points must fit in 15 cap^2 floats, the budget
+    of `wigner`, or in 2^20 floats, before any array is made.
     """
+    check_build_dim(dim)
     g = params.g
     centers, weights = params.peak_centers_weights()
     width = math.sqrt(g)
     span = float(np.max(np.abs(centers))) + max(8.0 * width, 6.0)
     step = min(width / 8.0, math.pi / (8.0 * math.sqrt(2.0 * dim + 1.0)))
+    points = math.ceil((span + step + span) / step)  # the length of np.arange below
+    if dim * points > 2**20:  # a table under 8 MiB is never refused, however small the cap
+        remedy = "use a larger g, a smaller s_max or a smaller dim"
+        _check_float_budget(dim * points, "approx_gkp_state", f"{points} quadrature points", remedy)
     q = np.arange(-span, span + step, step)
     psi = np.zeros_like(q)
     for c, w in zip(centers, weights):

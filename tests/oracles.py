@@ -351,6 +351,50 @@ def hermite_wavefunction_direct(n: int, q: np.ndarray) -> np.ndarray:
     return norm * eval_hermite(n, q) * np.exp(-0.5 * q * q)
 
 
+_TWO_PASS_SEED_LIMIT = 32.0
+_TWO_PASS_MANTISSA_LIMIT = 2.0 ** 500
+
+
+def hermite_functions_two_pass(n_max: int, q: np.ndarray) -> np.ndarray:
+    """The two-pass Hermite table `fock.hermite_functions` must match bit for bit.
+
+    The plain recurrence runs over every column, then every column past
+    |q| = 32 is recomputed on scaled mantissas with a per-point exponent.
+    """
+    q = np.asarray(q, dtype=float)
+    h = np.empty((n_max + 1, q.size))
+    h[0] = np.pi ** -0.25 * np.exp(-0.5 * q * q)
+    if n_max >= 1:
+        h[1] = math.sqrt(2.0) * q * h[0]
+    for n in range(2, n_max + 1):
+        # h[n] = sqrt(2/n) q h[n-1] - sqrt((n-1)/n) h[n-2], written in place
+        row = np.multiply(q, math.sqrt(2.0 / n), out=h[n])
+        row *= h[n - 1]
+        row -= math.sqrt((n - 1.0) / n) * h[n - 2]
+    if q.size and max(q.max(), -q.min()) > _TWO_PASS_SEED_LIMIT:
+        far = np.flatnonzero(np.abs(q) > _TWO_PASS_SEED_LIMIT)
+        _hermite_rescaled(h, q[far], far)
+    return h
+
+
+def _hermite_rescaled(h: np.ndarray, q: np.ndarray, cols: np.ndarray) -> None:
+    """Overwrite columns `cols` of `h` by the recurrence on scaled mantissas."""
+    log_scale = -0.5 * q * q - 0.25 * math.log(math.pi)
+    scale = np.exp(log_scale)
+    prev = np.zeros_like(q)
+    cur = np.ones_like(q)
+    h[0, cols] = scale
+    for n in range(1, h.shape[0]):
+        prev, cur = cur, math.sqrt(2.0 / n) * q * cur - math.sqrt((n - 1.0) / n) * prev
+        big = np.abs(cur) > _TWO_PASS_MANTISSA_LIMIT
+        if big.any():
+            cur[big] /= _TWO_PASS_MANTISSA_LIMIT
+            prev[big] /= _TWO_PASS_MANTISSA_LIMIT
+            log_scale[big] += math.log(_TWO_PASS_MANTISSA_LIMIT)
+            scale[big] = np.exp(log_scale[big])
+        h[n, cols] = cur * scale
+
+
 def displaced_parity_wigner(state, points) -> np.ndarray:
     """W(x, p) at each point from the displaced-parity form, one block per point.
 

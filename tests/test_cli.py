@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -196,6 +197,19 @@ def test_wigner_resource_cap_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "20")
     assert main(["wigner", "--dims", "5", "--resolution", "401",
                  "--output", str(tmp_path / "w.csv")]) == 3
+
+
+def test_wigner_cap_fires_before_any_axis(tmp_path):
+    # 10^6 points per axis: the axis alone would be 8 MB, its checks 24 bytes per point
+    out = tmp_path / "w.csv"
+    tracemalloc.start()
+    try:
+        code = main(["wigner", "--dims", "20", "--resolution", str(10**6), "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and not out.exists()
+    assert peak < 2 * 10**6
 
 
 @pytest.mark.parametrize("extent", ["1e12", "1e20", "1e200", "1e300"])

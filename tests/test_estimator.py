@@ -39,7 +39,7 @@ from gkpsq.estimator import (
     save_samples,
     synthesize_samples,
 )
-from gkpsq.fock import FockState, quadrature_pdf
+from gkpsq.fock import FockState, QuadraturePdf, quadrature_pdf
 from gkpsq.operators import (
     GKP_DET,
     approx_gkp_state,
@@ -164,6 +164,30 @@ def test_estimate_sampled_hex_ground_state():
     samples = synthesize_samples(gs.state, angles, 10**5, seed=5)
     report = estimate_xi(samples, hexg)
     assert abs(report.xi - xi_true) < 3.0 * report.std_error
+
+
+def test_sampler_reach_grid_holds_the_top_number_state():
+    # the 8192 points on +-(sqrt(2N + 1) + 6) resolve |N-1>, whose pdf reaches furthest
+    state = FockState.number_state(999, 1000)
+    reach = math.sqrt(2001.0) + 6.0
+    for angle in (0.0, 1.1):
+        pdf = quadrature_pdf(state, angle, np.linspace(-reach, reach, 8192))
+        assert not pdf.grid_too_narrow and abs(pdf.mass - 1.0) < 1e-12
+    values = synthesize_samples(state, [0.0], 1000, seed=3).records[0][1]
+    assert np.abs(values).max() <= reach
+
+
+def test_sampler_raises_instead_of_widening(monkeypatch):
+    grids = []
+
+    def narrow(state, angle, grid):
+        grids.append(grid)
+        return QuadraturePdf(density=np.ones(grid.size), mass=0.75, grid_too_narrow=True)
+
+    monkeypatch.setattr(estimator, "quadrature_pdf", narrow)
+    with pytest.raises(ValueError, match="misses mass 0.25 at angle 0.0"):
+        synthesize_samples(FockState.number_state(0, 2), [0.0, 1.0], 10, seed=0)
+    assert len(grids) == 1
 
 
 def test_displacement_mean_constant_and_symmetric():

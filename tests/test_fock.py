@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -36,6 +36,7 @@ from gkpsq.operators import (
 from oracles import (
     density_matrix_full_checks,
     displaced_parity_wigner,
+    hermite_functions_two_pass,
     hermite_wavefunction_direct,
     laguerre_displacement_element,
     ladder_matrices,
@@ -424,6 +425,49 @@ def test_hermite_functions_orthonormal_past_seed_underflow():
     top = hermite_functions(900, q)[650:]
     gram = top @ top.T * (q[1] - q[0])
     assert np.abs(gram - np.eye(251)).max() < 1e-10
+
+
+def _displacement_lattice(dim: int, origin: float) -> np.ndarray:
+    """The sorted lattice `displacement_blocks` tabulates, moved to `origin`."""
+    reach = math.sqrt(2.0 * dim + 1.0) + 6.0
+    step = math.pi / (2.0 * reach)
+    half = math.floor(reach / step)
+    return np.arange(-half, half + 1) * step + origin
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(1, 900), origin=st.floats(-40.0, 40.0))
+@example(dim=900, origin=0.0)  # far columns on both sides of the near hull
+@example(dim=700, origin=-3.5)
+@example(dim=12, origin=1.77)
+def test_hermite_table_is_bit_identical_to_two_pass_oracle_on_lattices(dim, origin):
+    # each column is computed once, by the recurrence the two-pass table ends with
+    q = _displacement_lattice(dim, origin)
+    assert hermite_functions(dim - 1, q).tobytes() == hermite_functions_two_pass(dim - 1, q).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_max=st.integers(0, 400), q=st.lists(st.floats(-80.0, 80.0), max_size=40).map(np.array))
+@example(n_max=300, q=np.array([0.0, 40.0, -5.0, -35.0, 10.0, 33.0, 2.0]))  # far columns inside the near hull
+@example(n_max=300, q=np.array([40.0, -50.0, 33.0]))  # every column far
+@example(n_max=10, q=np.array([]))
+@example(n_max=5, q=np.array([1.3]))
+@example(n_max=5, q=np.array([-40.0]))
+def test_hermite_table_is_bit_identical_to_two_pass_oracle_on_any_grid(n_max, q):
+    assert hermite_functions(n_max, q).tobytes() == hermite_functions_two_pass(n_max, q).tobytes()
+
+
+def test_wigner_checks_the_budget_before_any_axis_sized_array():
+    # 10^6 points per axis: a bool or float per point would be 1 or 8 MB
+    xs = np.linspace(-6.0, 6.0, 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="floats for one x row"):
+            wigner(FockState.number_state(0, 20), xs, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
 
 
 def test_state_validation():

@@ -372,6 +372,33 @@ def test_corner_of_a_build_is_the_smaller_build(name, A, offsets, dims):
     assert abs(ground_state(corner).xi_min - full_block_ground_state(grid, n)[0]) <= 1e-13
 
 
+@pytest.mark.parametrize("grid", [
+    preset_grid("q0"),
+    preset_grid("hex"),  # turned halves
+    dataclasses.replace(preset_grid("hex"), d1=0.3, d2=-0.7),  # one complex block
+    GridSpec(0.8, 0.3, -0.5, 2.1, d1=0.25, d2=-1.1),
+])
+@pytest.mark.parametrize("dims", [(600, 600), (301, 600)])
+def test_matrix_is_assembled_in_place(grid, dims):
+    # each block is copied into its view and turned there: the result is the only
+    # full-size array, with the bits of u[:, None] * block * conj(u); numpy's
+    # casting buffers for strided views add a fixed few hundred kB
+    n, m = dims
+    op = dataclasses.replace(build_operator(grid, m), dim=n)
+    tracemalloc.start()
+    try:
+        mat = op.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n**2 + 2**19
+    expected = np.zeros((n, n), dtype=complex)
+    for sel, block in zip(_invariant_blocks(grid), op.blocks):
+        u = op.turn[: len(range(n)[sel])]
+        expected[sel, sel] = u[:, None] * block[: u.size, : u.size] * u.conj()
+    assert mat.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("dim", [0, 8])
 def test_corner_outside_the_build_raises(dim):
     op = build_operator(preset_grid("hex"), 7)
@@ -749,6 +776,23 @@ def test_approx_state_logical_bit_shifts_peaks():
     n_even = float(np.sum(ns * np.abs(even.amplitudes) ** 2))
     n_odd = float(np.sum(ns * np.abs(odd.amplitudes) ** 2))
     assert n_odd > n_even
+
+
+@pytest.mark.parametrize("g, s_max, dim", [(1e-6, 2, 2000), (1e-5, 20, 400)])
+def test_approx_state_quadrature_past_the_budget_raises_before_any_array(monkeypatch, g, s_max, dim):
+    # dim times 176214 and 284012 points: 2.8 and 0.91 GB tables against 15 cap^2 floats (0.48 GB)
+    def no_table(*args, **kwargs):
+        raise AssertionError("Hermite table built past the budget")
+
+    monkeypatch.setattr(operators, "hermite_functions", no_table)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="quadrature points"):
+            approx_gkp_state(ApproxGKPParams(g=g, a=SQRT_PI_2, s_max=s_max), dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
 
 
 def test_approx_state_default_peak_count():
