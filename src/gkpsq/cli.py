@@ -155,7 +155,7 @@ def cmd_wigner(args) -> int:
     # `wigner`'s cap checks, from the spacing, extent and count, before any axis exists
     check_build_dim(dim)
     dx, p_max = (2.0 * args.extent / (args.resolution - 1), args.extent) if args.resolution > 1 else (None, 0.0)
-    _wigner_lattice(dim, dx, p_max, args.resolution)
+    _wigner_lattice(dim, dx, p_max, args.resolution, args.resolution)
     grid = preset_grid(args.topology[0])
     gs = ground_state(build_operator(grid, dim))
     axis = np.linspace(-args.extent, args.extent, args.resolution) if args.resolution > 1 else np.array([0.0])

@@ -56,6 +56,14 @@ class SampleParseError(ValueError):
     """Sample file is malformed; message carries the line number."""
 
 
+def _checked_angle(angle) -> float:
+    """`angle` as a float; ValueError unless it lies in [0, pi)."""
+    angle = float(angle)
+    if not 0.0 <= angle < math.pi:
+        raise ValueError(f"angles must lie in [0, pi), got {angle}")
+    return angle
+
+
 @dataclass
 class QuadratureSamples:
     """Homodyne outcomes grouped by measurement angle (radians in [0, pi))."""
@@ -65,9 +73,7 @@ class QuadratureSamples:
     def __post_init__(self):
         cleaned = []
         for angle, values in self.records:
-            angle = float(angle)
-            if not 0.0 <= angle < math.pi:
-                raise ValueError(f"angles must lie in [0, pi), got {angle}")
+            angle = _checked_angle(angle)
             vals = np.asarray(values, dtype=float).reshape(-1)
             if vals.size == 0:
                 raise ValueError(f"empty sample list for angle {angle}")
@@ -505,29 +511,31 @@ def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
 def synthesize_samples(state: FockState, angles, n_per_angle: int, seed: int) -> QuadratureSamples:
     """Draw quadrature samples from a pure state by inverse-CDF sampling.
 
-    The pdf is tabulated at 8192 points on [-reach, reach], reach =
-    sqrt(2N + 1) + 6, past which every number state below N is beyond its
-    turning point by 6, and inverted through the cumulative trapezoid;
-    output is deterministic for a given seed.  The points resolve |psi|^2
-    for N up to about 2990; a pdf that misses more than 1e-6 of the mass
-    raises ValueError.
+    Every angle is checked to lie in [0, pi) before any work.  One
+    `quadrature_pdf` call tabulates the pdf of every angle at 8192 points
+    on [-reach, reach], reach = sqrt(2N + 1) + 6, past which every number
+    state below N is beyond its turning point by 6: one Hermite table
+    serves all the angles.  Each pdf is inverted through its cumulative
+    trapezoid; output is deterministic for a given seed.  The points
+    resolve |psi|^2 for N up to about 2990; a pdf that misses more than
+    1e-6 of the mass raises ValueError.
     """
     if n_per_angle < 1:
         raise ValueError(f"n_per_angle must be >= 1, got {n_per_angle}")
+    angles = [_checked_angle(angle) for angle in angles]
     rng = np.random.default_rng(seed)
     reach = _lattice_reach(state.dim)
     grid = np.linspace(-reach, reach, 8192)
     dq = grid[1] - grid[0]
     records = []
-    for angle in angles:
-        pdf = quadrature_pdf(state, angle, grid)
+    for angle, pdf in zip(angles, quadrature_pdf(state, angles, grid)):
         if pdf.grid_too_narrow:
             raise ValueError(f"sampling grid +-{reach:.6g} misses mass {1.0 - pdf.mass:.3g} at angle {angle!r}")
         cdf = np.zeros(grid.size)
         np.cumsum(0.5 * (pdf.density[1:] + pdf.density[:-1]) * dq, out=cdf[1:])
         cdf /= cdf[-1]
         u = rng.random(n_per_angle)
-        records.append((float(angle), np.interp(u, cdf, grid)))
+        records.append((angle, np.interp(u, cdf, grid)))
     return QuadratureSamples(records)
 
 

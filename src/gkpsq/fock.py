@@ -343,22 +343,26 @@ class QuadraturePdf:
     grid_too_narrow: bool
 
 
-def quadrature_pdf(state: FockState, angle: float, q_grid: np.ndarray) -> QuadraturePdf:
-    """|psi(q; angle)|^2 for the rotated quadrature x(angle) = x cos + p sin.
+def quadrature_pdf(state: FockState, angles, q_grid: np.ndarray) -> list[QuadraturePdf]:
+    """|psi(q; angle)|^2 for each rotated quadrature x(angle) = x cos + p sin, in the order given.
 
-    Measuring x(angle) on psi is measuring x on exp(-i*angle*n) psi, so the
-    wavefunction is a phase-twisted Hermite series.  The result carries the
-    probability mass captured by the grid; `grid_too_narrow` flags a grid
-    that misses more than 1e-6 of it.
+    Measuring x(angle) on psi is measuring x on exp(-i*angle*n) psi, so each
+    wavefunction is a phase-twisted Hermite series.  One table
+    `hermite_functions(N - 1, q)` per call serves every angle; each angle
+    has its own product with it and its own trapezoid mass.  A result
+    carries the probability mass captured by the grid; `grid_too_narrow`
+    flags a grid that misses more than 1e-6 of it, or a mass that is not
+    finite.
     """
     q = np.asarray(q_grid, dtype=float)
     ns = np.arange(state.dim)
-    rotated = state.amplitudes * np.exp(-1j * angle * ns)
-    h = hermite_functions(state.dim - 1, q)
-    psi = rotated @ h.astype(complex)
-    density = np.abs(psi) ** 2
-    mass = float(np.trapezoid(density, q)) if q.size > 1 else 0.0
-    return QuadraturePdf(density=density, mass=mass, grid_too_narrow=mass < 1.0 - 1e-6)
+    table = hermite_functions(state.dim - 1, q).astype(complex)
+    pdfs = []
+    for angle in angles:
+        density = np.abs((state.amplitudes * np.exp(-1j * angle * ns)) @ table) ** 2
+        mass = float(np.trapezoid(density, q)) if q.size > 1 else 0.0
+        pdfs.append(QuadraturePdf(density=density, mass=mass, grid_too_narrow=not mass >= 1.0 - 1e-6))
+    return pdfs
 
 
 def wigner(state: FockState, xs, ps) -> np.ndarray:
@@ -379,10 +383,11 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
     By Cauchy-Schwarz and the same rule, |W| <= 1/pi for any normalized
     input.
 
-    The state's dimension is checked against `build_dim_cap()`.  The rows
-    run in chunks whose arrays stay within 15 cap^2 floats; a grid whose
-    single row does not fit raises ResourceCapError before any array the
-    size of an axis is made (`_wigner_lattice`).
+    The state's dimension is checked against `build_dim_cap()`.  The output
+    and the arrays of one chunk of rows stay within 15 cap^2 floats
+    together; a grid whose output and single row do not fit raises
+    ResourceCapError before any array the size of an axis is made
+    (`_wigner_lattice`).
     """
     check_build_dim(state.dim)
     xs = _wigner_axis(xs, "xs")
@@ -392,7 +397,7 @@ def wigner(state: FockState, xs, ps) -> np.ndarray:
         dx = (xs[-1] - xs[0]) / (xs.size - 1)
         if not dx > 0.0:
             raise ValueError("xs must be increasing and evenly spaced")
-    m, dy, half, rows = _wigner_lattice(state.dim, dx, max(ps.max(), -ps.min()), ps.size)
+    m, dy, half, rows = _wigner_lattice(state.dim, dx, max(ps.max(), -ps.min()), xs.size, ps.size)
     if xs.size > 1 and np.abs(np.diff(xs) - dx).max() > 1e-9 * dx:
         raise ValueError("xs must be increasing and evenly spaced")
     ks = np.arange(-half, half + 1)
@@ -420,7 +425,7 @@ def _wigner_axis(values, name: str) -> np.ndarray:
     return axis
 
 
-def _wigner_lattice(dim: int, dx: float | None, p_max: float, n_p: int) -> tuple[int, float, int, int]:
+def _wigner_lattice(dim: int, dx: float | None, p_max: float, n_x: int, n_p: int) -> tuple[int, float, int, int]:
     """(m, dy, half, rows): `wigner`'s y step dx/m, its lattice -half..half, and x rows per chunk.
 
     `dx` is the x step, None for a single x point (any step serves; half the
@@ -429,9 +434,10 @@ def _wigner_lattice(dim: int, dx: float | None, p_max: float, n_p: int) -> tuple
     ceil(reach/dy).  A chunk of c rows holds a dim x ((c - 1) m + width)
     Hermite table, width = 2 half + 1, three complex c x width arrays, the
     complex c x n_p product, and the shared complex width x n_p phases;
-    `rows` keeps it within the float budget.  The counts are taken in
-    floating point, where an overflow is inf, from these scalars alone, so
-    `cmd_wigner` checks a grid before making its axis.
+    `rows` keeps it and the n_x x n_p output within the float budget.  The
+    counts are taken in floating point, where an overflow is inf, from
+    these scalars alone, so `cmd_wigner` checks a grid before making its
+    axis.
     """
     reach = _lattice_reach(dim)
     limit = math.pi / (reach + p_max)
@@ -443,11 +449,11 @@ def _wigner_lattice(dim: int, dx: float | None, p_max: float, n_p: int) -> tuple
         half = np.ceil(reach / dy)
     per_width = dim + 6 + 2 * n_p
     one_row = per_width * (2.0 * half + 1.0) + 2 * n_p
-    remedy = "use fewer or smaller p values or a coarser x step"
-    budget = _check_float_budget(one_row, "wigner", "one x row", remedy)
+    remedy = "use fewer x or p values, smaller p values or a coarser x step"
+    budget = _check_float_budget(one_row + n_x * n_p, "wigner", "one x row and the output", remedy)
     m, half = int(m), int(half)
     width = 2 * half + 1
-    rows = 1 + (budget - per_width * width - 2 * n_p) // (dim * m + 6 * width + 2 * n_p)
+    rows = 1 + (budget - n_x * n_p - per_width * width - 2 * n_p) // (dim * m + 6 * width + 2 * n_p)
     return m, dy, half, rows
 
 

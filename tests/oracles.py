@@ -8,7 +8,9 @@ loops so the comparisons stay two-sided.  Two exceptions:
 the Laguerre series loses the digits a 1e-13 comparison needs at N = 300.
 For the same reason at N = 1000, `trapezoid_displacement` tabulates with the
 package's `hermite_functions`, which `tests/test_fock.py` checks for
-orthonormality past order 700.
+orthonormality past order 700.  `quadrature_pdf_one_angle` uses it too:
+it is the one-angle marginal, one table per angle, that every pdf of
+`fock.quadrature_pdf` must match bit for bit.
 `optimize_xi_exhaustive` checks `estimator.optimize_xi`'s certified scan
 alone, so it reuses everything else of the optimizer: the angle pairs, the
 box search `_minimize_on_box`, the closed-form offsets and `estimate_xi`.
@@ -33,7 +35,7 @@ from gkpsq.estimator import (
     _reject_overflow,
     estimate_xi,
 )
-from gkpsq.fock import HERM_ATOL, NORM_ATOL, coherent_displacement, hermite_functions
+from gkpsq.fock import HERM_ATOL, NORM_ATOL, FockState, QuadraturePdf, coherent_displacement, hermite_functions
 from gkpsq.operators import GKP_DET, GridSpec
 
 
@@ -349,6 +351,18 @@ def hermite_wavefunction_direct(n: int, q: np.ndarray) -> np.ndarray:
 
     norm = (math.pi ** -0.25) / math.sqrt(2.0 ** n * math.factorial(n))
     return norm * eval_hermite(n, q) * np.exp(-0.5 * q * q)
+
+
+def quadrature_pdf_one_angle(state: FockState, angle: float, q_grid: np.ndarray) -> QuadraturePdf:
+    """The pdf of x(angle) with its own Hermite table: each pdf `fock.quadrature_pdf` returns has its bits."""
+    q = np.asarray(q_grid, dtype=float)
+    ns = np.arange(state.dim)
+    rotated = state.amplitudes * np.exp(-1j * angle * ns)
+    h = hermite_functions(state.dim - 1, q)
+    psi = rotated @ h.astype(complex)
+    density = np.abs(psi) ** 2
+    mass = float(np.trapezoid(density, q)) if q.size > 1 else 0.0
+    return QuadraturePdf(density=density, mass=mass, grid_too_narrow=mass < 1.0 - 1e-6)
 
 
 _TWO_PASS_SEED_LIMIT = 32.0

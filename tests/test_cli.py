@@ -199,6 +199,25 @@ def test_wigner_resource_cap_exit_code(tmp_path, monkeypatch):
                  "--output", str(tmp_path / "w.csv")]) == 3
 
 
+def test_wigner_output_past_the_budget_exits_before_any_axis(tmp_path, capsys, monkeypatch):
+    # at cap 100 one x row fits, but the 401 x 401 output alone exceeds the 150000 floats
+    def no_fock_work(*args):
+        raise AssertionError("ground state built past the budget")
+
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "100")
+    monkeypatch.setattr(cli, "build_operator", no_fock_work)
+    out = tmp_path / "w.csv"
+    tracemalloc.start()
+    try:
+        code = main(["wigner", "--dims", "5", "--extent", "20.5", "--resolution", "401", "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and not out.exists()
+    assert "floats for one x row and the output" in capsys.readouterr().err
+    assert peak < 10**5
+
+
 def test_wigner_cap_fires_before_any_axis(tmp_path):
     # 10^6 points per axis: the axis alone would be 8 MB, its checks 24 bytes per point
     out = tmp_path / "w.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tempfile
 import threading
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gkpsq import estimator
+from gkpsq import estimator, fock
 from gkpsq.analytic import ApproxGKPParams
 from gkpsq.estimator import (
     _SCAN,
@@ -151,7 +152,7 @@ def test_estimate_matches_fock_expectation_in_infinite_data_limit():
         if phi_c >= math.pi:
             phi_c -= math.pi
             sign = -1.0
-        pdf = quadrature_pdf(gs.state, phi_c, grid_pts)
+        [pdf] = quadrature_pdf(gs.state, [phi_c], grid_pts)
         total += np.trapezoid(2 * np.sin(z * sign * grid_pts + d) ** 2 * pdf.density, grid_pts)
     assert total == pytest.approx(xi_true, abs=1e-9)
 
@@ -170,8 +171,7 @@ def test_sampler_reach_grid_holds_the_top_number_state():
     # the 8192 points on +-(sqrt(2N + 1) + 6) resolve |N-1>, whose pdf reaches furthest
     state = FockState.number_state(999, 1000)
     reach = math.sqrt(2001.0) + 6.0
-    for angle in (0.0, 1.1):
-        pdf = quadrature_pdf(state, angle, np.linspace(-reach, reach, 8192))
+    for pdf in quadrature_pdf(state, [0.0, 1.1], np.linspace(-reach, reach, 8192)):
         assert not pdf.grid_too_narrow and abs(pdf.mass - 1.0) < 1e-12
     values = synthesize_samples(state, [0.0], 1000, seed=3).records[0][1]
     assert np.abs(values).max() <= reach
@@ -180,14 +180,26 @@ def test_sampler_reach_grid_holds_the_top_number_state():
 def test_sampler_raises_instead_of_widening(monkeypatch):
     grids = []
 
-    def narrow(state, angle, grid):
+    def narrow(state, angles, grid):
         grids.append(grid)
-        return QuadraturePdf(density=np.ones(grid.size), mass=0.75, grid_too_narrow=True)
+        return [QuadraturePdf(density=np.ones(grid.size), mass=0.75, grid_too_narrow=True) for _ in angles]
 
     monkeypatch.setattr(estimator, "quadrature_pdf", narrow)
     with pytest.raises(ValueError, match="misses mass 0.25 at angle 0.0"):
         synthesize_samples(FockState.number_state(0, 2), [0.0, 1.0], 10, seed=0)
     assert len(grids) == 1
+
+
+@pytest.mark.parametrize("angle", [math.inf, math.nan, 4.0, -0.1, math.pi])
+def test_sampler_checks_every_angle_before_any_table(monkeypatch, angle):
+    def no_table(*args):
+        raise AssertionError("Hermite table built before the angles were checked")
+
+    monkeypatch.setattr(fock, "hermite_functions", no_table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"angles must lie in [0, pi), got {angle}")):
+            synthesize_samples(FockState.number_state(0, 2), [0.0, angle], 10, seed=0)
 
 
 def test_displacement_mean_constant_and_symmetric():
@@ -649,7 +661,7 @@ def test_synthesize_single_photon_histogram():
     edges = np.linspace(-4.5, 4.5, 41)
     counts, _ = np.histogram(values, bins=edges)
     grid_pts = np.linspace(-9, 9, 4001)
-    pdf = quadrature_pdf(state, 0.0, grid_pts)
+    [pdf] = quadrature_pdf(state, [0.0], grid_pts)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf.density[1:] + pdf.density[:-1]) * np.diff(grid_pts))])
     cdf /= cdf[-1]
     probs = np.diff(np.interp(edges, grid_pts, cdf))

@@ -41,6 +41,7 @@ from oracles import (
     laguerre_displacement_element,
     ladder_matrices,
     quadrature_matrices,
+    quadrature_pdf_one_angle,
     trapezoid_displacement,
     vacuum_characteristic,
 )
@@ -161,7 +162,7 @@ DENSE_ENTRY_POINTS = {
     "displacement_blocks": lambda: displacement_blocks(1.0, 20, (slice(None),)),
     "hermite_functions": lambda: hermite_functions(19, np.linspace(-5.0, 5.0, 11)),
     "wigner": lambda: wigner(_STATE_20, [0.0], [0.0]),
-    "quadrature_pdf": lambda: quadrature_pdf(_STATE_20, 0.3, np.linspace(-8.0, 8.0, 101)),
+    "quadrature_pdf": lambda: quadrature_pdf(_STATE_20, [0.3], np.linspace(-8.0, 8.0, 101)),
     "sin2_expectation": lambda: sin2_expectation(_STATE_20, 1.0, 0.5),
     "approx_gkp_state": lambda: approx_gkp_state(ApproxGKPParams(g=0.3, a=_SQRT_PI_2, s_max=2), 20),
     "synthesize_samples": lambda: synthesize_samples(_STATE_20, [0.0], 10, seed=0),
@@ -221,11 +222,10 @@ def test_fidelity_basic():
 def test_quadrature_pdf_vacuum_and_rotation():
     vac = FockState.number_state(0, 2)
     q = np.linspace(-8, 8, 2001)
-    res = quadrature_pdf(vac, 0.0, q)
+    res, rotated = quadrature_pdf(vac, [0.0, 0.7], q)
     assert np.abs(res.density - np.exp(-q * q) / math.sqrt(math.pi)).max() < 1e-12
     assert res.mass == pytest.approx(1.0, abs=1e-9)
     assert not res.grid_too_narrow
-    rotated = quadrature_pdf(vac, 0.7, q)
     assert np.abs(rotated.density - res.density).max() < 1e-12
     var = np.trapezoid(q * q * res.density, q)
     assert var == pytest.approx(0.5, abs=1e-9)
@@ -233,13 +233,13 @@ def test_quadrature_pdf_vacuum_and_rotation():
 
 def test_quadrature_pdf_single_photon_node():
     one = FockState.number_state(1, 2)
-    res = quadrature_pdf(one, 0.0, np.array([0.0]))
+    [res] = quadrature_pdf(one, [0.0], np.array([0.0]))
     assert res.density[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_quadrature_pdf_narrow_grid_flag():
     vac = FockState.number_state(0, 2)
-    res = quadrature_pdf(vac, 0.0, np.linspace(-1.0, 1.0, 101))
+    [res] = quadrature_pdf(vac, [0.0], np.linspace(-1.0, 1.0, 101))
     assert res.grid_too_narrow
     assert res.mass < 1.0 - 1e-6
 
@@ -253,8 +253,62 @@ def test_quadrature_pdf_matches_direct_hermite_series(rng):
     psi = np.zeros_like(q, dtype=complex)
     for n in range(12):
         psi += state.amplitudes[n] * np.exp(-1j * n * angle) * hermite_wavefunction_direct(n, q)
-    res = quadrature_pdf(state, angle, q)
+    [res] = quadrature_pdf(state, [angle], q)
     assert np.abs(res.density - np.abs(psi) ** 2).max() < 1e-10
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_quadrature_pdf_flags_a_non_finite_mass(angle):
+    with np.errstate(invalid="ignore"):
+        [pdf] = quadrature_pdf(_STATE_20, [angle], np.linspace(-8.0, 8.0, 101))
+    assert math.isnan(pdf.mass) and pdf.grid_too_narrow
+
+
+@pytest.mark.parametrize("angles", [[], [0.3], [0.0, 1.1, 2.2, 3.0], [0.5] * 6])
+def test_one_hermite_table_per_call_whatever_the_angle_count(monkeypatch, angles):
+    tables = []
+
+    def recorded(n_max, q):
+        tables.append(n_max)
+        return hermite_functions(n_max, q)
+
+    monkeypatch.setattr(fock, "hermite_functions", recorded)
+    assert len(quadrature_pdf(_STATE_20, angles, np.linspace(-8.0, 8.0, 101))) == len(angles)
+    assert tables == [19]
+    if angles:
+        tables.clear()
+        assert synthesize_samples(_STATE_20, angles, 10, seed=0).angles == angles
+        assert tables == [19]
+
+
+_GRIDS = st.one_of(
+    st.lists(st.floats(-45.0, 45.0), max_size=60).map(np.array),
+    st.builds(np.linspace, st.floats(-45.0, 0.0), st.floats(0.0, 45.0), st.integers(0, 400)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    angles=st.lists(st.sampled_from([0.0, 0.7, math.pi / 2.0]) | st.floats(0.0, math.pi, exclude_max=True),
+                    max_size=6),
+    q=_GRIDS,
+)
+@example(dim=300, seed=1, angles=[0.7, 0.0, 0.7, 0.7], q=np.linspace(-40.0, 40.0, 801))  # repeats, |q| > 32
+@example(dim=300, seed=2, angles=[0.0, 2.5], q=np.linspace(-(math.sqrt(601.0) + 6.0), math.sqrt(601.0) + 6.0, 8192))
+@example(dim=50, seed=3, angles=[], q=np.linspace(-8.0, 8.0, 11))
+@example(dim=5, seed=4, angles=[1.0, 1.0], q=np.array([]))
+@example(dim=5, seed=5, angles=[0.2], q=np.array([36.0]))
+def test_quadrature_pdf_is_bit_identical_to_one_table_per_angle(dim, seed, angles, q):
+    state = random_state(np.random.default_rng(seed), dim)
+    pdfs = quadrature_pdf(state, angles, q)
+    assert len(pdfs) == len(angles)
+    for angle, pdf in zip(angles, pdfs):
+        one = quadrature_pdf_one_angle(state, angle, q)
+        assert pdf.density.tobytes() == one.density.tobytes()
+        assert np.float64(pdf.mass).tobytes() == np.float64(one.mass).tobytes()
+        assert pdf.grid_too_narrow == one.grid_too_narrow
 
 
 def test_wigner_known_points():
@@ -403,6 +457,21 @@ def test_wigner_lattice_past_the_budget_raises_before_allocating(monkeypatch, xs
     monkeypatch.setattr(fock, "hermite_functions", no_table)
     with pytest.raises(ResourceCapError):
         wigner(FockState.number_state(0, 5), xs, ps)
+
+
+def test_wigner_counts_its_output_in_the_budget(monkeypatch):
+    # one x row needs 2233 of the 6000 floats at cap 20; the 10^4 x 11 output does not fit
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "20")
+    xs, ps = np.linspace(-1e4, 1e4, 10**4 + 1), np.linspace(-1.0, 1.0, 11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="floats for one x row and the output"):
+            wigner(FockState.number_state(0, 5), xs, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # the output would be 0.88 MB
+    assert wigner(FockState.number_state(0, 5), xs[:300], ps).shape == (300, 11)  # 3300 + 2233 floats
 
 
 def test_wigner_far_apart_rows():

@@ -8,7 +8,11 @@ preset and for one custom grid (rows of unequal length, nonzero offsets),
 and `estimate` plain, `--bootstrap 500 --seed 1`, `--optimize`,
 `--optimize --no-gkp-valid` and `--optimize --bootstrap 500 --seed 1` on
 two seeded sample files (a q0 ground state and the vacuum, 2 x 2e4 samples
-each) that the script writes into OUTDIR first.  Commands run inside OUTDIR
+each), and `estimate --topology hex` and `--optimize` on a third (a hex
+ground state sampled at 0, pi/2 and hex's two row directions, 4 x 2e4
+samples, so one Hermite table serves four angles and the optimizer runs
+over six angle pairs).  The script writes the sample files into OUTDIR
+first.  Commands run inside OUTDIR
 with relative file names, so the reports' `input` fields do not depend on
 where OUTDIR is.  Run it once per tree and compare with
 `diff -r OUTDIR_A OUTDIR_B`, or with
@@ -66,6 +70,12 @@ def commands() -> dict[str, list[str]]:
         save_samples(synthesize_samples(state, [0.0, math.pi / 2.0], SAMPLES_PER_ANGLE, seed=seed), samples_path)
         for mode, flags in ESTIMATES.items():
             out[f"estimate_{name}_{mode}.json"] = ["estimate", "--input", samples_path, *flags]
+    hex_grid = preset_grid("hex")
+    hex_angles = [0.0, math.pi / 2.0, *(phi % math.pi for _, phi, _ in hex_grid.row_waves())]
+    hex_state = ground_state(build_operator(hex_grid, 40)).state
+    save_samples(synthesize_samples(hex_state, hex_angles, SAMPLES_PER_ANGLE, seed=3), "samples_hex.csv")
+    out["estimate_hex_plain.json"] = ["estimate", "--input", "samples_hex.csv", "--topology", "hex"]
+    out["estimate_hex_optimize.json"] = ["estimate", "--input", "samples_hex.csv", "--optimize"]
     for name in PRESET_NAMES:
         out[f"thresholds_{name}.txt"] = ["thresholds", "--topology", name]
         out[f"thresholds_{name}.json"] = ["thresholds", "--topology", name, "--json"]
