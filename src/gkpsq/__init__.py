@@ -56,9 +56,11 @@ from .operators import (
     apply_channel,
     approx_gkp_state,
     build_operator,
+    build_operators,
     expectation,
     gaussian_route_from_q0,
     ground_state,
+    ground_values,
     preset_grid,
     sin2_expectation,
     transform_grid,

@@ -43,7 +43,7 @@ from .estimator import (
     optimize_xi,
 )
 from .fock import ResourceCapError, _wigner_lattice, check_build_dim, wigner
-from .operators import GridSpec, build_operator, ground_state, preset_grid
+from .operators import GridSpec, build_operator, build_operators, ground_state, ground_values, preset_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,15 +133,15 @@ def cmd_ground_sweep(args) -> int:
         raise ValueError(f"--dims must be >= 1, got {dims}")
     if dims != sorted(dims):
         raise ValueError("--dims must be ascending")
+    # every name is checked before any Fock work
+    grids = [preset_grid(name) for name in args.topology]
     rows = []
-    for name in args.topology:
-        grid = preset_grid(name)
-        # Each truncation is the exact compression of Q, hence the corner of
-        # the largest one: build that once and solve its corners.
-        largest = build_operator(grid, dims[-1])
+    # Each truncation is the exact compression of Q, hence the corner of
+    # the largest one: build that once per grid and solve its corners.
+    for name, largest in zip(args.topology, build_operators(grids, dims[-1])):
         for dim in dims:
-            gs = ground_state(dataclasses.replace(largest, dim=dim))
-            rows.append((name, dim, gs.xi_min, db(gs.xi_min), gs.degeneracy))
+            xi_min, degeneracy = ground_values(dataclasses.replace(largest, dim=dim))
+            rows.append((name, dim, xi_min, db(xi_min), degeneracy))
     _write_csv(args.output, ("topology", "N", "xi_min", "xi_min_db", "degeneracy"), rows)
     return EXIT_OK
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,18 +214,52 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     bit; the exact quarter turn U^H M U, U = diag(i^j) on a block's local
     index j, multiplies h_2k by (-i)^k and is kept only when all weights come
     out real, never on an unsplit basis.  Real weights give float64 blocks.
-    `dim` is checked against the cap first.
+    This is the one-grid case of `build_operators`, whose tables are shared
+    across grids.  `dim` is checked against the cap first.
+    """
+    return next(build_operators((grid,), dim))
+
+
+def _row_shifts(grid: GridSpec) -> Iterator[tuple[float, complex, float]]:
+    """Each row as (s, u, d): its term reads R, the real displacement by s, turned by u."""
+    for c1, c2, d in grid.rows():
+        alpha = math.sqrt(2.0) * complex(-c2, c1)
+        yield math.sqrt(2.0) * abs(alpha), alpha / abs(alpha), d
+
+
+def build_operators(grids, dim: int) -> Iterator[TruncatedOperator]:
+    """`build_operator` of each grid in `grids`, yielded in order.
+
+    Rows of equal shift on the same number of invariant sets read one
+    `displacement_blocks` call for the whole sequence: q1 reads q0's
+    tables and s1 reads s0's.  A table is held only until the last grid
+    that reads it is built, and the tables a grid still lacks are made
+    before its blocks, so the peak is that of one build.  Every block is
+    bit-identical to a build of its grid alone.  Nothing outlives the
+    generator.  `dim` is checked against the cap before any table.
     """
     check_build_dim(dim)
+    grids = tuple(grids)
+    keys = [{(s, len(_invariant_blocks(grid))) for s, _, _ in _row_shifts(grid)} for grid in grids]
+    last = {key: i for i, grid_keys in enumerate(keys) for key in grid_keys}
+    tables: dict[tuple[float, int], list[np.ndarray]] = {}
+    for i, grid in enumerate(grids):
+        op = _build_from_tables(grid, dim, tables)
+        for key in keys[i]:
+            if last[key] == i:
+                del tables[key]
+        yield op
+
+
+def _build_from_tables(grid: GridSpec, dim: int, tables: dict) -> TruncatedOperator:
+    """One grid's blocks (see `build_operator`), adding the tables it lacks to `tables`."""
     sets = _invariant_blocks(grid)
     # The sets share one stride, so the largest set's gap weights serve them all.
     stride, size = sets[0].step or 1, len(range(dim)[sets[0]])
     odd = stride * np.arange(size) % 2 == 1
     # Rows of equal shift read one table, and their gap weights add.
     weights: dict[float, np.ndarray] = {}
-    for c1, c2, d in grid.rows():
-        alpha = math.sqrt(2.0) * complex(-c2, c1)
-        shift, u = math.sqrt(2.0) * abs(alpha), alpha / abs(alpha)
+    for shift, u, d in _row_shifts(grid):
         h = np.where(odd, 1j * math.sin(2.0 * d), math.cos(2.0 * d)) * _powers(u * u if stride == 2 else u, size)
         weights[shift] = weights.get(shift, 0) + h
     w, turn = np.array(list(weights.values())), np.ones(size)
@@ -232,10 +267,13 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     if stride == 2 and w.imag.any() and not (w * quarter.conj()).imag.any():
         w, turn = w * quarter.conj(), quarter
     w = w if w.imag.any() else w.real
+    for shift in weights:
+        if (shift, len(sets)) not in tables:
+            tables[shift, len(sets)] = displacement_blocks(shift, dim, sets)
     blocks = [2.0 * np.eye(len(range(dim)[sel]), dtype=w.dtype) for sel in sets]
     for shift, h in zip(weights, w):
         toeplitz = _toeplitz(h, np.where(odd, -h, h).conj(), size)
-        for block, part in zip(blocks, displacement_blocks(shift, dim, sets)):
+        for block, part in zip(blocks, tables[shift, len(sets)]):
             block -= toeplitz[: len(part), : len(part)] * part
     return TruncatedOperator(grid, dim, tuple(blocks), turn)
 
@@ -263,29 +301,55 @@ def _invariant_blocks(grid: GridSpec) -> tuple[slice, ...]:
     return (slice(None),)
 
 
+def _corners(op: TruncatedOperator):
+    """(set, turn, leading corner) of each invariant block holding a state of `op`."""
+    for sel, block in zip(_invariant_blocks(op.grid), op.blocks):
+        u = op.turn[: len(range(op.dim)[sel])]
+        if u.size:
+            yield sel, u, block[: u.size, : u.size]
+
+
+def _lowest_level(spectra: list[np.ndarray]) -> tuple[int, float, int]:
+    """(block, xi_min, degeneracy) from each block's ascending eigenvalues.
+
+    `degeneracy` counts the eigenvalues of all blocks within a relative
+    1e-8 of the lowest; on a tie across blocks the first block holds it.
+    """
+    first = min(range(len(spectra)), key=lambda k: spectra[k][0])
+    xi_min = float(spectra[first][0])
+    tol = max(1e-8, 1e-8 * abs(xi_min))
+    return first, xi_min, int(np.count_nonzero(np.concatenate(spectra) < xi_min + tol))
+
+
 def ground_state(op: TruncatedOperator) -> GroundState:
     """Lowest eigenpair of the truncated operator, block by invariant block.
 
     Each block's leading corner goes to `np.linalg.eigh` as built, and its
-    eigenvector is turned back by `op.turn`.  `degeneracy` counts the
-    eigenvalues of all blocks within a relative 1e-8 of the lowest; on a
-    tie across blocks the first block's state is returned, with its
-    largest-magnitude amplitude real and positive.
+    eigenvector is turned back by `op.turn`.  The level and its degeneracy
+    follow `_lowest_level`; the first lowest block's state is returned, with
+    its largest-magnitude amplitude real and positive.
     """
     solved = []
-    for sel, block in zip(_invariant_blocks(op.grid), op.blocks):
-        u = op.turn[: len(range(op.dim)[sel])]
-        if u.size:
-            vals, vecs = np.linalg.eigh(block[: u.size, : u.size])
-            solved.append((vals, sel, u * vecs[:, 0]))
-    vals, sel, vec = min(solved, key=lambda s: s[0][0])  # the first block on a tie
+    for sel, u, corner in _corners(op):
+        vals, vecs = np.linalg.eigh(corner)
+        solved.append((vals, sel, u * vecs[:, 0]))
+    first, xi_min, degeneracy = _lowest_level([vals for vals, _, _ in solved])
+    _, sel, vec = solved[first]
     lead = vec[np.argmax(np.abs(vec))]
     amps = np.zeros(op.dim, dtype=complex)
     amps[sel] = vec * (np.abs(lead) / lead)
-    xi_min = float(vals[0])
-    tol = max(1e-8, 1e-8 * abs(xi_min))
-    degeneracy = int(np.count_nonzero(np.concatenate([s[0] for s in solved]) < xi_min + tol))
     return GroundState(xi_min=xi_min, state=FockState.normalized(amps), degeneracy=degeneracy)
+
+
+def ground_values(op: TruncatedOperator) -> tuple[float, int]:
+    """(xi_min, degeneracy) of `ground_state`, from eigenvalues alone.
+
+    One `np.linalg.eigvalsh` per invariant block's leading corner; the turn
+    is a unitary similarity, so it is not applied.  The values agree with
+    `ground_state`'s to rounding, not to the bit.
+    """
+    _, xi_min, degeneracy = _lowest_level([np.linalg.eigvalsh(corner) for _, _, corner in _corners(op)])
+    return xi_min, degeneracy
 
 
 def _mean(state: FockState | DensityMatrix, matrix: np.ndarray) -> complex:

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gkpsq.analytic import THRESHOLDS
-from gkpsq import cli
+from gkpsq import cli, fock
 from gkpsq.cli import main
 from gkpsq.estimator import (
     QuadratureSamples,
@@ -94,6 +95,26 @@ def test_ground_sweep_corners_match_direct_builds(tmp_path):
         direct = ground_state(build_operator(preset_grid(topo), int(n)))
         assert abs(float(xi) - direct.xi_min) <= 1e-13, (topo, n)
         assert int(degeneracy) == direct.degeneracy
+
+
+def test_ground_sweep_checks_every_topology_before_any_fock_work(tmp_path, capsys):
+    out = tmp_path / "gs.csv"
+    with mock.patch.object(fock, "hermite_functions", wraps=fock.hermite_functions) as tables:
+        code = main(["ground-sweep", "--topology", "q0", "nosuch", "--dims", "2000", "--output", str(out)])
+    assert code == 2
+    assert "nosuch" in capsys.readouterr().err
+    assert tables.call_count == 0
+    assert not out.exists()
+
+
+def test_readme_ground_sweep_reads_one_table_per_row_length_and_no_eigenvectors(tmp_path):
+    # q1 reads q0's two tables, s1 reads s0's one, hex's equal rows read one
+    with mock.patch.object(fock, "hermite_functions", wraps=fock.hermite_functions) as tables, \
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        assert main(["ground-sweep", "--topology", "q0", "q1", "s0", "s1", "hex",
+                     "--dims", "3", "5", "10", "20", "50", "--output", str(tmp_path / "gs.csv")]) == 0
+    assert tables.call_count == 4
+    assert eigh.call_count == 0
 
 
 def test_wigner_single_point(tmp_path):
@@ -717,6 +738,35 @@ def test_bench_pairs_reports_xi_differences_per_field():
     result = bench_pairs.compare([(report(1.5), report(1.5 + 2**-40)), (report(1.5), report(1.5))])
     assert result["xi_max_abs_diff"] == 2**-40
     assert result["xi_max_abs_diff_by_field"] == {"file_xi": 0.0, "gap": 2**-40, "predicted": 2**-40, "xi": 0.0}
+
+
+def test_bench_pairs_flags_a_gain_past_the_parent_spread():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", tool)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    benchmark = {"end_to_end": [{"name": "stage1_s", "better": "lower", "bound": 0.25}]}
+    before = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # q1 1.225, q3 1.675: spread 0.45
+
+    def line(after):
+        pairs = [({"metrics": {"stage1_s": {"unit": "s", "value": b}}, "xi": {}, "seed": 0, "attempted": 1,
+                   "failed": 0, "failures": []},
+                  {"metrics": {"stage1_s": {"unit": "s", "value": a}}, "xi": {}, "seed": 0, "attempted": 1,
+                   "failed": 0, "failures": []}) for b, a in zip(before, after)]
+        [text] = bench_pairs.summary_lines({"sweeps": bench_pairs.compare(pairs)}, benchmark)
+        return text
+
+    nine_wins = [b - 0.6 for b in before[:9]] + [before[9] + 0.1]
+    assert "spread      0.45" in line(nine_wins) and "after wins 9/10" in line(nine_wins)
+    assert line(nine_wins).endswith("GAIN")
+    eight_wins = [b - 0.6 for b in before[:8]] + [before[8] + 0.1, before[9] + 0.1]
+    assert "GAIN" not in line(eight_wins)
+    within_spread = [b - 0.4 for b in before]  # wins every pair, gap 0.4 <= 0.45
+    assert "after wins 10/10" in line(within_spread) and "GAIN" not in line(within_spread)
+    slower = [b * 1.3 for b in before]
+    assert line(slower).endswith("WORSE")
+    del before[5:]  # five pairs, all won far past the spread: too few to flag
+    assert "after wins 5/5" in line([b - 1.0 for b in before]) and "GAIN" not in line([b - 1.0 for b in before])
 
 
 def test_layer_timings_tool_imports_the_package():

@@ -30,6 +30,7 @@ from gkpsq.operators import (
     apply_channel,
     approx_gkp_state,
     build_operator,
+    build_operators,
     preset_grid,
     sin2_expectation,
 )
@@ -158,6 +159,7 @@ _STATE_20 = FockState.normalized(np.arange(1.0, 21.0))
 _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 DENSE_ENTRY_POINTS = {
     "build_operator": lambda: build_operator(preset_grid("hex"), 20),
+    "build_operators": lambda: list(build_operators([preset_grid("q0"), preset_grid("hex")], 20)),
     "coherent_displacement": lambda: coherent_displacement(0.5, 20),
     "displacement_blocks": lambda: displacement_blocks(1.0, 20, (slice(None),)),
     "hermite_functions": lambda: hermite_functions(19, np.linspace(-5.0, 5.0, 11)),

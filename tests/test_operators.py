@@ -24,9 +24,11 @@ from gkpsq.operators import (
     apply_channel,
     approx_gkp_state,
     build_operator,
+    build_operators,
     expectation,
     gaussian_route_from_q0,
     ground_state,
+    ground_values,
     preset_grid,
     sin2_expectation,
     transform_grid,
@@ -325,6 +327,10 @@ def test_parity_halves_match_full_block_oracle(name, A, offsets, dim):
     assert gs.degeneracy == degeneracy
     if degeneracy == 1:
         assert abs(abs(np.vdot(amps, gs.state.amplitudes)) - 1.0) <= 1e-10
+    # the eigenvalues-only solve holds the same bound and the same count
+    values_min, values_degeneracy = ground_values(build_operator(grid, dim))
+    assert abs(values_min - xi_min) <= 1e-13
+    assert values_degeneracy == degeneracy
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -399,6 +405,40 @@ def test_matrix_is_assembled_in_place(grid, dims):
     assert mat.tobytes() == expected.tobytes()
 
 
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+# Presets, their images (rotations keep every row length, so tables are shared
+# across grids with other turns) and parity-breaking offsets: split and unsplit
+# grids mix, and drawing from a small pool repeats grids.
+sweep_grids = st.one_of(
+    st.sampled_from(PRESET_NAMES).map(preset_grid),
+    st.builds(transform_grid, st.sampled_from(PRESET_NAMES).map(preset_grid), symplectic_maps),
+    st.builds(transform_grid, st.sampled_from(PRESET_NAMES).map(preset_grid),
+              st.floats(0.0, 2.0 * math.pi).map(_rotation)),
+    st.builds(lambda name, offsets: dataclasses.replace(preset_grid(name), d1=offsets[0], d2=offsets[1]),
+              st.sampled_from(PRESET_NAMES), any_offsets),
+)
+grid_sequences = st.lists(sweep_grids, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids=grid_sequences, dim=st.integers(1, 60))
+@example(grids=[preset_grid(name) for name in PRESET_NAMES], dim=50)
+@example(grids=[preset_grid("q0"), dataclasses.replace(preset_grid("q0"), d1=0.3), preset_grid("q1")], dim=9)
+def test_shared_tables_give_the_bits_of_one_grid_builds(grids, dim):
+    ops = list(build_operators(grids, dim))
+    assert [op.grid for op in ops] == list(grids)
+    for grid, op in zip(grids, ops):
+        alone = build_operator(grid, dim)
+        assert len(op.blocks) == len(alone.blocks)
+        for block, expected in zip(op.blocks, alone.blocks):
+            assert block.dtype == expected.dtype and np.array_equal(block, expected)
+        assert np.array_equal(op.turn, alone.turn)
+
+
 @pytest.mark.parametrize("dim", [0, 8])
 def test_corner_outside_the_build_raises(dim):
     op = build_operator(preset_grid("hex"), 7)
@@ -448,6 +488,10 @@ def test_split_halves_the_turn_makes_real_take_the_real_eigh(dim):
     assert gs.degeneracy == degeneracy
     if degeneracy == 1:
         assert abs(abs(np.vdot(amps, gs.state.amplitudes)) - 1.0) <= 1e-10
+    # the eigenvalues-only solve holds the same bound and the same count
+    values_min, values_degeneracy = ground_values(build_operator(grid, dim))
+    assert abs(values_min - xi_min) <= 1e-13
+    assert values_degeneracy == degeneracy
 
 
 def test_degeneracy_counts_both_parity_blocks():

@@ -16,9 +16,11 @@ both sides computed with the largest difference between them, overall
 shows apart from its closed-form `predicted` and `gap`).
 
 After writing `--out` it prints one line per workload and metric: both
-medians, the `after` side's wins, and `WORSE` where the `after` median is
-past the metric's relative `bound` in the `after` checkout's
-`BENCHMARK.json`.  The table is a reading aid, not a gate: the exit code
+medians, the `before` side's quartile spread (q3 - q1), the `after` side's
+wins, `WORSE` where the `after` median is past the metric's relative
+`bound` in the `after` checkout's `BENCHMARK.json`, and `GAIN` where at
+least ten pairs ran, the `after` side won at least 9 of 10 of them, and
+its median is better by more than that spread.  The table is a reading aid, not a gate: the exit code
 does not depend on it.
 """
 
@@ -97,18 +99,28 @@ def compare(runs: list[tuple[dict, dict]]) -> dict:
 
 
 def summary_lines(workloads: dict, benchmark: dict) -> list[str]:
-    """One line per workload and metric, flagged WORSE past the metric's bound."""
+    """One line per workload and metric, flagged WORSE past the metric's bound or GAIN.
+
+    Each line also gives the `before` side's quartile spread, q3 - q1.  GAIN
+    needs at least ten pairs, the `after` side to win at least 9 of 10 of
+    them, and its median to be better than the `before` median by more
+    than that spread.
+    """
     declared = {spec["name"]: spec for spec in benchmark.get("end_to_end", [])}
     lines = []
     for workload, result in workloads.items():
         for name, metric in result["metrics"].items():
             before, after = metric["before"]["median"], metric["after"]["median"]
+            spread = metric["before"]["q3"] - metric["before"]["q1"]
             spec = declared.get(name, {})
             sign = -1.0 if spec.get("better") == "higher" else 1.0
+            wins = sum(sign * (a - b) < 0 for b, a in zip(metric["before"]["values"], metric["after"]["values"]))
             worse = "bound" in spec and sign * (after - before) > spec["bound"] * abs(before)
+            gain = metric["pairs"] >= 10 and 10 * wins >= 9 * metric["pairs"] and sign * (before - after) > spread
             lines.append(
                 f"{workload:<10} {name:<12} {before:10.4g} -> {after:10.4g} {metric['unit']:<3}"
-                f" after wins {metric['after_wins']}/{metric['pairs']}" + ("  WORSE" if worse else "")
+                f" spread {spread:9.3g}  after wins {wins}/{metric['pairs']}"
+                + ("  WORSE" if worse else "") + ("  GAIN" if gain else "")
             )
     return lines
 
