@@ -36,6 +36,7 @@ from .analytic import (
     ApproxGKPParams,
 )
 from .estimator import (
+    DEFAULT_ANGLE_TOLERANCE,
     SampleParseError,
     UnmeasurableGridError,
     estimate_xi,
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gkp-valid", dest="gkp_valid", action="store_false")
     p.add_argument("--restarts", type=int, default=None,
                    help="accepted and ignored: the optimizer is a fixed scan with closed-form offsets")
-    p.add_argument("--angle-tolerance", type=float, default=1e-6)
+    p.add_argument("--angle-tolerance", type=float, default=DEFAULT_ANGLE_TOLERANCE)
     p.add_argument("--bootstrap", type=int, default=None,
                    help="resample count for bootstrap error bars (default: delta method)")
     p.add_argument("--seed", type=int, default=0, help="bootstrap resampling seed")

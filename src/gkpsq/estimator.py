@@ -31,7 +31,7 @@ DEFAULT_ANGLE_TOLERANCE = 1e-6
 # so the empirical objective only rewards fitting noise; boxing the split
 # keeps the search inside the statistically identifiable family.
 MAX_LOG_SCALE = 2.0
-# Points of the fixed log-scale scan whose best bracket the Brent step polishes.
+# Points of the fixed log-scale scan whose best bracket the Newton step polishes.
 SCAN_POINTS = 101
 _SCAN = np.linspace(-MAX_LOG_SCALE, MAX_LOG_SCALE, SCAN_POINTS)
 # Lattice step of the cells `_scan` bins a record into.
@@ -147,18 +147,23 @@ def _canonical_direction(phi: float) -> tuple[float, float]:
     return (phi - math.pi, -1.0) if phi >= math.pi else (phi, 1.0)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"angle_tolerance must be finite and >= 0, got {tolerance!r}")
+
+
+def _orientation(delta: float, tolerance: float) -> float:
+    """1.0 if angles `delta` in [0, pi) apart measure one direction, -1.0 if across the wrap at pi, else 0.0."""
+    return 1.0 if delta <= tolerance else -1.0 if math.pi - delta <= tolerance else 0.0
+
+
 def _match_angle(
     phi: float, samples: QuadratureSamples, tolerance: float
 ) -> tuple[np.ndarray, float, float]:
     """Find the one sample record measuring direction phi (mod pi, signed)."""
     phi_c, sign = _canonical_direction(phi)
-    matches = []
-    for angle, values in samples.records:
-        delta = abs(angle - phi_c)
-        if delta <= tolerance:
-            matches.append((values, sign, angle))
-        elif abs(delta - math.pi) <= tolerance:  # wraparound, opposite orientation
-            matches.append((values, -sign, angle))
+    matches = [(values, orientation * sign, angle) for angle, values in samples.records
+               if (orientation := _orientation(abs(angle - phi_c), tolerance))]
     if len(matches) == 1:
         return matches[0]
     if matches:
@@ -208,8 +213,10 @@ def estimate_xi(
     the delta method and add in quadrature, which assumes the per-angle
     sample sets are independent; pass a `bootstrap` resample count for a
     resampling error bar instead (seeded, so still deterministic).  A
-    sample whose phase z q + d overflows raises ValueError.
+    sample whose phase z q + d overflows raises ValueError, and so does a
+    tolerance that is negative or not finite.
     """
+    _check_tolerance(angle_tolerance)
     total = var = 0.0
     terms = []
     for z, phi, d in grid.row_waves():
@@ -291,8 +298,7 @@ def _distinct_angle_pairs(samples: QuadratureSamples, tolerance: float) -> list[
     for i in range(len(samples.records)):
         for j in range(i + 1, len(samples.records)):
             ai, aj = samples.records[i][0], samples.records[j][0]
-            delta = abs(aj - ai)
-            if delta <= tolerance or math.pi - delta <= tolerance:
+            if _orientation(abs(aj - ai), tolerance):
                 raise UnmeasurableGridError(
                     f"measured angles {ai!r} and {aj!r} coincide within {tolerance:g} rad (mod pi); "
                     "merge or drop the duplicates"
@@ -301,21 +307,24 @@ def _distinct_angle_pairs(samples: QuadratureSamples, tolerance: float) -> list[
     return pairs
 
 
+def _phasors(values: np.ndarray, u: float) -> np.ndarray:
+    """exp(i u q) for each sample q, as (cos, sin)(u q); overflowing phases give NaN silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = u * values
+        z = np.empty(phase.size, dtype=complex)
+        np.cos(phase, out=z.real)
+        np.sin(phase, out=z.imag)
+    return z
+
+
 def _char_fn(values: np.ndarray, u: float) -> complex:
     """Empirical characteristic function phi(u) = mean exp(i u q).
 
     Bit-identical to `np.mean(np.exp(1j * u * values))` in less time: the
     complex exp of 0 + i u q is (cos, sin)(u q).  Only the sign of a -0.0
     phase's sine differs, and numpy's sum, which starts from +0.0, drops it.
-    Overflowing phases give NaN silently; `optimize_xi` rejects a record
-    whose phase can overflow anywhere in its box before it reads it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = u * values
-        z = np.empty(phase.size, dtype=complex)
-        np.cos(phase, out=z.real)
-        np.sin(phase, out=z.imag)
-    return complex(np.mean(z))
+    return complex(np.mean(_phasors(values, u)))
 
 
 def _scan(values: np.ndarray, us) -> tuple[np.ndarray, np.ndarray]:
@@ -352,106 +361,70 @@ def _closed_form_offset(phi: complex) -> float:
     return (-0.5 * cmath.phase(phi)) % math.pi
 
 
-def _bounded_brent(f, a: float, b: float) -> tuple[float, float]:
-    """(x, f(x)) minimizing f on [a, b] by Brent's bounded method.
+def _profile_slopes(rows, base: float, r: float) -> tuple[float, float, float]:
+    """xi(r), xi'(r), xi''(r) of xi(r) = sum over rows (values, sign) of 1 - |phi(u)|, u = 2 base e^{sign r}.
 
-    A line-for-line port of scipy's `_minimize_scalar_bounded` (BSD-3) at
-    xatol = 1e-10 and maxiter = 500: it evaluates f at the same points and
-    returns the same bits as `minimize_scalar(f, bounds=(a, b),
-    method="bounded", options={"xatol": 1e-10})`, which
-    `tests/test_estimator.py::test_bounded_brent_matches_scipy` checks.
+    One pass per row gives phi = mean e^{iuq}, summed as `_char_fn` sums it,
+    phi' and phi''; then |phi|' = Re(conj(phi) phi') / |phi|, and
+    du/dr = sign u.  The derivatives are NaN where some |phi| is 0.
     """
-    xatol = 1e-10
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
+    value, slope, curvature = float(len(rows)), 0.0, 0.0
+    for values, sign in rows:
+        u = 2.0 * base * math.exp(sign * r)
+        z = _phasors(values, u)
+        phi = complex(np.mean(z))
+        with np.errstate(over="ignore", invalid="ignore"):
+            z *= values
+            d1 = 1j * complex(np.mean(z))
+            d2 = -complex(np.mean(z * values))
+        size = abs(phi)
+        value -= size
+        if size == 0.0:
+            slope = curvature = math.nan
+            continue
+        m1 = (phi.conjugate() * d1).real / size
+        m2 = (abs(d1) * abs(d1) + (phi.conjugate() * d2).real - m1 * m1) / size
+        slope -= sign * u * m1
+        curvature -= u * u * m2 + u * m1
+    return value, slope, curvature
 
 
-def _minimize_on_box(f, values: list[float]) -> tuple[float, float]:
-    """Minimize f over the log-scale box given f's values on the scan points.
+def _minimize_on_box(rows, base: float, values: list[float]) -> tuple[float, float]:
+    """Minimize the profile of `rows` (see `_profile_slopes`) on the box, given its scan point values.
 
-    `_bounded_brent` polishes the bracket around the best scan point; the
-    scan point is kept when the polish finds nothing lower.
+    Newton's method on the slope polishes the best scan point within the
+    bracket of its neighbours, shrinking it to the side where the slope
+    changes sign and bisecting where a step leaves it or xi'' <= 0.  It
+    stops on a step under 1e-10, a zero or non-finite slope, or 60 steps;
+    the scan point is kept unless the last point evaluated is lower.
     """
     k = int(np.argmin(values))
-    x, fx = _bounded_brent(f, float(_SCAN[max(k - 1, 0)]), float(_SCAN[min(k + 1, SCAN_POINTS - 1)]))
-    if fx < values[k]:
-        return x, fx
-    return float(_SCAN[k]), values[k]
+    a, b = float(_SCAN[max(k - 1, 0)]), float(_SCAN[min(k + 1, SCAN_POINTS - 1)])
+    x = float(_SCAN[k])
+    for _ in range(60):
+        fx, slope, curvature = _profile_slopes(rows, base, x)
+        if slope == 0.0 or not math.isfinite(slope):
+            break
+        a, b = (a, x) if slope > 0.0 else (x, b)
+        step = -slope / curvature if curvature > 0.0 else math.inf
+        if not a <= x + step <= b:
+            step = 0.5 * (a + b) - x
+        if abs(step) < 1e-10:
+            break
+        x += step
+    return (x, fx) if fx < values[k] else (float(_SCAN[k]), values[k])
 
 
 def _minimize_profile(rows, base: float) -> tuple[float, float]:
     """Minimize xi(r) = sum over rows (values, sign) of 1 - |phi(2 base e^{sign r})| on the box."""
-
-    def xi(r):
-        value = float(len(rows))
-        for values, sign in rows:
-            value -= abs(_char_fn(values, 2.0 * base * math.exp(sign * r)))
-        return value
-
     approx, bound = float(len(rows)), 2.0**-50  # both routes' subtractions forming xi, each within 2^-52
     for values, sign in rows:
         scan, error = _scan(values, [2.0 * base * math.exp(sign * r) for r in _SCAN])
         approx, bound = approx - scan, bound + error
     lower = np.nextafter(approx - bound, -np.inf)  # each end rounded outward
     ruled_out = np.isfinite(lower) & (lower > np.nextafter(approx + bound, np.inf).min())
-    return _minimize_on_box(xi, [math.inf if out else xi(r) for out, r in zip(ruled_out, _SCAN)])
+    exact = [math.inf if out else _profile_slopes(rows, base, r)[0] for out, r in zip(ruled_out, _SCAN)]
+    return _minimize_on_box(rows, base, exact)
 
 
 def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
@@ -463,22 +436,22 @@ def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
     1 - Re(e^{2id} phi(2z)) with phi the empirical characteristic function,
     so its best offset is d = -arg(phi(2z))/2 mod pi, leaving 1 - |phi(2z)|.
     With the GKP-validity constraint, z1 z2 sin(phi2 - phi1) = pi/2 and
-    z_i = base * exp(+-r) leave the 1-D profile
-    xi(r) = 2 - |phi1(2 z1)| - |phi2(2 z2)|; without it each row is its own
-    1-D search over its log scale.  Log scales are boxed at MAX_LOG_SCALE
-    (see above) and searched by `_minimize_on_box`.  Returns the
-    negative-log monotone m_gkp = -ln(xi_opt) alongside the winning grid.
+    z_i = base * exp(+-r) leave the profile xi(r) = 2 - |phi1(2 z1)| -
+    |phi2(2 z2)|; without it each row is its own profile in its log scale.
+    Log scales are boxed at MAX_LOG_SCALE (see above), scanned, and polished
+    by Newton's method on the profile's closed-form slope
+    (`_minimize_on_box`).  Returns m_gkp = -ln(xi_opt) with the best grid.
 
     The scan is certified: `_scan` bounds the profile at every scan point,
     a point whose lower bound is finite and strictly above the smallest
-    upper bound gets +inf, and every other point its exact value.  Each
-    point that ties the exact minimum is kept, so the box search sees the
-    argmin (the first on ties), bracket and value of the exhaustive scan,
-    and every output is its bits.  In the worst case no point is ruled
-    out, and the scan costs one exact serial scan of 101 points.  A record
-    whose phase 2 z q overflows at its pair's largest z = base e^MAX_LOG_SCALE
-    raises ValueError before that pair is scanned.
+    upper bound gets +inf, and every other point its exact value, so the
+    polish sees the argmin (the first on ties), bracket and value of the
+    exhaustive scan, and every output is its bits.  A negative or
+    non-finite tolerance raises ValueError before any scan, and so does a
+    record whose phase 2 z q overflows at its pair's largest
+    z = base e^MAX_LOG_SCALE, before that pair is scanned.
     """
+    _check_tolerance(angle_tolerance)
     pairs = _distinct_angle_pairs(samples, angle_tolerance)
     if not pairs:
         raise UnmeasurableGridError("optimization needs samples at two distinct angles (mod pi)")

@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 from scipy.special import eval_genlaguerre, gammaln, genlaguerre
 
 from gkpsq.estimator import (
@@ -233,13 +232,9 @@ def char_fn_complex_exp(values: np.ndarray, u: float) -> complex:
 def optimize_xi_exhaustive(samples, constrain_gkp_valid: bool = True, char_fn=_char_fn) -> OptimizeResult:
     """`estimator.optimize_xi` with the exhaustive scan: every scan point exact, one thread.
 
-    `char_fn` stands in for `_char_fn` in the scan, the polish and the
-    offsets, for example `char_fn_complex_exp`.
+    `char_fn` stands in for `_char_fn` in the scan and the offsets, for
+    example `char_fn_complex_exp`.
     """
-
-    def minimize(f):
-        return _minimize_on_box(f, [f(r) for r in _SCAN])
-
     best = None
     for i, j in _distinct_angle_pairs(samples, DEFAULT_ANGLE_TOLERANCE):
         phi1, q1 = samples.records[i]
@@ -248,15 +243,20 @@ def optimize_xi_exhaustive(samples, constrain_gkp_valid: bool = True, char_fn=_c
         for angle, values in ((phi1, q1), (phi2, q2)):
             _reject_overflow(values, 2.0 * base * math.exp(MAX_LOG_SCALE), angle)
 
-        def sharpness(values, r):
-            return abs(char_fn(values, 2.0 * base * math.exp(r)))
+        def minimize(rows):
+            def xi(r):
+                value = float(len(rows))
+                for values, sign in rows:
+                    value -= abs(char_fn(values, 2.0 * base * math.exp(sign * r)))
+                return value
+
+            return _minimize_on_box(rows, base, [xi(r) for r in _SCAN])
 
         if constrain_gkp_valid:
-            r1, xi = minimize(lambda r: 2.0 - sharpness(q1, r) - sharpness(q2, -r))
+            r1, xi = minimize(((q1, 1.0), (q2, -1.0)))
             r2 = -r1
         else:
-            r1, xi1 = minimize(lambda r: 1.0 - sharpness(q1, r))
-            r2, xi2 = minimize(lambda r: 1.0 - sharpness(q2, r))
+            (r1, xi1), (r2, xi2) = minimize(((q1, 1.0),)), minimize(((q2, 1.0),))
             xi = xi1 + xi2
         if best is None or xi < best[0]:
             best = (xi, phi1, phi2, q1, q2, base * math.exp(r1), base * math.exp(r2))
@@ -267,12 +267,6 @@ def optimize_xi_exhaustive(samples, constrain_gkp_valid: bool = True, char_fn=_c
     report = estimate_xi(samples, grid)
     m_gkp = -math.log(report.xi) if report.xi > 0 else math.inf
     return OptimizeResult(best_grid=grid, m_gkp=m_gkp, angles_used=(phi1, phi2), report=report)
-
-
-def bounded_brent_scipy(f, a: float, b: float) -> tuple[float, float]:
-    """(x, f(x)) minimizing f on [a, b] by scipy's bounded Brent method at xatol 1e-10."""
-    res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": 1e-10})
-    return float(res.x), float(res.fun)
 
 
 def density_matrix_full_checks(mat: np.ndarray) -> str | None:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gkpsq.analytic import THRESHOLDS
-from gkpsq import cli, fock
+from gkpsq import cli, estimator, fock
 from gkpsq.cli import main
 from gkpsq.estimator import (
     QuadratureSamples,
@@ -482,6 +482,17 @@ def test_estimate_rejects_near_duplicate_records(tmp_path):
                      "--output", str(tmp_path / "r.json")] + extra) == 2
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-0.5", "inf"])
+@pytest.mark.parametrize("extra", [[], ["--optimize"]], ids=["plain", "optimize"])
+def test_estimate_rejects_an_invalid_angle_tolerance_before_any_scan(tmp_path, capsys, tolerance, extra):
+    path, out = tmp_path / "vac.csv", tmp_path / "r.json"
+    save_samples(synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 200, seed=7), path)
+    with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as scan:
+        code = main(["estimate", "--input", str(path), "--angle-tolerance", tolerance, "--output", str(out)] + extra)
+    assert code == 2 and scan.call_count == 0 and not out.exists()
+    assert f"angle_tolerance must be finite and >= 0, got {float(tolerance)!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [[], ["--bootstrap", "50"], ["--optimize"],
                                    ["--grid", "1", "0", "0", "1", "1e308", "0"]],
                          ids=["plain", "bootstrap", "optimize", "offset"])
@@ -769,6 +780,24 @@ def test_bench_pairs_flags_a_gain_past_the_parent_spread():
     assert "after wins 5/5" in line([b - 1.0 for b in before]) and "GAIN" not in line([b - 1.0 for b in before])
 
 
+@pytest.mark.parametrize("item", ["sweeps", "nosuch=0", "nosuch=2", "sweeps=0", "sweeps=-1", "sweeps=x", "sweeps=²"])
+def test_bench_pairs_rejects_a_malformed_pairs_item_before_any_run(tmp_path, capsys, item):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", tool)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "sweeps"}, {"name": "estimate"}]}))
+    argv = ["--before", str(tmp_path), "--after", str(tmp_path), "--seed", "1", "--out", str(tmp_path / "o.json"),
+            "--pairs", "estimate=1", item]
+    with mock.patch.object(bench_pairs, "run_once", side_effect=AssertionError("ran")), \
+            pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert f"--pairs {item!r}: expected WORKLOAD=N with N >= 1 and WORKLOAD one of sweeps, estimate" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_layer_timings_tool_imports_the_package():
     # --help loads every package name the timing groups use, and times nothing
     tool = Path(__file__).resolve().parent.parent / "tools" / "layer_timings.py"
@@ -825,13 +854,13 @@ def test_no_command_imports_scipy_or_concurrent_futures(tmp_path):
     One fresh interpreter runs every command: the five sweeps, `thresholds`
     as text and as JSON, and `estimate` plain, with `--bootstrap`, with
     `--optimize` and with `--optimize --no-gkp-valid`.  numpy is the only
-    runtime dependency; `thresholds`' symmetric root is a Newton iteration
-    and `estimate --optimize`'s Brent polish an in-house port, so a scipy
-    import anywhere in gkpsq, even one deferred into a function, fails this
-    test.  Every command runs on the calling thread: the interpreter
-    records each `threading.Thread.start`, and a started thread, or a
-    thread pool from concurrent.futures, fails this test.  Modules imported
-    by the test session do not count.
+    runtime dependency; `thresholds`' symmetric root and `estimate
+    --optimize`'s polish are in-house Newton iterations, so a scipy import
+    anywhere in gkpsq, even one deferred into a function, fails this test.
+    Every command runs on the calling thread: the interpreter records each
+    `threading.Thread.start`, and a started thread, or a thread pool from
+    concurrent.futures, fails this test.  Modules imported by the test
+    session do not count.
     """
     save_samples(synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 2000, seed=43),
                  tmp_path / "vac.csv")

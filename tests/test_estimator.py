@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gkpsq import estimator, fock
@@ -21,7 +21,6 @@ from gkpsq.estimator import (
     QuadratureSamples,
     SampleParseError,
     UnmeasurableGridError,
-    _bounded_brent,
     _char_fn,
     _closed_form_offset,
     _distinct_angle_pairs,
@@ -29,6 +28,7 @@ from gkpsq.estimator import (
     _load_table,
     _minimize_on_box,
     _minimize_profile,
+    _profile_slopes,
     _scan,
     _sin2_terms,
     _term_mean_se,
@@ -50,7 +50,7 @@ from gkpsq.operators import (
     preset_grid,
     sin2_expectation,
 )
-from oracles import bounded_brent_scipy, char_fn_complex_exp, optimize_xi_exhaustive
+from oracles import char_fn_complex_exp, optimize_xi_exhaustive
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 VACUUM_XI_S0 = 2.0 - 2.0 * math.exp(-math.pi / 2.0)
@@ -296,7 +296,7 @@ def test_optimizer_vacuum_is_sound():
     samples = vacuum_samples(10**4, seed=301)
     # independent oracle: offsets minimized in closed form through the
     # empirical characteristic function (the complex exp, not `_char_fn`),
-    # scales found by scanning the box without `_bounded_brent`; without
+    # scales found by scanning the box without the Newton polish; without
     # the GKP constraint the rows are two independent scans.  Each profile
     # is scanned coarsely (step 0.02) and then densely (101 points, step at
     # most 4e-4) over the cells beside its coarse best point.  Resolution: on this file each
@@ -468,16 +468,16 @@ def test_certified_scan_matches_exhaustive_scan(samples, constrained):
 
 
 def _scan_profiles(monkeypatch, samples, constrained) -> list:
-    """(exact profile, values `_minimize_on_box` is given) for each box search `optimize_xi` makes.
+    """(rows, base, values `_minimize_on_box` is given, its result) for each box search `optimize_xi` makes.
 
     The profiles of every angle pair are minimized directly, so records that
     `optimize_xi` rejects for overflow before scanning are scanned too.
     """
     seen = []
 
-    def spy(f, values):
-        seen.append((f, values))
-        return _minimize_on_box(f, values)
+    def spy(rows, base, values):
+        seen.append((rows, base, values, _minimize_on_box(rows, base, values)))
+        return seen[-1][-1]
 
     monkeypatch.setattr(estimator, "_minimize_on_box", spy)
     with warnings.catch_warnings():
@@ -487,7 +487,17 @@ def _scan_profiles(monkeypatch, samples, constrained) -> list:
             base = math.sqrt(GKP_DET / math.sin(phi2 - phi1))
             for rows in [((q1, 1.0), (q2, -1.0))] if constrained else [((q1, 1.0),), ((q2, 1.0),)]:
                 _minimize_profile(rows, base)
-        return [([f(r) for r in _SCAN], values) for f, values in seen]
+    return seen
+
+
+def _exact_xi(rows, base, r) -> float:
+    """The profile of `rows` at r, each |phi| through the complex exp, subtracted as the optimizer subtracts."""
+    value = float(len(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for values, sign in rows:
+            value -= abs(char_fn_complex_exp(values, 2.0 * base * math.exp(sign * r)))
+    return value
 
 
 @settings(max_examples=100, deadline=None)
@@ -500,7 +510,8 @@ def test_certified_scan_keeps_the_exact_argmin(samples, constrained):
     with pytest.MonkeyPatch.context() as monkeypatch:
         profiles = _scan_profiles(monkeypatch, samples, constrained)
     assert profiles
-    for exact, values in profiles:
+    for rows, base, values, _ in profiles:
+        exact = [_exact_xi(rows, base, r) for r in _SCAN]
         kept = [k for k, v in enumerate(values) if v != math.inf]
         assert [float(values[k]).hex() for k in kept] == [float(exact[k]).hex() for k in kept]
         assert int(np.argmin(exact)) in kept
@@ -519,7 +530,7 @@ def test_certified_scan_kept_point_counts(monkeypatch, case, fewest, most):
     else:
         samples = EDGE_CASES[case]
     for constrained in (True, False):
-        for _, values in _scan_profiles(monkeypatch, samples, constrained):
+        for _, _, values, _ in _scan_profiles(monkeypatch, samples, constrained):
             assert fewest <= sum(v != math.inf for v in values) <= most
 
 
@@ -540,6 +551,122 @@ def test_scan_bound_holds_at_every_scan_point(values, base):
         assert finite.all()
 
 
+def _profile_rows(values, second, constrained):
+    """The rows of a constrained profile of two records, or of the free profile of the first."""
+    return ((values, 1.0), (second, -1.0)) if constrained else ((values, 1.0),)
+
+
+def _rounding(rows, base, reach) -> float:
+    """A bound on the rounding of one exact profile value at any |r| <= reach.
+
+    Per row, u <= 2 base e^reach carries up to three roundings and u q one
+    more, so the phase errs by at most 4 eps u Q, Q the largest |q|; cos and
+    sin are taken to err by 4 ulps each, and the mean of n terms of
+    magnitude at most 1 by 1.01 n eps.  So |phi| errs by less than
+    2^-50 (u Q + n + 8) (eps = 2^-52), which also covers the subtraction
+    forming the row's share of xi.
+    """
+    return sum(2.0**-50 * (2.0 * base * math.exp(reach) * float(np.max(np.abs(values))) + values.size + 8)
+               for values, _ in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=record_values, second=record_values, base=st.floats(0.5, 3.0), constrained=st.booleans(),
+       r=st.floats(-MAX_LOG_SCALE, MAX_LOG_SCALE))
+@example(values=np.linspace(-1.0, 1.0, 201), second=np.zeros(1), base=0.5, constrained=False, r=-MAX_LOG_SCALE)
+@example(values=_comb(3, 2000, 0.3), second=_comb(4, 1500, 0.2), base=SQRT_PI_2, constrained=True, r=0.1)
+def test_profile_slopes_match_central_differences(values, second, base, constrained, r):
+    # Richardson: a central difference at step h errs by c h^2 + O(h^4), so
+    # the gap between steps h and 2h, 3 c h^2, bounds the error at h.  The
+    # values' rounding e (`_rounding`) moves the differences by at most e / h
+    # and 4 e / h^2; twice that also covers the closed forms' own rounding,
+    # far smaller at this h.  The check reads points where no |phi| is below
+    # 1/4 and u Q stays under 2^30: there h = 2^-10 / (1 + u Q) is short
+    # beside the scale |phi| / |phi'| of the profile's variation and long
+    # beside the spacing of floats near r.
+    rows = _profile_rows(values, second, constrained)
+    reach = max(2.0 * base * math.exp(abs(r) + 0.01) * float(np.max(np.abs(v))) for v, _ in rows)
+    assume(reach < 2.0**30)
+    assume(all(abs(_char_fn(v, 2.0 * base * math.exp(sign * r))) >= 0.25 for v, sign in rows))
+    h = 2.0**-10 / (1.0 + reach)
+    f = {k: _exact_xi(rows, base, r + k * h) for k in (-2, -1, 0, 1, 2)}
+    slope = {step: (f[step] - f[-step]) / (2.0 * step * h) for step in (1, 2)}
+    curvature = {step: (f[step] - 2.0 * f[0] + f[-step]) / (step * h) ** 2 for step in (1, 2)}
+    e = _rounding(rows, base, abs(r) + 0.01)
+    value, closed_slope, closed_curvature = _profile_slopes(rows, base, r)
+    assert value == f[0]
+    assert abs(closed_slope - slope[1]) <= abs(slope[2] - slope[1]) + 2.0 * e / h
+    assert abs(closed_curvature - curvature[1]) <= abs(curvature[2] - curvature[1]) + 8.0 * e / h**2
+
+
+def _dense_profile(rows, base, rs) -> np.ndarray:
+    """The profile at each r in `rs`, every |phi| through the complex exp."""
+    out = np.full(rs.size, float(len(rows)))
+    with np.errstate(all="ignore"):
+        for values, sign in rows:
+            us = 2.0 * base * np.exp(sign * rs)
+            out -= np.abs(np.exp(1j * np.outer(us, values)).mean(axis=1))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=record_values, second=record_values, base=st.floats(0.5, 3.0), constrained=st.booleans())
+@example(values=np.full(50, 1.234), second=np.full(50, 1.234), base=SQRT_PI_2, constrained=True)  # constant
+@example(values=np.zeros(20), second=np.linspace(-1.0, 1.0, 201), base=0.5, constrained=True)  # minimum at r = 2
+@example(values=np.linspace(-1.0, 1.0, 201), second=np.zeros(1), base=0.5, constrained=False)  # bracket at k = 0
+@example(values=_comb(3, 2000, 0.3), second=_comb(4, 1500, 0.2), base=SQRT_PI_2, constrained=True)
+def test_polish_reaches_the_dense_scan_minimum_of_its_bracket(values, second, base, constrained):
+    # The polished point lies in the bracket of the best scan point (the
+    # certified scan keeps the exact argmin) and carries its exact value.
+    # Where a 2001-point exact scan of the bracket shows one valley (its
+    # values fall, then rise, up to rounding), the polish is no higher than
+    # that scan's minimum plus the rounding of both values.
+    rows = _profile_rows(values, second, constrained)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        x, fx = _minimize_profile(rows, base)
+    scan = [_exact_xi(rows, base, r) for r in _SCAN]
+    k = int(np.argmin(scan))
+    a, b = _SCAN[max(k - 1, 0)], _SCAN[min(k + 1, SCAN_POINTS - 1)]
+    assert a <= x <= b
+    assert float(fx).hex() == float(_exact_xi(rows, base, x)).hex()
+    dense = _dense_profile(rows, base, np.linspace(a, b, 2001))
+    e = _rounding(rows, base, MAX_LOG_SCALE)
+    low = int(np.argmin(dense))
+    one_valley = (np.diff(dense[: low + 1]) <= 2.0 * e).all() and (np.diff(dense[low:]) >= -2.0 * e).all()
+    if np.isfinite(dense).all() and one_valley:
+        assert fx <= dense[low] + 2.0 * e
+
+
+def test_polish_converges_in_a_few_passes(monkeypatch):
+    # Newton's method doubles the correct digits each pass, so from a scan
+    # point within 0.02 of the minimum the polish needs about four passes;
+    # a converged step that is taken for one leaving the bracket falls back
+    # to bisection and costs some twenty more
+    gs = ground_state(build_operator(preset_grid("q0"), 20))
+    samples = synthesize_samples(gs.state, [0.0, math.pi / 2.0], 10**4, seed=5)
+    profiles = _scan_profiles(monkeypatch, samples, True) + _scan_profiles(monkeypatch, samples, False)
+    passes = []
+    monkeypatch.setattr(estimator, "_profile_slopes", lambda *args: passes.append(args) or _profile_slopes(*args))
+    for rows, base, values, result in profiles:
+        passes.clear()
+        assert _minimize_on_box(rows, base, values) == result
+        assert len(passes) <= 6
+
+
+def test_polish_survives_a_zero_characteristic_function():
+    # at r = 0 the four samples' phasors cancel exactly, so |phi| = 0 there:
+    # the slope is undefined, and the polish keeps the scan point
+    rows = ((np.array([0.25, -0.25, 1.0033141373155003, -1.0033141373155003]), 1.0),)
+    k = int(np.flatnonzero(_SCAN == 0.0)[0])
+    assert _char_fn(rows[0][0], 2.0 * SQRT_PI_2) == 0j
+    value, slope, curvature = _profile_slopes(rows, SQRT_PI_2, 0.0)
+    assert value == 1.0 and math.isnan(slope) and math.isnan(curvature)
+    values = [2.0] * SCAN_POINTS
+    values[k] = 1.0
+    assert _minimize_on_box(rows, SQRT_PI_2, values) == (0.0, 1.0)
+
+
 class _ScanFailure(Exception):
     pass
 
@@ -554,73 +681,13 @@ def test_optimizer_starts_no_thread(monkeypatch):
     for constrained in (True, False):
         optimize_xi(samples, constrain_gkp_valid=constrained)
 
-    def failing_char_fn(values, u):
+    def failing_phasors(values, u):
         raise _ScanFailure(u)
 
-    monkeypatch.setattr(estimator, "_char_fn", failing_char_fn)
+    monkeypatch.setattr(estimator, "_phasors", failing_phasors)
     for constrained in (True, False):
         with pytest.raises(_ScanFailure):
             optimize_xi(samples, constrain_gkp_valid=constrained)
-
-
-def _test_function(coeffs, digits):
-    """A smooth, generally multimodal function of r, rounded to `digits` to make ties."""
-    a, b, c, w, m, k = coeffs
-
-    def f(r):
-        value = a * math.cos(w * r + b) + c * (r - m) ** 2 + k * r**3
-        return value if digits is None else round(value, digits)
-
-    return f
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    coeffs=st.tuples(
-        st.floats(-3.0, 3.0),
-        st.floats(-3.0, 3.0),
-        st.floats(0.0, 3.0),
-        st.floats(0.1, 20.0),
-        st.floats(-3.0, 3.0),
-        st.floats(-0.3, 0.3),
-    ),
-    digits=st.sampled_from([None, None, 1, 4]),
-    ends=st.tuples(st.floats(-MAX_LOG_SCALE, MAX_LOG_SCALE), st.floats(-MAX_LOG_SCALE, MAX_LOG_SCALE)),
-)
-@example(coeffs=(1.0, 0.0, 0.0, 1.0, 0.0, 0.0), digits=None, ends=(-MAX_LOG_SCALE, MAX_LOG_SCALE))
-@example(coeffs=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0), digits=None, ends=(-0.04, 0.0))  # constant: every value ties
-@example(coeffs=(0.0, 0.0, 1.0, 1.0, 2.5, 0.0), digits=None, ends=(1.96, MAX_LOG_SCALE))  # minimum past the end
-@example(coeffs=(0.0, 0.0, 1.0, 1.0, 0.5, 0.0), digits=None, ends=(0.5, 0.5))  # empty bracket
-def test_bounded_brent_matches_scipy(coeffs, digits, ends):
-    # scipy's bounded Brent is the oracle: the same minimum, value and
-    # evaluation points, compared through float.hex
-    f = _test_function(coeffs, digits)
-    a, b = sorted(ends)
-
-    def traced(solver):
-        points = []
-
-        def g(r):
-            points.append(float(r).hex())
-            return f(r)
-
-        x, fx = solver(g, a, b)
-        return float(x).hex(), float(fx).hex(), points
-
-    assert traced(_bounded_brent) == traced(bounded_brent_scipy)
-
-
-@pytest.mark.parametrize("angles", [(0.0, math.pi / 2.0), (0.0, math.pi / 3.0, math.pi / 2.0)])
-@pytest.mark.parametrize("constrained", [True, False])
-def test_optimizer_matches_scipy_polish(tmp_path, monkeypatch, angles, constrained):
-    # differential check of the polish: scipy's minimize_scalar in place of
-    # the in-house bounded Brent gives the same bits
-    gs = ground_state(build_operator(preset_grid("q0"), 20))
-    save_samples(synthesize_samples(gs.state, angles, 3000, seed=10 + len(angles)), tmp_path / "s.csv")
-    samples = load_samples(tmp_path / "s.csv")
-    ported = optimize_xi(samples, constrain_gkp_valid=constrained)
-    monkeypatch.setattr(estimator, "_bounded_brent", bounded_brent_scipy)
-    assert _optimize_fields(ported) == _optimize_fields(optimize_xi(samples, constrain_gkp_valid=constrained))
 
 
 def test_optimizer_error_bar_calibration():

@@ -6,7 +6,9 @@
 Each pair runs `bench/run.py --workload W --report FILE` once in the
 `before` checkout and once in the `after` checkout, with the same seed, and
 alternates which side goes first; the seed is `--seed` plus the pair index,
-so every pair of a workload sees new inputs.  Running the two sides back to
+so every pair of a workload sees new inputs.  Each `--pairs` item must be
+`WORKLOAD=N` with N >= 1 and a workload of the `after` checkout's
+`BENCHMARK.json`; any other item exits 2 before any run.  Running the two sides back to
 back keeps both in the same machine-speed regime.  The output
 holds, per workload and metric, both sides' medians and quartiles, how
 many pairs the `after` side won, every run's checks, and every `xi` value
@@ -134,12 +136,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
+    roots = {"before": args.before.resolve(), "after": args.after.resolve()}
+    benchmark = json.loads((roots["after"] / "BENCHMARK.json").read_text())
+    names = [spec["name"] for spec in benchmark["workloads"]]
     plan = []
     for item in args.pairs:
         workload, _, count = item.partition("=")
+        if workload not in names or not count.isdecimal() or int(count) < 1:
+            parser.error(f"--pairs {item!r}: expected WORKLOAD=N with N >= 1 and WORKLOAD one of {', '.join(names)}")
         plan.append((workload, int(count)))
-    roots = {"before": args.before.resolve(), "after": args.after.resolve()}
-    benchmark = json.loads((roots["after"] / "BENCHMARK.json").read_text())
     out: dict = {"seed": args.seed, "pairs": dict(plan), "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, count in plan:
