@@ -337,8 +337,15 @@ def _scan(values: np.ndarray, us) -> tuple[np.ndarray, np.ndarray]:
     eps u (Q + T), Q the largest |q|; numpy's sin, cos and complex exp are
     taken to err by 4 ulps; a sum of m terms by 1.01 m eps times the sum of
     their magnitudes, at most n e^{uT}.  Over both routes that stays below
-    2^-50 e^{uT} (u (Q + T) + n + 8).  A bound is inf or NaN where the
-    lattice or the moments overflow.  Memory is O(n + cells).
+    2^-50 e^{uT} (u (Q + T) + n + 8).  Where e^{uT} overflows (T large
+    when floats near Q are far apart) the trivial bound caps it: each
+    computed phasor has modulus at most 1 + 12 eps, their sum errs by at
+    most 1.5 n^2 eps, and the division and modulus add 3 eps, so
+    |`_char_fn`| <= (1 + 12 eps + 1.5 n eps)(1 + 3 eps) < 1 + 2^-50 (n + 8).
+    Both values are non-negative, so they differ by at most
+    approx + 1 + 2^-50 (n + 8), which the float sum does not round below.
+    A bound is inf or NaN only where the lattice or the moments overflow.
+    Memory is O(n + cells).
     """
     n, us = values.size, np.asarray(us)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,7 +360,7 @@ def _scan(values: np.ndarray, us) -> tuple[np.ndarray, np.ndarray]:
         spread = float(np.max(np.abs(t)))
         reach = float(np.max(np.abs(values))) + spread
         bound = (us * spread) ** 4 / 24.0 + 2.0**-50 * np.exp(us * spread) * (us * reach + n + 8)
-    return approx, bound
+    return approx, np.minimum(bound, approx + (1.0 + 2.0**-50 * (n + 8)))
 
 
 def _closed_form_offset(phi: complex) -> float:
@@ -389,7 +396,7 @@ def _profile_slopes(rows, base: float, r: float) -> tuple[float, float, float]:
     return value, slope, curvature
 
 
-def _minimize_on_box(rows, base: float, values: list[float]) -> tuple[float, float]:
+def _minimize_on_box(rows, base: float, values: list[float], start=None) -> tuple[float, float]:
     """Minimize the profile of `rows` (see `_profile_slopes`) on the box, given its scan point values.
 
     Newton's method on the slope polishes the best scan point within the
@@ -397,12 +404,15 @@ def _minimize_on_box(rows, base: float, values: list[float]) -> tuple[float, flo
     changes sign and bisecting where a step leaves it or xi'' <= 0.  It
     stops on a step under 1e-10, a zero or non-finite slope, or 60 steps;
     the scan point is kept unless the last point evaluated is lower.
+    `start`, when given, is `_profile_slopes` at the best scan point and
+    stands in for the first pass.
     """
     k = int(np.argmin(values))
     a, b = float(_SCAN[max(k - 1, 0)]), float(_SCAN[min(k + 1, SCAN_POINTS - 1)])
     x = float(_SCAN[k])
     for _ in range(60):
-        fx, slope, curvature = _profile_slopes(rows, base, x)
+        fx, slope, curvature = start or _profile_slopes(rows, base, x)
+        start = None
         if slope == 0.0 or not math.isfinite(slope):
             break
         a, b = (a, x) if slope > 0.0 else (x, b)
@@ -423,8 +433,9 @@ def _minimize_profile(rows, base: float) -> tuple[float, float]:
         approx, bound = approx - scan, bound + error
     lower = np.nextafter(approx - bound, -np.inf)  # each end rounded outward
     ruled_out = np.isfinite(lower) & (lower > np.nextafter(approx + bound, np.inf).min())
-    exact = [math.inf if out else _profile_slopes(rows, base, r)[0] for out, r in zip(ruled_out, _SCAN)]
-    return _minimize_on_box(rows, base, exact)
+    passes = [None if out else _profile_slopes(rows, base, r) for out, r in zip(ruled_out, _SCAN)]
+    values = [math.inf if p is None else p[0] for p in passes]
+    return _minimize_on_box(rows, base, values, passes[int(np.argmin(values))])
 
 
 def optimize_xi(samples: QuadratureSamples, constrain_gkp_valid: bool = True,
@@ -487,11 +498,13 @@ def synthesize_samples(state: FockState, angles, n_per_angle: int, seed: int) ->
     Every angle is checked to lie in [0, pi) before any work.  One
     `quadrature_pdf` call tabulates the pdf of every angle at 8192 points
     on [-reach, reach], reach = sqrt(2N + 1) + 6, past which every number
-    state below N is beyond its turning point by 6: one Hermite table
-    serves all the angles.  Each pdf is inverted through its cumulative
-    trapezoid; output is deterministic for a given seed.  The points
-    resolve |psi|^2 for N up to about 2990; a pdf that misses more than
-    1e-6 of the mass raises ValueError.
+    state below N is beyond its turning point by 6.  It builds the Hermite
+    table in blocks of 2048 points, each serving all the angles, so the
+    call holds about 24 N 2048 bytes of tables, 49 MB at N = 1000, instead
+    of 24 N 8192 for the whole table.  Each pdf is inverted through its
+    cumulative trapezoid; output is deterministic for a given seed.  The
+    points resolve |psi|^2 for N up to about 2990; a pdf that misses more
+    than 1e-6 of the mass raises ValueError.
     """
     if n_per_angle < 1:
         raise ValueError(f"n_per_angle must be >= 1, got {n_per_angle}")

@@ -9,8 +9,8 @@ the Laguerre series loses the digits a 1e-13 comparison needs at N = 300.
 For the same reason at N = 1000, `trapezoid_displacement` tabulates with the
 package's `hermite_functions`, which `tests/test_fock.py` checks for
 orthonormality past order 700.  `quadrature_pdf_one_angle` uses it too:
-it is the one-angle marginal, one table per angle, that every pdf of
-`fock.quadrature_pdf` must match bit for bit.
+it is the one-angle marginal, one whole table per angle, that every pdf
+of `fock.quadrature_pdf` must match bit for bit at one BLAS thread.
 `optimize_xi_exhaustive` checks `estimator.optimize_xi`'s certified scan
 alone, so it reuses everything else of the optimizer: the angle pairs, the
 box search `_minimize_on_box`, the closed-form offsets and `estimate_xi`.

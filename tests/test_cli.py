@@ -780,6 +780,54 @@ def test_bench_pairs_flags_a_gain_past_the_parent_spread():
     assert "after wins 5/5" in line([b - 1.0 for b in before]) and "GAIN" not in line([b - 1.0 for b in before])
 
 
+def test_bench_pairs_same_pairs_a_tree_with_a_copy_of_itself(tmp_path):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", tool)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    tree = tmp_path.resolve() / "tree"
+    for name in ("bench/run.py", ".git/HEAD", ".hypothesis/db"):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(name)
+    (tree / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "sweeps"}]}))
+    seen = []
+
+    def run_once(root, workload, seed, report):
+        files = sorted(path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file())
+        seen.append((root, seed, files, (root / "bench/run.py").read_text()))
+        result = {"metrics": {"wall_s": {"unit": "s", "value": 1.0 + seed}}, "xi": {"file_xi": [0.25]},
+                  "seed": seed, "attempted": 1, "failed": 0, "failures": []}
+        return {"provenance": {"root": str(root)}, "workloads": {workload: result}}
+
+    argv = ["--same", str(tree), "--pairs", "sweeps=2", "--seed", "3", "--out", str(tmp_path / "aa.json")]
+    with mock.patch.object(bench_pairs, "run_once", run_once):
+        assert bench_pairs.main(argv) == 0
+    copy = seen[0][0]  # the first pair runs the copy first
+    assert [(root, seed) for root, seed, _, _ in seen] == [(copy, 3), (tree, 3), (tree, 4), (copy, 4)]
+    assert copy != tree and not copy.exists()
+    assert seen[0][2] == ["BENCHMARK.json", "bench/run.py"] and seen[0][3] == "bench/run.py"
+    out = json.loads((tmp_path / "aa.json").read_text())
+    assert out["same"] is True
+    wall = out["workloads"]["sweeps"]["metrics"]["wall_s"]
+    assert wall["before"]["values"] == wall["after"]["values"] == [4.0, 5.0]
+    assert out["workloads"]["sweeps"]["xi_max_abs_diff"] == 0.0
+
+
+@pytest.mark.parametrize("sides", [[], ["--before", "B"], ["--after", "A"], ["--same", "S", "--before", "B"],
+                                   ["--same", "S", "--after", "A"]])
+def test_bench_pairs_needs_both_sides_or_same_alone(tmp_path, capsys, sides):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", tool)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    argv = sides + ["--pairs", "sweeps=1", "--seed", "1", "--out", str(tmp_path / "o.json")]
+    with mock.patch.object(bench_pairs, "run_once", side_effect=AssertionError("ran")), \
+            pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert "give --before and --after, or --same alone" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("item", ["sweeps", "nosuch=0", "nosuch=2", "sweeps=0", "sweeps=-1", "sweeps=x", "sweeps=²"])
 def test_bench_pairs_rejects_a_malformed_pairs_item_before_any_run(tmp_path, capsys, item):
     tool = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"

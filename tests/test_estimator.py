@@ -475,8 +475,8 @@ def _scan_profiles(monkeypatch, samples, constrained) -> list:
     """
     seen = []
 
-    def spy(rows, base, values):
-        seen.append((rows, base, values, _minimize_on_box(rows, base, values)))
+    def spy(rows, base, values, start=None):
+        seen.append((rows, base, values, _minimize_on_box(rows, base, values, start)))
         return seen[-1][-1]
 
     monkeypatch.setattr(estimator, "_minimize_on_box", spy)
@@ -539,6 +539,7 @@ def test_certified_scan_kept_point_counts(monkeypatch, case, fewest, most):
 @example(values=_HALF_CELLS, base=math.sqrt(math.pi / 2.0))  # the Taylor term is tight here
 @example(values=np.full(10**4, 0.01), base=2.0)
 @example(values=np.array([5e-324]), base=1.0)
+@example(values=np.array([9.88416631e16]), base=3.0)  # residual 16: e^{uT} overflows, |phi| <= 1 bounds it
 def test_scan_bound_holds_at_every_scan_point(values, base):
     us = [2.0 * base * math.exp(r) for r in _SCAN]
     with warnings.catch_warnings():
@@ -652,6 +653,29 @@ def test_polish_converges_in_a_few_passes(monkeypatch):
         passes.clear()
         assert _minimize_on_box(rows, base, values) == result
         assert len(passes) <= 6
+
+
+@pytest.mark.parametrize("case", ["q0", "all-equal", "near-tie"])
+def test_no_profile_point_is_evaluated_twice(monkeypatch, case):
+    # the polish starts from the best scan point's pass, which the scan made
+    if case == "q0":
+        gs = ground_state(build_operator(preset_grid("q0"), 20))
+        samples = synthesize_samples(gs.state, [0.0, math.pi / 2.0], 10**4, seed=5)
+    else:
+        samples = EDGE_CASES[case]
+    (phi1, q1), (phi2, q2) = samples.records[:2]
+    base = math.sqrt(GKP_DET / math.sin(phi2 - phi1))
+    passes = []
+
+    def spy(rows, base, r):
+        passes.append((id(rows), r))
+        return _profile_slopes(rows, base, r)
+
+    monkeypatch.setattr(estimator, "_profile_slopes", spy)
+    for rows in (((q1, 1.0), (q2, -1.0)), ((q1, 1.0),), ((q2, 1.0),)):
+        passes.clear()
+        _minimize_profile(rows, base)
+        assert passes and len(set(passes)) == len(passes)
 
 
 def test_polish_survives_a_zero_characteristic_function():

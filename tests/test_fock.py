@@ -268,24 +268,54 @@ def test_quadrature_pdf_flags_a_non_finite_mass(angle):
 
 @pytest.mark.parametrize("angles", [[], [0.3], [0.0, 1.1, 2.2, 3.0], [0.5] * 6])
 def test_one_hermite_table_per_call_whatever_the_angle_count(monkeypatch, angles):
-    tables = []
+    # one table per column block, in order, shared by every angle; the
+    # last block takes the remainder, and a grid under two blocks is one
+    grids = []
 
     def recorded(n_max, q):
-        tables.append(n_max)
+        grids.append((n_max, q.copy()))
         return hermite_functions(n_max, q)
 
     monkeypatch.setattr(fock, "hermite_functions", recorded)
-    assert len(quadrature_pdf(_STATE_20, angles, np.linspace(-8.0, 8.0, 101))) == len(angles)
-    assert tables == [19]
+    block = fock._PDF_BLOCK
+    for size, widths in ((101, [101]), (2 * block - 1, [2 * block - 1]), (3 * block + 3, [block, block, block + 3])):
+        grids.clear()
+        q = np.linspace(-8.0, 8.0, size)
+        assert len(quadrature_pdf(_STATE_20, angles, q)) == len(angles)
+        assert [(n_max, part.size) for n_max, part in grids] == [(19, width) for width in widths]
+        assert np.concatenate([part for _, part in grids]).tobytes() == q.tobytes()
     if angles:
-        tables.clear()
+        grids.clear()
         assert synthesize_samples(_STATE_20, angles, 10, seed=0).angles == angles
-        assert tables == [19]
+        assert [(n_max, part.size) for n_max, part in grids] == [(19, block)] * (8192 // block)
+
+
+def test_sampler_holds_one_block_of_tables():
+    # A block's float table (8 N w bytes) and its complex buffer (16 N w)
+    # are the only arrays of size N x w; the rest is a few dozen arrays the
+    # size of the 8192-point grid or of the samples, under 1 MiB at N = 1000
+    # with 4 angles of 2000 samples.  The whole table would take 24 N 8192.
+    dim = 1000
+    state = random_state(np.random.default_rng(6), dim)
+    tracemalloc.start()
+    try:
+        synthesize_samples(state, [0.0, 0.7, 1.4, 2.1], 2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * dim * fock._PDF_BLOCK + 2**20
+
+
+def _blocked_linspace(k, r, lo, hi):
+    """A grid of k blocks and r more points, so `quadrature_pdf`'s last block holds a remainder of r."""
+    return np.linspace(lo, hi, k * fock._PDF_BLOCK + r)
 
 
 _GRIDS = st.one_of(
     st.lists(st.floats(-45.0, 45.0), max_size=60).map(np.array),
     st.builds(np.linspace, st.floats(-45.0, 0.0), st.floats(0.0, 45.0), st.integers(0, 400)),
+    st.builds(_blocked_linspace, st.integers(1, 4), st.sampled_from([0, 1, 2, 3, fock._PDF_BLOCK - 1]),
+              st.floats(-45.0, 0.0), st.floats(0.0, 45.0)),
 )
 
 
@@ -302,6 +332,10 @@ _GRIDS = st.one_of(
 @example(dim=50, seed=3, angles=[], q=np.linspace(-8.0, 8.0, 11))
 @example(dim=5, seed=4, angles=[1.0, 1.0], q=np.array([]))
 @example(dim=5, seed=5, angles=[0.2], q=np.array([36.0]))
+# a one-point remainder where the pdf is not 0, taken alone, has other bits at one BLAS thread
+@example(dim=300, seed=6, angles=[0.0, 1.0], q=_blocked_linspace(1, 1, -40.0, 10.0))
+@example(dim=300, seed=7, angles=[0.3], q=_blocked_linspace(4, 1, -80.0, 10.0))  # far columns in three blocks
+@example(dim=2, seed=8, angles=[2.0], q=_blocked_linspace(2, fock._PDF_BLOCK - 1, -45.0, 10.0))
 def test_quadrature_pdf_is_bit_identical_to_one_table_per_angle(dim, seed, angles, q):
     state = random_state(np.random.default_rng(seed), dim)
     pdfs = quadrature_pdf(state, angles, q)
@@ -521,6 +555,7 @@ def test_hermite_table_is_bit_identical_to_two_pass_oracle_on_lattices(dim, orig
 @given(n_max=st.integers(0, 400), q=st.lists(st.floats(-80.0, 80.0), max_size=40).map(np.array))
 @example(n_max=300, q=np.array([0.0, 40.0, -5.0, -35.0, 10.0, 33.0, 2.0]))  # far columns inside the near hull
 @example(n_max=300, q=np.array([40.0, -50.0, 33.0]))  # every column far
+@example(n_max=400, q=np.linspace(-20.0, 60.0, 40))  # one run of far columns after the near ones
 @example(n_max=10, q=np.array([]))
 @example(n_max=5, q=np.array([1.3]))
 @example(n_max=5, q=np.array([-40.0]))

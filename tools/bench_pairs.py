@@ -2,6 +2,12 @@
 
     python3 tools/bench_pairs.py --before DIR --after DIR \
         --pairs sweeps=10 channel=3 estimate=3 --seed 4200 --out BENCH_topic.json
+    python3 tools/bench_pairs.py --same DIR --pairs estimate=10 --seed 4200 --out BENCH_topic_aa.json
+
+`--same DIR` is the A/A mode: it copies DIR into a temporary directory,
+runs the copy as the `before` side and DIR as the `after` side, and removes
+the copy at the end, so every difference the output shows is the spread of
+one tree against itself.  Read a claimed gain against it.
 
 Each pair runs `bench/run.py --workload W --report FILE` once in the
 `before` checkout and once in the `after` checkout, with the same seed, and
@@ -30,12 +36,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+# what `--same` leaves out of its copy: version control and run, test and bytecode caches
+_NOT_COPIED = (".git", ".bench_runs", ".hypothesis", ".pytest_cache", "__pycache__")
 
 
 def run_once(root: Path, workload: str, seed: int, report: Path) -> dict:
@@ -129,15 +139,19 @@ def summary_lines(workloads: dict, benchmark: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--before", required=True, type=Path, help="checkout of the parent commit")
-    parser.add_argument("--after", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--before", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--after", type=Path, help="checkout of the change")
+    parser.add_argument("--same", type=Path, metavar="DIR", help="A/A: pair DIR with a copy of itself")
     parser.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--seed", type=int, required=True, help="first seed; pair i uses seed + i")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    if args.same is None and (args.before is None or args.after is None) or \
+            args.same is not None and (args.before, args.after) != (None, None):
+        parser.error("give --before and --after, or --same alone")
 
-    roots = {"before": args.before.resolve(), "after": args.after.resolve()}
-    benchmark = json.loads((roots["after"] / "BENCHMARK.json").read_text())
+    after = (args.same or args.after).resolve()
+    benchmark = json.loads((after / "BENCHMARK.json").read_text())
     names = [spec["name"] for spec in benchmark["workloads"]]
     plan = []
     for item in args.pairs:
@@ -145,8 +159,11 @@ def main(argv=None) -> int:
         if workload not in names or not count.isdecimal() or int(count) < 1:
             parser.error(f"--pairs {item!r}: expected WORKLOAD=N with N >= 1 and WORKLOAD one of {', '.join(names)}")
         plan.append((workload, int(count)))
-    out: dict = {"seed": args.seed, "pairs": dict(plan), "workloads": {}}
+    out: dict = {"seed": args.seed, "pairs": dict(plan), "same": args.same is not None, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
+        before = args.before.resolve() if args.same is None else \
+            shutil.copytree(after, Path(tmp) / "same", ignore=shutil.ignore_patterns(*_NOT_COPIED))
+        roots = {"before": before, "after": after}
         for workload, count in plan:
             runs = []
             for index in range(count):

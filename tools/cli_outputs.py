@@ -10,7 +10,7 @@ and `estimate` plain, `--bootstrap 500 --seed 1`, `--optimize`,
 two seeded sample files (a q0 ground state and the vacuum, 2 x 2e4 samples
 each), and `estimate --topology hex` and `--optimize` on a third (a hex
 ground state sampled at 0, pi/2 and hex's two row directions, 4 x 2e4
-samples, so one Hermite table serves four angles and the optimizer runs
+samples, so each Hermite table block serves four angles and the optimizer runs
 over six angle pairs).  The script writes the sample files into OUTDIR
 first.  Commands run inside OUTDIR
 with relative file names, so the reports' `input` fields do not depend on
