@@ -141,7 +141,7 @@ def cmd_ground_sweep(args) -> int:
     # the largest one: build that once per grid and solve its corners.
     for name, largest in zip(args.topology, build_operators(grids, dims[-1])):
         for dim in dims:
-            xi_min, degeneracy = ground_values(dataclasses.replace(largest, dim=dim))
+            xi_min, degeneracy = ground_values(largest, dim)
             rows.append((name, dim, xi_min, db(xi_min), degeneracy))
     _write_csv(args.output, ("topology", "N", "xi_min", "xi_min_db", "degeneracy"), rows)
     return EXIT_OK

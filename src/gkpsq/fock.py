@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 DEFAULT_BUILD_DIM_CAP = 2000
 BUILD_DIM_CAP_ENV = "GKPSQ_MAX_BUILD_DIM"
@@ -36,6 +35,8 @@ _PSD_NORM_SQ_BOUND = 4.0
 HERMITE_SEED_LIMIT = 32.0
 _MANTISSA_LIMIT = 2.0 ** 500
 _PDF_BLOCK = 2048  # grid points of one Hermite table in `quadrature_pdf`
+# 8 MiB of floats: a Hermite table this small is made at any cap, and `build_operators` joins its tables up to it
+_SMALL_TABLE_FLOATS = 2**20
 
 
 class ResourceCapError(RuntimeError):
@@ -215,7 +216,7 @@ def _powers(w: complex, count: int) -> np.ndarray:
     filled, power = 1, w
     while filled < count:
         take = min(filled, count - filled)
-        out[filled : filled + take] = out[:take] * power
+        np.multiply(out[:take], power, out=out[filled : filled + take])
         filled += take
         power = power * power
     return out
@@ -225,7 +226,9 @@ def _toeplitz(down: np.ndarray, up: np.ndarray, size: int) -> np.ndarray:
     """T[i, j] = down[i - j] for i >= j and up[j - i] above: a read-only view of line[size - 1 + i - j]."""
     line = np.concatenate((up[size - 1 : 0 : -1], down[:size]))
     step = line.strides[0]
-    return as_strided(line[size - 1 :], (size, size), (step, -step), writeable=False)
+    view = np.ndarray((size, size), line.dtype, line, (size - 1) * step, (step, -step))
+    view.flags.writeable = False
+    return view
 
 
 def displacement_blocks(shift: float, dim: int, sets: tuple[slice, ...]) -> list[np.ndarray]:
@@ -238,37 +241,59 @@ def displacement_blocks(shift: float, dim: int, sets: tuple[slice, ...]) -> list
     both factors.  The cross terms of its even and odd parts E, O in t
     cancel, so a block is the symmetric (E E^T - O O^T) dt/2 over l >= 0
     on the set's rows, with the column sign (-1)^n.  A parity set costs a
-    quarter of the full product.  The sets share the table, about 3 N^2
-    floats, freed before the products: a call peaks near 52 N^2 bytes,
-    0.2 GB at the default cap.  The trapezoid sum has no catastrophic
-    cancellation, unlike recurrence or Laguerre-series routes.
+    quarter of the full product.  The sets share the table, about
+    1.5 N^2 floats, freed before the products: a call peaks near 28 N^2
+    bytes, 0.11 GB at the default cap.  The trapezoid sum has no
+    catastrophic cancellation, unlike recurrence or Laguerre-series routes.
 
-    Exactness: each factor's Fourier transform lies within sqrt(2N + 1) up
-    to Gaussian tails, so the integrand's lies within 2 sqrt(2N + 1); by
-    Poisson summation the rule at dt = pi/(2 reach) errs only by the
-    integrand's spectrum at 2 pi/dt = 4 reach, an exponentially small
-    alias.  Past |t| = reach one factor is beyond its turning point by 6,
-    so the cut tail is as small.  `dim` is checked against the cap.
+    Exactness: each factor's Fourier transform is, up to a phase, the
+    same Hermite function, so beyond sqrt(2N + 1) it has the same tail as
+    the factor itself.  By Poisson summation the rule at dt = pi/reach
+    errs only by the integrand's spectrum at 2 pi/dt = 2 reach, where one
+    factor's frequency is at least reach, beyond its turning point by 6;
+    past |t| = reach one factor is beyond its turning point by 6 too.  The
+    alias and the cut tail are therefore equally, exponentially small.
+    `dim` is checked against the cap.
+    """
+    [blocks] = _lattice_blocks(((shift, sets),), dim)
+    return blocks
+
+
+def _displacement_lattice(dim: int) -> tuple[float, np.ndarray]:
+    """(dt, the points l dt with |l dt| <= reach): `displacement_blocks`' lattice before its shift s/2."""
+    reach = _lattice_reach(dim)
+    step = math.pi / reach
+    half = math.floor(reach / step)
+    return step, np.arange(-half, half + 1) * step
+
+
+def _lattice_blocks(requests, dim: int) -> list[list[np.ndarray]]:
+    """`displacement_blocks(shift, dim, sets)` of each (shift, sets) in `requests`, from one Hermite table.
+
+    The table holds the requests' lattices side by side; Hermite columns are
+    independent, so each block has the bits of a call for its shift alone.
     """
     check_build_dim(dim)
-    reach = _lattice_reach(dim)
-    step = math.pi / (2.0 * reach)
-    half = math.floor(reach / step)
-    h = hermite_functions(dim - 1, np.arange(-half, half + 1) * step + 0.5 * shift)
+    step, lattice = _displacement_lattice(dim)
+    width, half = lattice.size, lattice.size // 2
+    h = hermite_functions(dim - 1, np.concatenate([lattice + 0.5 * shift for shift, _ in requests]))
     parts = []
-    for sel in sets:
-        right, left = h[sel, half:], h[sel, half::-1]
-        even, odd = right + left, right - left
-        even[:, 0] *= math.sqrt(0.5)
-        parts.append((even, odd))
+    for k, (_, sets) in enumerate(requests):
+        table = h[:, k * width : (k + 1) * width]
+        for sel in sets:
+            right, left = table[sel, half:], table[sel, half::-1]
+            even, odd = right + left, right - left
+            even[:, 0] *= math.sqrt(0.5)
+            parts.append((sel, even, odd))
     # the table is freed before the products
-    del h, right, left
+    del h, table, right, left
     blocks = []
-    for sel, (even, odd) in zip(sets, parts):
+    for sel, even, odd in parts:
         block = (even @ even.T - odd @ odd.T) * (0.5 * step)
         block *= (-1.0) ** np.arange(dim)[sel]  # the column sign (-1)^n
         blocks.append(block)
-    return blocks
+    ordered = iter(blocks)
+    return [[next(ordered) for _ in sets] for _, sets in requests]
 
 
 def fidelity(s1: FockState, s2: FockState) -> float:

@@ -27,7 +27,10 @@ from numpy.lib.stride_tricks import as_strided
 from .fock import (
     DensityMatrix,
     FockState,
+    _SMALL_TABLE_FLOATS,
     _check_float_budget,
+    _displacement_lattice,
+    _lattice_blocks,
     _powers,
     _support,
     _toeplitz,
@@ -231,19 +234,32 @@ def build_operators(grids, dim: int) -> Iterator[TruncatedOperator]:
     """`build_operator` of each grid in `grids`, yielded in order.
 
     Rows of equal shift on the same number of invariant sets read one
-    `displacement_blocks` call for the whole sequence: q1 reads q0's
-    tables and s1 reads s0's.  A table is held only until the last grid
-    that reads it is built, and the tables a grid still lacks are made
-    before its blocks, so the peak is that of one build.  Every block is
+    displacement table for the whole sequence: q1 reads q0's tables and s1
+    reads s0's.  When all the sequence's lattices fit in one Hermite table
+    of at most 2^20 floats (8 MiB; N up to 371 for the five presets, 787
+    for one row length), one `hermite_functions` call tabulates them side
+    by side and every table is made up front: that table and its even and
+    odd parts add at most 16 MiB to the peak.  Otherwise each table is made
+    alone, before the first grid that reads it, and held only until the
+    last one is built, so the peak is that of one build.  Every block is
     bit-identical to a build of its grid alone.  Nothing outlives the
     generator.  `dim` is checked against the cap before any table.
     """
     check_build_dim(dim)
     grids = tuple(grids)
-    keys = [{(s, len(_invariant_blocks(grid))) for s, _, _ in _row_shifts(grid)} for grid in grids]
+    requests, keys = {}, []  # (shift, set count) -> sets; each grid's keys in row order
+    for grid in grids:
+        sets = _invariant_blocks(grid)
+        keys.append(dict.fromkeys((shift, len(sets)) for shift, _, _ in _row_shifts(grid)))
+        requests.update(dict.fromkeys(keys[-1], sets))
     last = {key: i for i, grid_keys in enumerate(keys) for key in grid_keys}
     tables: dict[tuple[float, int], list[np.ndarray]] = {}
+    if dim * len(requests) * _displacement_lattice(dim)[1].size <= _SMALL_TABLE_FLOATS:
+        tables = dict(zip(requests, _lattice_blocks([(shift, sets) for (shift, _), sets in requests.items()], dim)))
     for i, grid in enumerate(grids):
+        for key in keys[i]:
+            if key not in tables:
+                tables[key] = displacement_blocks(key[0], dim, requests[key])
         op = _build_from_tables(grid, dim, tables)
         for key in keys[i]:
             if last[key] == i:
@@ -252,27 +268,32 @@ def build_operators(grids, dim: int) -> Iterator[TruncatedOperator]:
 
 
 def _build_from_tables(grid: GridSpec, dim: int, tables: dict) -> TruncatedOperator:
-    """One grid's blocks (see `build_operator`), adding the tables it lacks to `tables`."""
+    """One grid's blocks (see `build_operator`) from `tables`, which holds every shift it reads."""
     sets = _invariant_blocks(grid)
-    # The sets share one stride, so the largest set's gap weights serve them all.
+    # The sets share one stride, so the largest set's gap weights serve them all;
+    # only an unsplit basis (stride 1) holds the odd gaps.
     stride, size = sets[0].step or 1, len(range(dim)[sets[0]])
-    odd = stride * np.arange(size) % 2 == 1
     # Rows of equal shift read one table, and their gap weights add.
     weights: dict[float, np.ndarray] = {}
     for shift, u, d in _row_shifts(grid):
-        h = np.where(odd, 1j * math.sin(2.0 * d), math.cos(2.0 * d)) * _powers(u * u if stride == 2 else u, size)
+        powers = _powers(u * u if stride == 2 else u, size)
+        h = powers * math.cos(2.0 * d)
+        if stride == 1:
+            h[1::2] = powers[1::2] * (1j * math.sin(2.0 * d))
         weights[shift] = weights.get(shift, 0) + h
     w, turn = np.array(list(weights.values())), np.ones(size)
-    quarter = np.resize([1.0, 1j, -1.0, -1j], size)  # i^j
-    if stride == 2 and w.imag.any() and not (w * quarter.conj()).imag.any():
-        w, turn = w * quarter.conj(), quarter
+    if stride == 2 and w.imag.any():
+        quarter = np.resize([1.0, 1j, -1.0, -1j], size)  # i^j
+        turned = w * quarter.conj()
+        if not turned.imag.any():
+            w, turn = turned, quarter
     w = w if w.imag.any() else w.real
-    for shift in weights:
-        if (shift, len(sets)) not in tables:
-            tables[shift, len(sets)] = displacement_blocks(shift, dim, sets)
     blocks = [2.0 * np.eye(len(range(dim)[sel]), dtype=w.dtype) for sel in sets]
     for shift, h in zip(weights, w):
-        toeplitz = _toeplitz(h, np.where(odd, -h, h).conj(), size)
+        up = np.conjugate(h)  # a new array even when h is real, unlike h.conj()
+        if stride == 1:
+            np.negative(up[1::2], out=up[1::2])  # R[n, m] = (-1)^g R[m, n]
+        toeplitz = _toeplitz(h, up, size)
         for block, part in zip(blocks, tables[shift, len(sets)]):
             block -= toeplitz[: len(part), : len(part)] * part
     return TruncatedOperator(grid, dim, tuple(blocks), turn)
@@ -301,10 +322,10 @@ def _invariant_blocks(grid: GridSpec) -> tuple[slice, ...]:
     return (slice(None),)
 
 
-def _corners(op: TruncatedOperator):
-    """(set, turn, leading corner) of each invariant block holding a state of `op`."""
+def _corners(op: TruncatedOperator, dim: int):
+    """(set, turn, leading corner) of each invariant block holding one of the first `dim` states of `op`."""
     for sel, block in zip(_invariant_blocks(op.grid), op.blocks):
-        u = op.turn[: len(range(op.dim)[sel])]
+        u = op.turn[: len(range(dim)[sel])]
         if u.size:
             yield sel, u, block[: u.size, : u.size]
 
@@ -330,7 +351,7 @@ def ground_state(op: TruncatedOperator) -> GroundState:
     its largest-magnitude amplitude real and positive.
     """
     solved = []
-    for sel, u, corner in _corners(op):
+    for sel, u, corner in _corners(op, op.dim):
         vals, vecs = np.linalg.eigh(corner)
         solved.append((vals, sel, u * vecs[:, 0]))
     first, xi_min, degeneracy = _lowest_level([vals for vals, _, _ in solved])
@@ -341,14 +362,18 @@ def ground_state(op: TruncatedOperator) -> GroundState:
     return GroundState(xi_min=xi_min, state=FockState.normalized(amps), degeneracy=degeneracy)
 
 
-def ground_values(op: TruncatedOperator) -> tuple[float, int]:
-    """(xi_min, degeneracy) of `ground_state`, from eigenvalues alone.
+def ground_values(op: TruncatedOperator, dim: int | None = None) -> tuple[float, int]:
+    """(xi_min, degeneracy) of `ground_state` on the first `dim` states of `op` (all by default), from eigenvalues alone.
 
-    One `np.linalg.eigvalsh` per invariant block's leading corner; the turn
-    is a unitary similarity, so it is not applied.  The values agree with
-    `ground_state`'s to rounding, not to the bit.
+    One `np.linalg.eigvalsh` per invariant block's leading corner, read in
+    place: no truncated operator is made.  The turn is a unitary similarity,
+    so it is not applied.  The values agree with `ground_state`'s to
+    rounding, not to the bit.  A `dim` outside 1..op.dim raises ValueError.
     """
-    _, xi_min, degeneracy = _lowest_level([np.linalg.eigvalsh(corner) for _, _, corner in _corners(op)])
+    dim = op.dim if dim is None else dim
+    if not 1 <= dim <= op.dim:
+        raise ValueError(f"dim {dim} outside 1..{op.dim}, the states of the operator")
+    _, xi_min, degeneracy = _lowest_level([np.linalg.eigvalsh(corner) for _, _, corner in _corners(op, dim)])
     return xi_min, degeneracy
 
 
@@ -537,7 +562,7 @@ def approx_gkp_state(params, dim: int) -> FockState:
     span = float(np.max(np.abs(centers))) + max(8.0 * width, 6.0)
     step = min(width / 8.0, math.pi / (8.0 * math.sqrt(2.0 * dim + 1.0)))
     points = math.ceil((span + step + span) / step)  # the length of np.arange below
-    if dim * points > 2**20:  # a table under 8 MiB is never refused, however small the cap
+    if dim * points > _SMALL_TABLE_FLOATS:  # never refused, however small the cap
         remedy = "use a larger g, a smaller s_max or a smaller dim"
         _check_float_budget(dim * points, "approx_gkp_state", f"{points} quadrature points", remedy)
     q = np.arange(-span, span + step, step)

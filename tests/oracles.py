@@ -6,9 +6,10 @@ loops so the comparisons stay two-sided.  Two exceptions:
 `displaced_parity_wigner` uses the package's `coherent_displacement`, which
 `tests/test_fock.py` checks against `laguerre_displacement_element`, because
 the Laguerre series loses the digits a 1e-13 comparison needs at N = 300.
-For the same reason at N = 1000, `trapezoid_displacement` tabulates with the
-package's `hermite_functions`, which `tests/test_fock.py` checks for
-orthonormality past order 700.  `quadrature_pdf_one_angle` uses it too:
+For the same reason at N = 1000 and 2000, `trapezoid_displacement` and
+`chunked_trapezoid_real_block` tabulate with the package's
+`hermite_functions`, which `tests/test_fock.py` checks for orthonormality
+past order 700.  `quadrature_pdf_one_angle` uses it too:
 it is the one-angle marginal, one whole table per angle, that every pdf
 of `fock.quadrature_pdf` must match bit for bit at one BLAS thread.
 `optimize_xi_exhaustive` checks `estimator.optimize_xi`'s certified scan
@@ -97,6 +98,24 @@ def trapezoid_displacement(beta: complex, dim: int) -> np.ndarray:
     return phases[:, None] * real_block * phases.conj()[None, :]
 
 
+def chunked_trapezoid_real_block(shift: float, dim: int, rows: slice, step: float, reach: float,
+                                 chunk: int = 1024) -> np.ndarray:
+    """R[m, n] = int h_m(t + s/2) h_n(t - s/2) dt for m, n in `rows`: the real displacement by s.
+
+    The trapezoid rule on the lattice l * step, |l * step| <= reach, from
+    two Hermite tables, one at t + s/2 and one at t - s/2, made and
+    multiplied `chunk` points at a time, so memory stays near
+    2 dim chunk floats at any dimension.
+    """
+    half = math.floor(reach / step)
+    size = len(range(dim)[rows])
+    block = np.zeros((size, size))
+    for start in range(-half, half + 1, chunk):
+        t = np.arange(start, min(start + chunk, half + 1)) * step
+        block += hermite_functions(dim - 1, t + 0.5 * shift)[rows] @ hermite_functions(dim - 1, t - 0.5 * shift)[rows].T
+    return block * step
+
+
 def trapezoid_operator(grid, dim: int) -> np.ndarray:
     """Q = 2 - sum over rows of (e^{2id} D + h.c.)/2 with D = D(sqrt(2)(-c2 + i c1)) from `trapezoid_displacement`."""
     mat = 2.0 * np.eye(dim, dtype=complex)
@@ -140,6 +159,21 @@ def full_block_ground_state(grid, dim: int) -> tuple[float, np.ndarray, int]:
     tol = max(1e-8, 1e-8 * abs(xi_min))
     degeneracy = int(np.count_nonzero(np.concatenate(spectra) < xi_min + tol))
     return xi_min, states[lowest], degeneracy
+
+
+def bootstrap_std_error_choice(records, rows, bootstrap: int, seed: int) -> float:
+    """The bootstrap error bar of a plug-in estimate, drawn by `Generator.choice` and averaged by `np.mean`.
+
+    Row k's terms are 2 sin^2(z q + d) over the outcomes `records[k]`, with
+    (z, d) = `rows[k]`.  Each of `bootstrap` resamples draws every row's
+    terms with replacement, in row order from one generator seeded with
+    `seed`, and sums the rows' means; the result is the sample standard
+    deviation of those sums.
+    """
+    terms = [2.0 * np.sin(z * values + d) ** 2 for values, (z, d) in zip(records, rows)]
+    rng = np.random.default_rng(seed)
+    sums = [sum(float(np.mean(rng.choice(t, size=t.size, replace=True))) for t in terms) for _ in range(bootstrap)]
+    return float(np.std(sums, ddof=1))
 
 
 def gauss_hermite_channel(rho: np.ndarray, eta: float, n_thermal: float, order: int = 21) -> np.ndarray:

@@ -108,12 +108,13 @@ def test_ground_sweep_checks_every_topology_before_any_fock_work(tmp_path, capsy
 
 
 def test_readme_ground_sweep_reads_one_table_per_row_length_and_no_eigenvectors(tmp_path):
-    # q1 reads q0's two tables, s1 reads s0's one, hex's equal rows read one
+    # four row lengths (q1 reads q0's two, s1 reads s0's one, hex's equal rows
+    # one), all tabulated side by side by one Hermite call
     with mock.patch.object(fock, "hermite_functions", wraps=fock.hermite_functions) as tables, \
             mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         assert main(["ground-sweep", "--topology", "q0", "q1", "s0", "s1", "hex",
                      "--dims", "3", "5", "10", "20", "50", "--output", str(tmp_path / "gs.csv")]) == 0
-    assert tables.call_count == 4
+    assert tables.call_count == 1
     assert eigh.call_count == 0
 
 
@@ -921,3 +922,42 @@ def test_no_command_imports_scipy_or_concurrent_futures(tmp_path):
     assert json.loads((tmp_path / "out6").read_text())["command"] == "thresholds"
     assert json.loads((tmp_path / "out9").read_text())["optimized"] is True
     assert json.loads((tmp_path / "out10").read_text())["optimized"] is True
+
+
+README_BYTES = """
+import math
+import sys
+
+from gkpsq.cli import main
+from gkpsq.estimator import synthesize_samples
+from gkpsq.operators import build_operator, ground_state, preset_grid
+
+main(["ground-sweep", "--topology", "q0", "q1", "s0", "s1", "hex",
+      "--dims", "3", "5", "10", "20", "50", "--output", "ground.csv"])
+state = ground_state(build_operator(preset_grid("q0"), 50)).state
+samples = synthesize_samples(state, [0.0, math.pi / 2.0], 3000, seed=11)
+with open("samples.bin", "wb") as fh:
+    for _, values in samples.records:
+        fh.write(values.tobytes())
+"""
+
+
+def test_outputs_keep_their_bytes_at_two_blas_threads(tmp_path):
+    """Byte-identity is promised at one BLAS thread; two threads must keep it for these outputs.
+
+    The README ground sweep and a q0 (N = 50) sampler run, whose pdfs come
+    from 8192-point `quadrature_pdf` grids, each run in a fresh interpreter
+    with every BLAS thread variable at 1 and then at 2; both runs must
+    write the same bytes.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+        (tmp_path / threads).mkdir()
+        run = subprocess.run([sys.executable, "-c", README_BYTES], cwd=tmp_path / threads, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+    for name in ("ground.csv", "samples.bin"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

@@ -50,7 +50,7 @@ from gkpsq.operators import (
     preset_grid,
     sin2_expectation,
 )
-from oracles import char_fn_complex_exp, optimize_xi_exhaustive
+from oracles import bootstrap_std_error_choice, char_fn_complex_exp, optimize_xi_exhaustive
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 VACUUM_XI_S0 = 2.0 - 2.0 * math.exp(-math.pi / 2.0)
@@ -117,6 +117,22 @@ def test_bootstrap_error_bar_agrees_with_delta_method():
     assert again.std_error == boot.std_error  # seeded, deterministic
     with pytest.raises(ValueError):
         estimate_xi(samples, preset_grid("s0"), bootstrap=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["q0", "q1", "s0"]),
+       counts=st.tuples(st.integers(1, 300), st.integers(1, 300)).filter(lambda c: c[0] != c[1]),
+       seed=st.integers(0, 2**32 - 1), bootstrap=st.integers(2, 40))
+@example(name="q0", counts=(10000, 9000), seed=1, bootstrap=500)
+def test_bootstrap_draw_matches_generator_choice(name, counts, seed, bootstrap):
+    # records at 0 and pi/2 measure the rows as they are, so the oracle's terms are the estimator's
+    rng = np.random.default_rng(seed)
+    records = [rng.normal(size=n) for n in counts]
+    grid = preset_grid(name)
+    report = estimate_xi(QuadratureSamples([(0.0, records[0]), (math.pi / 2.0, records[1])]), grid,
+                         bootstrap=bootstrap, seed=seed)
+    rows = [(z, d) for z, _, d in grid.row_waves()]
+    assert report.std_error == bootstrap_std_error_choice(records, rows, bootstrap, seed)
 
 
 def test_estimate_unmeasurable_grid_lists_required_angle():

@@ -35,6 +35,7 @@ from gkpsq.operators import (
     sin2_expectation,
 )
 from oracles import (
+    chunked_trapezoid_real_block,
     density_matrix_full_checks,
     displaced_parity_wigner,
     hermite_functions_two_pass,
@@ -123,6 +124,17 @@ def test_displacement_matches_fine_trapezoid_at_dimension_1000():
     c1, c2, _ = preset_grid("hex").rows()[0]
     beta = math.sqrt(2.0) * complex(-c2, c1)
     assert np.abs(coherent_displacement(beta, 1000) - trapezoid_displacement(beta, 1000)).max() <= 1e-12
+
+
+def test_displacement_at_dimension_2000_matches_a_finer_wider_lattice():
+    # q0's longer row at the cap, every eighth order up to the top one, 1999:
+    # the Nyquist step pi/reach on |t| <= reach against half that step on
+    # |t| <= reach + 6, where both the alias and the cut tail are far smaller
+    dim, shift, rows = 2000, 2.0 * math.sqrt(math.pi), slice(7, None, 8)
+    [block] = displacement_blocks(shift, dim, (rows,))
+    wider = fock._lattice_reach(dim) + 6.0
+    reference = chunked_trapezoid_real_block(shift, dim, rows, math.pi / (2.0 * wider), wider)
+    assert np.abs(block - reference).max() <= 1e-12
 
 
 def test_displacement_phase_offset():
@@ -534,10 +546,7 @@ def test_hermite_functions_orthonormal_past_seed_underflow():
 
 def _displacement_lattice(dim: int, origin: float) -> np.ndarray:
     """The sorted lattice `displacement_blocks` tabulates, moved to `origin`."""
-    reach = math.sqrt(2.0 * dim + 1.0) + 6.0
-    step = math.pi / (2.0 * reach)
-    half = math.floor(reach / step)
-    return np.arange(-half, half + 1) * step + origin
+    return fock._displacement_lattice(dim)[1] + origin
 
 
 @settings(max_examples=25, deadline=None)

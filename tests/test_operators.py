@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gkpsq import operators
-from gkpsq.fock import DensityMatrix, FockState, ResourceCapError
+from gkpsq import fock, operators
+from gkpsq.fock import DensityMatrix, FockState, ResourceCapError, displacement_blocks
 from gkpsq.operators import (
     GKP_DET,
     KAPPA_MINUS,
@@ -375,6 +375,7 @@ def test_corner_of_a_build_is_the_smaller_build(name, A, offsets, dims):
     op = build_operator(grid, m)
     corner = dataclasses.replace(op, dim=n)
     assert np.array_equal(corner.matrix, op.matrix[:n, :n])
+    assert ground_values(op, n) == ground_values(corner)
     assert abs(ground_state(corner).xi_min - full_block_ground_state(grid, n)[0]) <= 1e-13
 
 
@@ -439,11 +440,66 @@ def test_shared_tables_give_the_bits_of_one_grid_builds(grids, dim):
         assert np.array_equal(op.turn, alone.turn)
 
 
+def _tables_read(grids, dim):
+    """(every Hermite table's float count, every displacement table the builds read) of one `build_operators` pass."""
+    read, build = {}, operators._build_from_tables
+
+    def spy(grid, dim, tables):
+        read.update(tables)
+        return build(grid, dim, tables)
+
+    with mock.patch.object(fock, "hermite_functions", wraps=fock.hermite_functions) as tables, \
+            mock.patch.object(operators, "_build_from_tables", side_effect=spy):
+        list(build_operators(grids, dim))
+    return [(call.args[0] + 1) * call.args[1].size for call in tables.call_args_list], read
+
+
+def test_one_grid_build_makes_one_hermite_table():
+    # q0's two row lengths, tabulated side by side
+    sizes, read = _tables_read([preset_grid("q0")], 20)
+    assert len(sizes) == 1 and len(read) == 2
+
+
+_SETS = {1: (slice(None),), 2: (slice(0, None, 2), slice(1, None, 2))}
+
+
+@settings(max_examples=30, deadline=None)
+@given(grids=grid_sequences, dim=st.integers(1, 400))
+@example(grids=[preset_grid(name) for name in PRESET_NAMES], dim=50)
+@example(grids=[preset_grid(name) for name in PRESET_NAMES], dim=300)  # joint, with columns past |q| = 32
+@example(grids=[preset_grid(name) for name in PRESET_NAMES], dim=400)  # one table per shift
+def test_joint_table_gives_the_bits_of_one_table_per_shift(grids, dim):
+    sizes, read = _tables_read(grids, dim)
+    one = dim * fock._displacement_lattice(dim)[1].size  # the floats of one shift's table
+    joint = len(read) * one <= fock._SMALL_TABLE_FLOATS
+    # one joint call when it fits in 2^20 floats, else one call per shift
+    assert sizes == ([len(read) * one] if joint else [one] * len(read))
+    for (shift, count), blocks in read.items():
+        alone = displacement_blocks(shift, dim, _SETS[count])
+        assert len(blocks) == count
+        assert all(block.tobytes() == expected.tobytes() for block, expected in zip(blocks, alone))
+
+
+def test_five_preset_build_peak_at_dimension_1000():
+    # one table per shift at this size; the half-step lattice that the
+    # pi/reach step replaced peaked at 56.6 MB in this call
+    tracemalloc.start()
+    try:
+        for _ in build_operators([preset_grid(name) for name in PRESET_NAMES], 1000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56_605_537
+
+
 @pytest.mark.parametrize("dim", [0, 8])
 def test_corner_outside_the_build_raises(dim):
     op = build_operator(preset_grid("hex"), 7)
     with pytest.raises(ValueError, match="the states the blocks hold"):
         dataclasses.replace(op, dim=dim)
+    with pytest.raises(ValueError, match="the states of the operator"):
+        ground_values(op, dim)
 
 
 def _eigh_calls(op):
