@@ -43,7 +43,7 @@ from .estimator import (
     load_samples,
     optimize_xi,
 )
-from .fock import ResourceCapError, _wigner_lattice, check_build_dim, wigner
+from .fock import ResourceCapError, _check_float_budget, _wigner_lattice, check_build_dim, wigner
 from .operators import GridSpec, build_operator, build_operators, ground_state, ground_values, preset_grid
 
 EXIT_OK = 0
@@ -116,8 +116,12 @@ def _grid_dict(grid: GridSpec) -> dict:
     return {**dataclasses.asdict(grid), "gkp_valid": grid.gkp_valid}
 
 
-def _linspace_arg(flag: str, triple) -> np.ndarray:
-    """np.linspace of a START STOP COUNT flag, with finite values and a whole COUNT >= 1."""
+def _linspace_arg(flag: str, triple, repeats: int, columns: int) -> np.ndarray:
+    """np.linspace of a START STOP COUNT flag, with finite values and a whole COUNT >= 1.
+
+    The output holds COUNT * `repeats` rows of `columns` cells; that count
+    must fit the float budget (`fock._check_float_budget`) before any array.
+    """
     if not all(math.isfinite(value) for value in triple):
         raise ValueError(f"{flag} values must be finite, got {tuple(triple)!r}")
     start, stop, count = triple
@@ -125,6 +129,8 @@ def _linspace_arg(flag: str, triple) -> np.ndarray:
         raise ValueError(f"{flag} count must be a whole number, got {count!r}")
     if count < 1:
         raise ValueError(f"{flag} count must be >= 1")
+    rows = count * repeats
+    _check_float_budget(rows * columns, flag, f"{rows:.4g} rows of {columns} columns", f"use a smaller {flag} count")
     return np.linspace(start, stop, int(count))
 
 
@@ -175,7 +181,7 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_fidelity_sweep(args) -> int:
-    f_values = _linspace_arg("--fidelity-grid", args.fidelity_grid)
+    f_values = _linspace_arg("--fidelity-grid", args.fidelity_grid, len(args.g), 9)
     s0 = preset_grid("s0")
     classical = classical_bound_grid(s0)
     gaussian = gaussian_bound_grid(s0)
@@ -211,7 +217,7 @@ def cmd_channel_sweep(args) -> int:
         raise ValueError(f"--nbar must be finite, got {args.nbar!r}")
     if args.nbar < 0:
         raise ValueError(f"--nbar must be >= 0, got {args.nbar!r}")
-    xi_in_values = _linspace_arg("--xi-in", args.xi_in)
+    xi_in_values = _linspace_arg("--xi-in", args.xi_in, len(args.eta), 4)
     rows = []
     for eta in args.eta:
         v = loss_to_noise_variance(eta) + args.nbar / eta

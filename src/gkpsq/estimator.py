@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import classify_xi, db, grid_squeezing
-from .fock import FockState, _lattice_reach, quadrature_pdf
+from .fock import FockState, _check_float_budget, _lattice_reach, quadrature_pdf
 from .operators import GKP_DET, GridSpec
 
 TWO_PI = 2.0 * math.pi
@@ -214,9 +214,15 @@ def estimate_xi(
     sample sets are independent; pass a `bootstrap` resample count for a
     resampling error bar instead (seeded, so still deterministic).  A
     sample whose phase z q + d overflows raises ValueError, and so does a
-    tolerance that is negative or not finite.
+    tolerance that is negative or not finite.  A resample count above the
+    float budget (`fock._check_float_budget`) raises ResourceCapError
+    before any array is made.
     """
     _check_tolerance(angle_tolerance)
+    if bootstrap is not None:
+        if bootstrap < 2:
+            raise ValueError(f"bootstrap resample count must be >= 2, got {bootstrap}")
+        _check_float_budget(bootstrap, "estimate_xi", f"{bootstrap} bootstrap resamples", "use fewer resamples")
     total = var = 0.0
     terms = []
     for z, phi, d in grid.row_waves():
@@ -227,8 +233,6 @@ def estimate_xi(
         total += mean
         var += se * se
     if bootstrap is not None:
-        if bootstrap < 2:
-            raise ValueError(f"bootstrap resample count must be >= 2, got {bootstrap}")
         rng = np.random.default_rng(seed)
         resampled = np.empty(bootstrap)
         for b in range(bootstrap):

@@ -330,32 +330,58 @@ def _corners(op: TruncatedOperator, dim: int):
             yield sel, u, block[: u.size, : u.size]
 
 
-def _lowest_level(spectra: list[np.ndarray]) -> tuple[int, float, int]:
-    """(block, xi_min, degeneracy) from each block's ascending eigenvalues.
+def _lowest_level(op: TruncatedOperator, dim: int) -> tuple[tuple, float, int]:
+    """((set, turn, corner) of the first lowest block, xi_min, degeneracy) on the first `dim` states of `op`.
 
+    One `np.linalg.eigvalsh` per invariant block's leading corner, read in
+    place; the turn is a unitary similarity, so it is not applied.
     `degeneracy` counts the eigenvalues of all blocks within a relative
     1e-8 of the lowest; on a tie across blocks the first block holds it.
     """
-    first = min(range(len(spectra)), key=lambda k: spectra[k][0])
-    xi_min = float(spectra[first][0])
+    solved = [((sel, u, corner), np.linalg.eigvalsh(corner)) for sel, u, corner in _corners(op, dim)]
+    first, spectrum = min(solved, key=lambda pair: pair[1][0])
+    xi_min = float(spectrum[0])
     tol = max(1e-8, 1e-8 * abs(xi_min))
-    return first, xi_min, int(np.count_nonzero(np.concatenate(spectra) < xi_min + tol))
+    return first, xi_min, int(sum(np.count_nonzero(vals < xi_min + tol) for _, vals in solved))
 
 
 def ground_state(op: TruncatedOperator) -> GroundState:
-    """Lowest eigenpair of the truncated operator, block by invariant block.
+    """Lowest eigenpair of the truncated operator: `ground_values`' level, and its vector by inverse iteration.
 
-    Each block's leading corner goes to `np.linalg.eigh` as built, and its
-    eigenvector is turned back by `op.turn`.  The level and its degeneracy
-    follow `_lowest_level`; the first lowest block's state is returned, with
-    its largest-magnitude amplitude real and positive.
+    `xi_min` and `degeneracy` are `ground_values(op)`'s, bit for bit.  The
+    vector solves the first lowest block's corner A (n x n, as built) twice
+    with M = A - sigma I, from the start sin(1), ..., sin(n), each right side
+    normalized; it is turned back by `op.turn`, and its largest-magnitude
+    amplitude made real and positive.  A level degenerate within the block
+    gives the normalized projection of the start onto its eigenspace.
+
+    With s = max(1, max |A_ij|), sigma = xi_min - delta, delta = 16 eps s:
+    corners whose level is exact (presets at N <= 5, any 1 x 1 corner) make
+    M singular at sigma = xi_min, and 16 ulps clear the rounding of xi_min
+    and of M.  beta = n^2 eps s >= n eps ||A||_2 bounds the backward errors
+    of `eigvalsh` and of each solve, so the level lambda has |lambda - sigma|
+    <= delta + beta, and each step shrinks an eigenvalue g away from it by
+    (delta + beta)/g; g >= 1e-8 for any level counted apart, so two steps
+    converge.  The last solve is (M + F) y = x with |x| = 1 and |F| <= beta,
+    so v = y/|y| has |A v - xi_min v| <= delta + beta + 1/|y|, and |y| >=
+    |<u, x>| / (delta + beta) for the level's vector u.  After one step
+    |<u, x>| >= 1/2 unless the start held less than (delta + beta)/g of u;
+    with one beta more for rounding the residual itself,
+    |A v - xi_min v| <= 3 delta + 4 beta = (3 + n^2/4) delta.  A larger one
+    (a start with no share of u, as ones on [[2, 1], [1, 2]]) raises
+    np.linalg.LinAlgError.
     """
-    solved = []
-    for sel, u, corner in _corners(op, op.dim):
-        vals, vecs = np.linalg.eigh(corner)
-        solved.append((vals, sel, u * vecs[:, 0]))
-    first, xi_min, degeneracy = _lowest_level([vals for vals, _, _ in solved])
-    _, sel, vec = solved[first]
+    (sel, u, corner), xi_min, degeneracy = _lowest_level(op, op.dim)
+    delta = 16.0 * math.ulp(1.0) * max(1.0, float(np.abs(corner).max()))
+    shifted = corner.copy()
+    shifted.reshape(-1)[:: len(corner) + 1] -= xi_min - delta
+    vec = np.sin(np.arange(1.0, len(corner) + 1.0))
+    for _ in range(2):
+        vec = np.linalg.solve(shifted, vec / np.linalg.norm(vec))
+    residual = float(np.linalg.norm(corner @ vec - xi_min * vec) / np.linalg.norm(vec))
+    if not residual <= (3.0 + len(corner) ** 2 / 4.0) * delta:
+        raise np.linalg.LinAlgError(f"inverse iteration left residual {residual:.3g} at xi_min {xi_min!r}")
+    vec = u * vec
     lead = vec[np.argmax(np.abs(vec))]
     amps = np.zeros(op.dim, dtype=complex)
     amps[sel] = vec * (np.abs(lead) / lead)
@@ -363,18 +389,16 @@ def ground_state(op: TruncatedOperator) -> GroundState:
 
 
 def ground_values(op: TruncatedOperator, dim: int | None = None) -> tuple[float, int]:
-    """(xi_min, degeneracy) of `ground_state` on the first `dim` states of `op` (all by default), from eigenvalues alone.
+    """(xi_min, degeneracy) on the first `dim` states of `op` (all by default), from eigenvalues alone.
 
     One `np.linalg.eigvalsh` per invariant block's leading corner, read in
-    place: no truncated operator is made.  The turn is a unitary similarity,
-    so it is not applied.  The values agree with `ground_state`'s to
-    rounding, not to the bit.  A `dim` outside 1..op.dim raises ValueError.
+    place (`_lowest_level`): no truncated operator is made.  On `op.dim`
+    these are `ground_state`'s values, bit for bit, since both read the same
+    rule on the same corners.  A `dim` outside 1..op.dim raises ValueError.
     """
-    dim = op.dim if dim is None else dim
-    if not 1 <= dim <= op.dim:
+    if dim is not None and not 1 <= dim <= op.dim:
         raise ValueError(f"dim {dim} outside 1..{op.dim}, the states of the operator")
-    _, xi_min, degeneracy = _lowest_level([np.linalg.eigvalsh(corner) for _, _, corner in _corners(op, dim)])
-    return xi_min, degeneracy
+    return _lowest_level(op, op.dim if dim is None else dim)[1:]
 
 
 def _mean(state: FockState | DensityMatrix, matrix: np.ndarray) -> complex:

@@ -111,11 +111,11 @@ def test_readme_ground_sweep_reads_one_table_per_row_length_and_no_eigenvectors(
     # four row lengths (q1 reads q0's two, s1 reads s0's one, hex's equal rows
     # one), all tabulated side by side by one Hermite call
     with mock.patch.object(fock, "hermite_functions", wraps=fock.hermite_functions) as tables, \
-            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
         assert main(["ground-sweep", "--topology", "q0", "q1", "s0", "s1", "hex",
                      "--dims", "3", "5", "10", "20", "50", "--output", str(tmp_path / "gs.csv")]) == 0
     assert tables.call_count == 1
-    assert eigh.call_count == 0
+    assert solve.call_count == 0  # eigenvectors come from `ground_state`'s solves alone
 
 
 def test_wigner_single_point(tmp_path):
@@ -365,6 +365,45 @@ def test_peaks_sweep_past_the_cap_exits_before_any_array(tmp_path, monkeypatch, 
     assert main(["peaks-sweep", "--g", "0.1", "--smax", "100000", "--output", str(out)]) == 3
     assert f"dimension 200001 exceeds cap {cap or 2000}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, fits", [
+    (["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1"], "1"),  # 9 cells per row
+    (["fidelity-sweep", "--g", "0.1", "0.2", "--fidelity-grid", "0", "1"], None),
+    (["channel-sweep", "--eta", "0.9", "--xi-in", "0", "2"], "3"),  # 4 cells per row
+    (["channel-sweep", "--eta", "0.9", "0.8", "--xi-in", "0", "2"], "1"),
+])
+@pytest.mark.parametrize("count", ["1000", "1e300"])
+def test_sweep_counts_past_the_budget_exit_before_any_array(tmp_path, monkeypatch, capsys, argv, fits, count):
+    # cap 1 allows 15 floats: COUNT times the repeats times the columns must fit
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "1")
+    out = tmp_path / "s.csv"
+    if fits is not None:
+        assert main([*argv, fits, "--output", str(out)]) == 0
+        out.unlink()
+    with mock.patch.object(np, "linspace", wraps=np.linspace) as linspace:
+        tracemalloc.start()
+        try:
+            code = main([*argv, count, "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 3 and not out.exists()
+    assert linspace.call_count == 0
+    assert "rows of" in capsys.readouterr().err
+    assert peak < 10**5
+
+
+def test_estimate_bootstrap_past_the_budget_exits_3(tmp_path, monkeypatch, capsys):
+    samples = synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 200, seed=5)
+    path = tmp_path / "vac.csv"
+    save_samples(samples, path)
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "1")
+    out = tmp_path / "e.json"
+    assert main(["estimate", "--input", str(path), "--bootstrap", "16", "--output", str(out)]) == 3
+    assert "16 bootstrap resamples" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["estimate", "--input", str(path), "--bootstrap", "15", "--output", str(out)]) == 0
 
 
 def test_estimate_command_vacuum(tmp_path):

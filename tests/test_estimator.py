@@ -3,8 +3,10 @@ import math
 import re
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,6 +119,23 @@ def test_bootstrap_error_bar_agrees_with_delta_method():
     assert again.std_error == boot.std_error  # seeded, deterministic
     with pytest.raises(ValueError):
         estimate_xi(samples, preset_grid("s0"), bootstrap=1)
+
+
+def test_bootstrap_count_past_the_budget_raises_before_any_array(monkeypatch):
+    # cap 1 allows 15 floats: 15 resamples fit, 10^15 raise before the samples are even read
+    samples = vacuum_samples(200, seed=7)
+    monkeypatch.setenv(fock.BUILD_DIM_CAP_ENV, "1")
+    assert estimate_xi(samples, preset_grid("s0"), bootstrap=15, seed=3).std_error > 0.0
+    with mock.patch.object(estimator, "_match_angle") as match:
+        tracemalloc.start()
+        try:
+            with pytest.raises(fock.ResourceCapError, match="for 1000000000000000 bootstrap resamples"):
+                estimate_xi(samples, preset_grid("s0"), bootstrap=10**15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert match.call_count == 0
+    assert peak < 10**5
 
 
 @settings(max_examples=30, deadline=None)

@@ -343,10 +343,10 @@ def test_preset_parity_halves_are_real_after_the_rotation(name, dim):
         # exact quarter turns (-i)^(i - j) on hex, none on the axis-aligned grids
         turns = np.subtract.outer(np.arange(half.shape[0]), np.arange(half.shape[0])) * (name == "hex")
         assert not (half * (-1j) ** (turns % 4)).imag.any()
-    # so every block takes the real eigh
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-        ground_state(op)
-    assert [call.args[0].dtype for call in eigh.call_args_list] == [np.float64] * min(dim, 2)
+    # so every block takes the real eigvalsh, and the lowest one the real solves
+    _, values, solves = _solver_calls(op)
+    assert [block.dtype for block in values] == [np.float64] * min(dim, 2)
+    assert [block.dtype for block in solves] == [np.float64] * 2
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -502,30 +502,37 @@ def test_corner_outside_the_build_raises(dim):
         ground_values(op, dim)
 
 
-def _eigh_calls(op):
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+def _solver_calls(op):
+    """ground_state(op), the matrices its `eigvalsh` calls read, and those its `solve` calls read."""
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
+            mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
         gs = ground_state(op)
-    return gs, [call.args[0] for call in eigh.call_args_list]
+    return gs, [call.args[0] for call in eigvalsh.call_args_list], [call.args[0] for call in solve.call_args_list]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 50, 201])
 def test_non_split_block_is_solved_unturned(dim):
     # hex's mirrored rows with offsets that break parity: one block, complex
-    # past N = 1, never turned, handed to eigh as the operator's own block
+    # past N = 1, never turned, handed to eigvalsh as the operator's own block
+    # and to the solves as a copy whose diagonal alone is shifted
     op = build_operator(dataclasses.replace(preset_grid("hex"), d1=0.3, d2=-0.7), dim)
     assert len(op.blocks) == 1 and op.blocks[0].dtype == (np.float64 if dim == 1 else np.complex128)
     assert np.array_equal(op.turn, np.ones(dim))
-    gs, blocks = _eigh_calls(op)
+    gs, blocks, solves = _solver_calls(op)
     assert len(blocks) == 1 and blocks[0].shape == (dim, dim) and np.shares_memory(blocks[0], op.blocks[0])
-    assert gs.xi_min.hex() == float(np.linalg.eigh(op.matrix)[0][0]).hex()
+    assert len(solves) == 2 and all(m.dtype == op.blocks[0].dtype and m.shape == (dim, dim) for m in solves)
+    off_diagonal = ~np.eye(dim, dtype=bool)
+    assert all(np.array_equal(m[off_diagonal], op.blocks[0][off_diagonal]) for m in solves)
+    assert gs.xi_min.hex() == float(np.linalg.eigvalsh(op.matrix)[0]).hex()
 
 
 @pytest.mark.parametrize("dim", [7, 50, 201])
 def test_split_halves_the_turn_cannot_make_real_take_the_complex_eigh(dim):
     grid = transform_grid(preset_grid("q0"), [[1.0, 0.3], [0.0, 1.0]])
     assert len(_invariant_blocks(grid)) == 2
-    gs, blocks = _eigh_calls(build_operator(grid, dim))
+    gs, blocks, solves = _solver_calls(build_operator(grid, dim))
     assert [block.dtype for block in blocks] == [np.complex128] * 2
+    assert [block.dtype for block in solves] == [np.complex128] * 2
     xi_min, amps, degeneracy = full_block_ground_state(grid, dim)
     assert abs(gs.xi_min - xi_min) <= 1e-13
     assert gs.degeneracy == degeneracy
@@ -537,8 +544,9 @@ def test_split_halves_the_turn_makes_real_take_the_real_eigh(dim):
     # tables, so each half is complex and its turn is exactly real
     c = SQRT_PI / 2.0
     grid = GridSpec(c, c, -2.0 * c, 2.0 * c)
-    gs, blocks = _eigh_calls(build_operator(grid, dim))
+    gs, blocks, solves = _solver_calls(build_operator(grid, dim))
     assert [block.dtype for block in blocks] == [np.float64] * 2
+    assert [block.dtype for block in solves] == [np.float64] * 2
     xi_min, amps, degeneracy = full_block_ground_state(grid, dim)
     assert abs(gs.xi_min - xi_min) <= 1e-13
     assert gs.degeneracy == degeneracy
@@ -554,6 +562,115 @@ def test_degeneracy_counts_both_parity_blocks():
     gs = ground_state(TruncatedOperator(preset_grid("q0"), 7, (2.0 * np.eye(4), 2.0 * np.eye(3)), np.ones(4)))
     assert gs.xi_min == 2.0
     assert gs.degeneracy == 7
+
+
+# offsets that break parity: the whole basis is one invariant set
+ONE_SET = dataclasses.replace(preset_grid("hex"), d1=0.3, d2=-0.7)
+
+
+def _one_block_operator(block):
+    block = np.asarray(block, dtype=float)
+    return TruncatedOperator(ONE_SET, len(block), (block,), np.ones(len(block)))
+
+
+def _residual_and_bound(op, gs):
+    """|Q v - xi_min v| of the returned state, and the bound `ground_state` derives for it.
+
+    The block holding the state gives its corner's size n and scale s, and
+    delta = 16 eps max(1, s).  The solves leave (3 + n^2/4) delta; the phase
+    and the norm applied afterwards round v by at most 3 eps |v|, which
+    |A - xi_min I| <= 2 n s turns into at most n delta / 2 more.
+    """
+    amps = gs.state.amplitudes
+    for sel, block in zip(_invariant_blocks(op.grid), op.blocks):
+        n = len(range(op.dim)[sel])
+        if np.any(amps[sel]):
+            break
+    delta = 16.0 * np.finfo(float).eps * max(1.0, float(np.abs(block[:n, :n]).max()))
+    return float(np.linalg.norm(op.matrix @ amps - gs.xi_min * amps)), (3.0 + n / 2.0 + n * n / 4.0) * delta
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), A=st.one_of(st.just(np.eye(2)), symplectic_maps),
+       offsets=st.one_of(st.none(), any_offsets), dim=st.integers(1, 200))
+@example(name="hex", A=np.eye(2), offsets=(0.3, -0.7), dim=200)  # one complex block
+@example(name="q0", A=np.array([[1.0, 0.3], [0.0, 1.0]]), offsets=None, dim=120)  # sheared: complex halves
+@example(name="q1", A=np.eye(2), offsets=None, dim=1)
+def test_ground_state_reads_ground_values_level_within_its_residual_bound(name, A, offsets, dim):
+    grid = transform_grid(preset_grid(name), A)  # a preset's own offsets when `offsets` is None
+    if offsets is not None:
+        grid = dataclasses.replace(grid, d1=offsets[0], d2=offsets[1])
+    op = build_operator(grid, dim)
+    gs = ground_state(op)
+    values_min, values_degeneracy = ground_values(op)
+    assert np.float64(gs.xi_min).tobytes() == np.float64(values_min).tobytes()
+    assert gs.degeneracy == values_degeneracy
+    residual, bound = _residual_and_bound(op, gs)
+    assert residual <= bound
+    assert abs(gs.xi_min - full_block_ground_state(grid, dim)[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_small_preset_corners_with_an_exact_level(name, dim):
+    # at N <= 5 some corners hold their level exactly, so corner - xi_min I is singular
+    grid = preset_grid(name)
+    op = build_operator(grid, dim)
+    gs = ground_state(op)
+    residual, bound = _residual_and_bound(op, gs)
+    assert residual <= bound
+    xi_min, _, degeneracy = full_block_ground_state(grid, dim)
+    assert abs(gs.xi_min - xi_min) <= 1e-13
+    assert gs.degeneracy == degeneracy
+
+
+def test_one_by_one_corner_returns_its_entry_and_the_single_state():
+    gs = ground_state(_one_block_operator([[0.75]]))
+    assert gs.xi_min == 0.75 and gs.degeneracy == 1
+    assert np.array_equal(gs.state.amplitudes, [1.0])
+
+
+@pytest.mark.parametrize("n, diagonal, gap", [(2, 2.0, 2.0), (4, 3.0, 2.0 * (math.cos(0.6 * math.pi) - math.cos(0.8 * math.pi)))])
+def test_antisymmetric_lowest_vector_is_found(n, diagonal, gap):
+    # tridiagonal Toeplitz blocks (1 off the diagonal): the lowest vector,
+    # sin(j n pi / (n + 1)), is antisymmetric, so a start of ones has no share of it
+    block = diagonal * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    op = _one_block_operator(block)
+    gs = ground_state(op)
+    exact = np.sin(np.arange(1, n + 1) * n * math.pi / (n + 1))
+    assert np.allclose(exact, -exact[::-1], rtol=0.0, atol=1e-15)
+    residual, bound = _residual_and_bound(op, gs)
+    assert residual <= bound
+    assert abs(gs.xi_min - (diagonal + 2.0 * math.cos(n * math.pi / (n + 1)))) <= n * n * 3.0 * np.finfo(float).eps
+    # sin of the angle to the exact vector is at most residual / gap
+    overlap = abs(np.vdot(exact / np.linalg.norm(exact), gs.state.amplitudes))
+    assert overlap >= 1.0 - (bound / gap) ** 2 - 4.0 * np.finfo(float).eps
+
+
+def test_level_degenerate_within_a_block_returns_a_vector_of_its_eigenspace():
+    op = _one_block_operator(np.diag([1.0, 1.0, 3.0]))
+    gs = ground_state(op)
+    assert gs.xi_min == 1.0 and gs.degeneracy == 2
+    residual, bound = _residual_and_bound(op, gs)
+    assert residual <= bound
+
+
+def test_start_orthogonal_to_the_level_raises():
+    # a start of ones has no share of the lowest vector (1, -1): the residual check refuses the result
+    with mock.patch.object(np, "sin", np.ones_like), pytest.raises(np.linalg.LinAlgError, match="residual"):
+        ground_state(_one_block_operator([[2.0, 1.0], [1.0, 2.0]]))
+
+
+def test_ground_state_peak_is_one_copy_of_the_lowest_block():
+    # the solves read one shifted copy of the lowest block; nothing else of its size is held
+    op = build_operator(ONE_SET, 400)
+    tracemalloc.start()
+    try:
+        ground_state(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= op.blocks[0].nbytes + 16 * 16 * 400  # and at most 16 complex vectors of length N
 
 
 def test_expectation_vacuum_equals_classical_oracle():
