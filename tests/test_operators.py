@@ -641,7 +641,8 @@ def test_antisymmetric_lowest_vector_is_found(n, diagonal, gap):
     assert np.allclose(exact, -exact[::-1], rtol=0.0, atol=1e-15)
     residual, bound = _residual_and_bound(op, gs)
     assert residual <= bound
-    assert abs(gs.xi_min - (diagonal + 2.0 * math.cos(n * math.pi / (n + 1)))) <= n * n * 3.0 * np.finfo(float).eps
+    # eigvalsh's backward error beta = n^2 eps s, the scale s being the diagonal here
+    assert abs(gs.xi_min - (diagonal + 2.0 * math.cos(n * math.pi / (n + 1)))) <= n * n * diagonal * np.finfo(float).eps
     # sin of the angle to the exact vector is at most residual / gap
     overlap = abs(np.vdot(exact / np.linalg.norm(exact), gs.state.amplitudes))
     assert overlap >= 1.0 - (bound / gap) ** 2 - 4.0 * np.finfo(float).eps
