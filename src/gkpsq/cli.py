@@ -39,6 +39,7 @@ from .estimator import (
     DEFAULT_ANGLE_TOLERANCE,
     SampleParseError,
     UnmeasurableGridError,
+    _check_bootstrap,
     estimate_xi,
     load_samples,
     optimize_xi,
@@ -50,6 +51,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_PARSE = 4
+
+_CSV_BLOCK = 2**15  # cells `_write_csv` formats and writes at a time
 
 THRESHOLD_NOTES = [
     "q0 classical bound follows the vacuum Gaussian integral: with rows "
@@ -79,30 +82,41 @@ def _six_places(value: float) -> str:
     return f"{value:.6f}" if 1e-3 <= value < 1e6 else f"{value:.6e}"
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_text(path: str | None, chunks) -> None:
+    """Write each text chunk in turn to `path`, or to stdout when it is None or '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _write_csv(path, header, rows, preamble=()) -> None:
-    reprs: dict[float, str] = {}  # nonzero non-NaN float -> repr; 0.0 == -0.0 would share a key
+def _csv_block(columns, floats: list[int], start: int, stop: int) -> str:
+    """Rows start..stop as CSV text: repr for the `floats` columns' cells, _fmt for the others'."""
+    out = ([None, ","] * (len(columns) - 1) + [None, "\n"]) * (stop - start)
+    # int64 bits keep 0.0 and -0.0 apart; every NaN reprs as "nan"
+    bits = np.array([columns[i][start:stop] for i in floats]).view(np.int64)
+    # below a few hundred cells np.unique costs more than the reprs it saves
+    bits, inverse = np.unique(bits, return_inverse=True) if bits.size > 256 else (bits.ravel(), np.arange(bits.size))
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    cells = dict(zip(floats, texts[inverse.reshape(len(floats), stop - start)]))
+    for i, column in enumerate(columns):
+        out[2 * i :: 2 * len(columns)] = cells[i].tolist() if i in cells else map(_fmt, column[start:stop])
+    return "".join(out)
 
-    def cell(value) -> str:
-        if type(value) is float and value == value and value != 0.0:
-            text = reprs.get(value)
-            if text is None:
-                text = reprs[value] = repr(value)
-            return text
-        return _fmt(value)
 
-    lines = [f"# {line}" for line in preamble]
-    lines.append(",".join(header))
-    lines.extend(",".join(map(cell, row)) for row in rows)
-    _write_lines(path, lines)
+def _write_csv(path, header, columns, preamble=()) -> None:
+    """Write equal-length `columns` under '# ' preamble lines and `header`, _CSV_BLOCK cells at a time.
+
+    A float64 array, or a list of floats, is written with repr, once per distinct
+    bit pattern in a block past 256 such cells; any other cell goes through _fmt.
+    """
+    floats = [i for i, column in enumerate(columns) if (column.dtype == np.float64 if isinstance(column, np.ndarray)
+                                                         else all(isinstance(v, float) for v in column))]
+    head = "".join(f"# {line}\n" for line in preamble) + ",".join(header) + "\n"
+    rows, step = len(columns[0]), _CSV_BLOCK // len(columns)
+    blocks = (_csv_block(columns, floats, start, min(start + step, rows)) for start in range(0, rows, step))
+    _write_text(path, itertools.chain([head], blocks))
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -142,14 +156,13 @@ def cmd_ground_sweep(args) -> int:
         raise ValueError("--dims must be ascending")
     # every name is checked before any Fock work
     grids = [preset_grid(name) for name in args.topology]
-    rows = []
     # Each truncation is the exact compression of Q, hence the corner of
     # the largest one: build that once per grid and solve its corners.
-    for name, largest in zip(args.topology, build_operators(grids, dims[-1])):
-        for dim in dims:
-            xi_min, degeneracy = ground_values(largest, dim)
-            rows.append((name, dim, xi_min, db(xi_min), degeneracy))
-    _write_csv(args.output, ("topology", "N", "xi_min", "xi_min_db", "degeneracy"), rows)
+    levels = [ground_values(largest, dim) for largest in build_operators(grids, dims[-1]) for dim in dims]
+    xi_min, degeneracy = zip(*levels)
+    names = [name for name in args.topology for _ in dims]
+    columns = (names, dims * len(grids), xi_min, [db(xi) for xi in xi_min], degeneracy)
+    _write_csv(args.output, ("topology", "N", "xi_min", "xi_min_db", "degeneracy"), columns)
     return EXIT_OK
 
 
@@ -167,16 +180,10 @@ def cmd_wigner(args) -> int:
     gs = ground_state(build_operator(grid, dim))
     axis = np.linspace(-args.extent, args.extent, args.resolution) if args.resolution > 1 else np.array([0.0])
     values = wigner(gs.state, axis, axis)
-    # The cells _write_csv would format one by one: x varies fastest, and
-    # repr of a plain float is what _fmt gives.
-    labels = list(map(repr, axis.tolist()))
-    cells = map(repr, values.T.ravel().tolist())
-    preamble = (
-        f"# topology={args.topology[0]} N={dim} extent={_fmt(float(args.extent))} "
-        f"resolution={args.resolution} xi_min={_fmt(gs.xi_min)}"
-    )
-    body = [f"{x},{p},{w}" for (p, x), w in zip(itertools.product(labels, labels), cells)]
-    _write_lines(args.output, [preamble, "x,p,w", *body])
+    preamble = [f"topology={args.topology[0]} N={dim} extent={_fmt(float(args.extent))} "
+                f"resolution={args.resolution} xi_min={_fmt(gs.xi_min)}"]
+    columns = (np.tile(axis, axis.size), np.repeat(axis, axis.size), values.T.ravel())  # x varies fastest
+    _write_csv(args.output, ("x", "p", "w"), columns, preamble)
     return EXIT_OK
 
 
@@ -185,30 +192,17 @@ def cmd_fidelity_sweep(args) -> int:
     s0 = preset_grid("s0")
     classical = classical_bound_grid(s0)
     gaussian = gaussian_bound_grid(s0)
-    rows = []
-    for g in args.g:
-        xi1 = xi_approx_symmetric(g)
-        for f in f_values:
-            lower, upper = fidelity_bounds(float(f), g)
-            rows.append(
-                (
-                    float(f),
-                    g,
-                    lower,
-                    upper,
-                    xi1,
-                    classical,
-                    gaussian,
-                    THRESHOLDS.ft_sufficient_xi0,
-                    THRESHOLDS.ft_necessary_xi0,
-                )
-            )
-    _write_csv(
-        args.output,
-        ("f", "g", "xi_lower", "xi_upper", "xi_exact_state", "classical_bound",
-         "gaussian_bound", "ft_guaranteed_xi", "ft_possible_xi"),
-        rows,
-    )
+    count = f_values.size
+    xi_exact, bounds = [], np.empty((2, len(args.g), count))
+    for k, g in enumerate(args.g):
+        xi_exact.append(xi_approx_symmetric(g))
+        bounds[:, k] = np.fromiter((fidelity_bounds(float(f), g) for f in f_values), np.dtype((float, 2)), count).T
+    constants = (classical, gaussian, THRESHOLDS.ft_sufficient_xi0, THRESHOLDS.ft_necessary_xi0)
+    columns = (np.tile(f_values, len(args.g)), np.repeat(args.g, count), *bounds.reshape(2, -1),
+               np.repeat(xi_exact, count), *(np.full(len(args.g) * count, value) for value in constants))
+    header = ("f", "g", "xi_lower", "xi_upper", "xi_exact_state", "classical_bound", "gaussian_bound",
+              "ft_guaranteed_xi", "ft_possible_xi")
+    _write_csv(args.output, header, columns)
     return EXIT_OK
 
 
@@ -218,32 +212,33 @@ def cmd_channel_sweep(args) -> int:
     if args.nbar < 0:
         raise ValueError(f"--nbar must be >= 0, got {args.nbar!r}")
     xi_in_values = _linspace_arg("--xi-in", args.xi_in, len(args.eta), 4)
-    rows = []
-    for eta in args.eta:
-        v = loss_to_noise_variance(eta) + args.nbar / eta
-        for xi_in in xi_in_values:
-            rows.append((eta, v, float(xi_in), channel_affine_xi(float(xi_in), v=v)))
+    count = xi_in_values.size
+    variances, xi_out = [], np.empty((len(args.eta), count))
+    for k, eta in enumerate(args.eta):
+        variances.append(loss_to_noise_variance(eta) + args.nbar / eta)
+        xi_out[k] = channel_affine_xi(xi_in_values, v=variances[-1])
+    columns = (np.repeat(args.eta, count), np.repeat(variances, count), np.tile(xi_in_values, len(args.eta)),
+               xi_out.ravel())
     preamble = [
         f"nbar={_fmt(float(args.nbar))}",
         f"eta_min_ft_guaranteed={_fmt(min_eta_for_band(THRESHOLDS.ft_sufficient_xi0))}",
         f"eta_min_ft_possible={_fmt(min_eta_for_band(THRESHOLDS.ft_necessary_xi0))}",
     ]
-    _write_csv(args.output, ("eta", "v_equivalent", "xi_in", "xi_out"), rows, preamble)
+    _write_csv(args.output, ("eta", "v_equivalent", "xi_in", "xi_out"), columns, preamble)
     return EXIT_OK
 
 
 def cmd_peaks_sweep(args) -> int:
     grid = preset_grid("s0")
-    rows = []
-    for g in args.g:
-        for s_max in args.smax:
-            params = ApproxGKPParams(g=g, a=math.sqrt(math.pi / 2.0), s_max=int(s_max))
-            rows.append((g, int(s_max), xi_finite_superposition(params, grid)))
-    _write_csv(args.output, ("g", "s_max", "xi"), rows)
+    pairs = [(g, s_max) for g in args.g for s_max in args.smax]
+    xi = [xi_finite_superposition(ApproxGKPParams(g=g, a=math.sqrt(math.pi / 2.0), s_max=s_max), grid)
+          for g, s_max in pairs]
+    _write_csv(args.output, ("g", "s_max", "xi"), (*zip(*pairs), xi))
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
+    _check_bootstrap(args.bootstrap)  # before the samples are read and the optimizer runs
     samples = load_samples(args.input)
     report_dict: dict = {"schema_version": 1, "command": "estimate", "input": str(args.input)}
     if args.optimize:
@@ -280,7 +275,7 @@ def cmd_estimate(args) -> int:
             "sample_counts": {repr(a): n for a, n in report.sample_counts.items()},
         }
     )
-    _write_lines(args.output, [json.dumps(report_dict, indent=2, sort_keys=True)])
+    _write_text(args.output, [json.dumps(report_dict, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
 
@@ -321,7 +316,7 @@ def cmd_thresholds(args) -> int:
         "notes": THRESHOLD_NOTES,
     }
     if args.json:
-        _write_lines(args.output, [json.dumps(payload, indent=2, sort_keys=True)])
+        _write_text(args.output, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
         return EXIT_OK
     lines = [
         f"grid: {grid.label or 'custom'} (gkp_valid={grid.gkp_valid})",
@@ -339,7 +334,7 @@ def cmd_thresholds(args) -> int:
     lines.append("notes:")
     for note in THRESHOLD_NOTES:
         lines.append(f"  - {note}")
-    _write_lines(args.output, lines)
+    _write_text(args.output, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 

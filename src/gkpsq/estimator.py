@@ -198,6 +198,14 @@ def _term_mean_se(term: np.ndarray) -> tuple[float, float]:
     return float(np.mean(term)), se
 
 
+def _check_bootstrap(bootstrap: int | None) -> None:
+    """ValueError on a resample count below 2, ResourceCapError past the float budget; None passes."""
+    if bootstrap is not None:
+        if bootstrap < 2:
+            raise ValueError(f"bootstrap resample count must be >= 2, got {bootstrap}")
+        _check_float_budget(bootstrap, "estimate_xi", f"{bootstrap} bootstrap resamples", "use fewer resamples")
+
+
 def estimate_xi(
     samples: QuadratureSamples,
     grid: GridSpec,
@@ -219,10 +227,7 @@ def estimate_xi(
     before any array is made.
     """
     _check_tolerance(angle_tolerance)
-    if bootstrap is not None:
-        if bootstrap < 2:
-            raise ValueError(f"bootstrap resample count must be >= 2, got {bootstrap}")
-        _check_float_budget(bootstrap, "estimate_xi", f"{bootstrap} bootstrap resamples", "use fewer resamples")
+    _check_bootstrap(bootstrap)
     total = var = 0.0
     terms = []
     for z, phi, d in grid.row_waves():

@@ -167,9 +167,22 @@ def test_wigner_csv_bytes_match_per_cell_formatting(tmp_path):
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def per_cell_csv(header, columns, preamble=()) -> str:
+    """The CSV text of `columns` with every cell formatted on its own by `cli._fmt`."""
+    lines = [f"# {line}" for line in preamble] + [",".join(header)]
+    lines += [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+# NaNs of either sign, quiet and signalling, with different payloads: each
+# is its own int64 bit pattern, and every one must still read "nan".
+NAN_PAYLOADS = np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64).tolist()
 # Values that share a repr, differ only in sign, never compare equal, sit at
 # the float range's ends, or are not plain floats.
-csv_floats = st.sampled_from([0.1, 1 / 3, -2.5, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308])
+csv_floats = st.sampled_from([0.1, 1 / 3, -2.5, 5e-324, -5e-324, math.inf, -math.inf, 1e308, *NAN_PAYLOADS])
 csv_values = st.one_of(
     csv_floats,
     st.floats(allow_nan=True),
@@ -184,14 +197,53 @@ csv_values = st.one_of(
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     rows=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.1]), csv_floats, csv_values, csv_values), max_size=25),
+    repeat=st.sampled_from([1, 20]),
     preamble=st.lists(st.text(alphabet="abc= 0.1", max_size=8), max_size=2),
 )
-def test_write_csv_bytes_match_per_cell_formatting(tmp_path, rows, preamble):
+def test_write_csv_bytes_match_per_cell_formatting(tmp_path, rows, repeat, preamble):
+    # a list of floats, a float64 array and two mixed lists; 20 repeats put
+    # the float cells past the size at which a block reprs each distinct value once
+    zero, floats, u, v = ([list(column) * repeat for column in zip(*rows)] if rows else [[], [], [], []])
+    columns = (zero, np.array(floats, dtype=np.float64), u, v)
     out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), ("zero", "float", "u", "v"), rows, preamble)
-    lines = [f"# {line}" for line in preamble] + ["zero,float,u,v"]
-    lines += [",".join(cli._fmt(v) for v in row) for row in rows]
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    cli._write_csv(str(out), ("zero", "float", "u", "v"), columns, preamble)
+    assert out.read_bytes() == per_cell_csv(("zero", "float", "u", "v"), columns, preamble).encode()
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 3])
+def test_write_csv_streams_whole_blocks_with_per_cell_bytes(tmp_path, blocks):
+    # 0 rows, one full block, and 2 blocks plus one row: every seam must match per-cell formatting
+    step = cli._CSV_BLOCK // 4
+    rows = {0: 0, 1: step, 3: 2 * step + 1}[blocks]
+    pattern = np.array([0.0, -0.0, 0.1, 1 / 3, math.inf, -math.inf, 5e-324, *NAN_PAYLOADS])
+    columns = (np.resize(pattern, rows), np.resize(pattern[::-1], rows).tolist(), list(range(rows)),
+               [("a", True, np.float64(-0.0))[i % 3] for i in range(rows)])
+    out = tmp_path / "blocks.csv"
+    with mock.patch.object(cli, "_csv_block", wraps=cli._csv_block) as block:
+        cli._write_csv(str(out), ("a", "b", "n", "s"), columns, ["seams"])
+    assert block.call_count == blocks
+    assert out.read_bytes() == per_cell_csv(("a", "b", "n", "s"), columns, ["seams"]).encode()
+
+
+@pytest.mark.parametrize("path", [None, "-"])
+def test_write_csv_to_stdout(capsys, path):
+    columns = (np.array([0.5, -0.0, math.nan]), [1, 2, 3], ["x", "y", "z"])
+    cli._write_csv(path, ("w", "n", "s"), columns, ["stdout"])
+    assert capsys.readouterr().out == per_cell_csv(("w", "n", "s"), columns, ["stdout"])
+
+
+def test_fidelity_sweep_peak_is_under_twice_its_counted_floats(tmp_path):
+    # 1e5 rows of 9 float64 cells are what the float budget counts; the
+    # columns plus one block of text must stay under twice that
+    out = tmp_path / "f.csv"
+    tracemalloc.start()
+    try:
+        code = main(["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1", "100000", "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 8 * 9 * 100000
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -404,6 +456,20 @@ def test_estimate_bootstrap_past_the_budget_exits_3(tmp_path, monkeypatch, capsy
     assert "16 bootstrap resamples" in capsys.readouterr().err
     assert not out.exists()
     assert main(["estimate", "--input", str(path), "--bootstrap", "15", "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("count, cap, code", [("1", None, 2), ("16", "1", 3)])
+def test_estimate_bootstrap_count_is_checked_before_the_optimizer(tmp_path, monkeypatch, count, cap, code):
+    samples = synthesize_samples(FockState.number_state(0, 2), [0.0, math.pi / 2], 200, seed=5)
+    path = tmp_path / "vac.csv"
+    save_samples(samples, path)
+    if cap is not None:
+        monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", cap)
+    out = tmp_path / "e.json"
+    with mock.patch.object(cli, "optimize_xi", wraps=cli.optimize_xi) as optimizer:
+        assert main(["estimate", "--input", str(path), "--optimize", "--bootstrap", count, "--output", str(out)]) == code
+    assert optimizer.call_count == 0
+    assert not out.exists()
 
 
 def test_estimate_command_vacuum(tmp_path):

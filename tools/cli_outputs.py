@@ -3,7 +3,8 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py OUTDIR
 
 Each command runs in-process through `gkpsq.cli.main` and writes one file
-into OUTDIR: the five sweeps, `thresholds` (text and `--json`) for every
+into OUTDIR: the five sweeps, a `fidelity-sweep` of 10001 rows that spans
+three of the CSV writer's blocks, `thresholds` (text and `--json`) for every
 preset and for one custom grid (rows of unequal length, nonzero offsets),
 and `estimate` plain, `--bootstrap 500 --seed 1`, `--optimize`,
 `--optimize --no-gkp-valid` and `--optimize --bootstrap 500 --seed 1` on
@@ -41,6 +42,8 @@ SWEEPS = {
     "fidelity.csv": ["fidelity-sweep", "--g", "0.05", "0.1", "0.2", "0.4", "--fidelity-grid", "0", "1", "101"],
     "channel.csv": ["channel-sweep", "--eta", "1.0", "0.95", "0.9", "0.8", "--xi-in", "0", "2", "81"],
     "peaks.csv": ["peaks-sweep", "--g", "0.05", "0.1", "0.2", "0.4", "--smax", "0", "1", "2", "3", "4", "5", "6"],
+    # 10001 rows of 9 cells: three of the CSV writer's blocks, so a diff sees both seams
+    "fidelity_blocks.csv": ["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1", "10001"],
 }
 # A custom grid for `thresholds`: unequal row lengths put the symmetric
 # root away from every preset's.
