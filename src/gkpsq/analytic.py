@@ -316,14 +316,14 @@ def grid_squeezing_bounds_from_xi(xi: float, grid: GridSpec | str) -> GridSqueez
     )
 
 
-def fidelity_bounds(f: float, g: float) -> tuple[float, float]:
-    """Sandwich on xi_s0 for states at fidelity f to the g peak superposition.
+def fidelity_bounds(f: float | np.ndarray, g: float) -> tuple:
+    """Sandwich on xi_s0 for states at fidelity f to the g peak superposition; elementwise on an f array.
 
     Exact for states of the form f * P_ref + (1-f) * (orthogonal part); the
     eigenvalue range [0, 4] of the operator fixes the width 4*(1-f).
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity must be in [0, 1], got {f}")
+    if not np.all(inside := (0.0 <= f) & (f <= 1.0)):
+        raise ValueError(f"fidelity must be in [0, 1], got {float(f[np.argmin(inside)]) if np.ndim(f) else f}")
     xi1 = xi_approx_symmetric(g)
     return f * xi1, f * xi1 + 4.0 * (1.0 - f)
 

@@ -189,15 +189,14 @@ def cmd_wigner(args) -> int:
 
 def cmd_fidelity_sweep(args) -> int:
     f_values = _linspace_arg("--fidelity-grid", args.fidelity_grid, len(args.g), 9)
-    s0 = preset_grid("s0")
-    classical = classical_bound_grid(s0)
-    gaussian = gaussian_bound_grid(s0)
     count = f_values.size
     xi_exact, bounds = [], np.empty((2, len(args.g), count))
-    for k, g in enumerate(args.g):
+    for k, g in enumerate(args.g):  # each g is checked before its fidelities
         xi_exact.append(xi_approx_symmetric(g))
-        bounds[:, k] = np.fromiter((fidelity_bounds(float(f), g) for f in f_values), np.dtype((float, 2)), count).T
-    constants = (classical, gaussian, THRESHOLDS.ft_sufficient_xi0, THRESHOLDS.ft_necessary_xi0)
+        bounds[:, k] = fidelity_bounds(f_values, g)
+    s0 = preset_grid("s0")
+    constants = (classical_bound_grid(s0), gaussian_bound_grid(s0), THRESHOLDS.ft_sufficient_xi0,
+                 THRESHOLDS.ft_necessary_xi0)
     columns = (np.tile(f_values, len(args.g)), np.repeat(args.g, count), *bounds.reshape(2, -1),
                np.repeat(xi_exact, count), *(np.full(len(args.g) * count, value) for value in constants))
     header = ("f", "g", "xi_lower", "xi_upper", "xi_exact_state", "classical_bound", "gaussian_bound",

@@ -261,9 +261,9 @@ def _phasor_moments(values: np.ndarray, u: float) -> tuple[complex, np.ndarray]:
     vals = np.asarray(values, dtype=float).reshape(-1)
     if vals.size == 0:
         raise ValueError("need at least one sample")
-    parts = np.vstack([np.cos(u * vals), -np.sin(u * vals)])
-    n = vals.size
-    cov = np.cov(parts, ddof=1) / n if n > 1 else np.full((2, 2), np.inf)
+    z = _phasors(vals, -u)  # cos(u q) - i sin(u q)
+    parts = np.vstack([z.real, z.imag])
+    cov = np.cov(parts, ddof=1) / vals.size if vals.size > 1 else np.full((2, 2), np.inf)
     return complex(np.mean(parts[0]), np.mean(parts[1])), cov
 
 
@@ -510,11 +510,11 @@ def synthesize_samples(state: FockState, angles, n_per_angle: int, seed: int) ->
     on [-reach, reach], reach = sqrt(2N + 1) + 6, past which every number
     state below N is beyond its turning point by 6.  It builds the Hermite
     table in blocks of 2048 points, each serving all the angles, so the
-    call holds about 24 N 2048 bytes of tables, 49 MB at N = 1000, instead
-    of 24 N 8192 for the whole table.  Each pdf is inverted through its
-    cumulative trapezoid; output is deterministic for a given seed.  The
-    points resolve |psi|^2 for N up to about 2990; a pdf that misses more
-    than 1e-6 of the mass raises ValueError.
+    call holds about 24 N 2048 bytes of tables instead of 24 N 8192 for
+    the whole table.  Each pdf is inverted through its cumulative
+    trapezoid; output is deterministic for a given seed.  The points
+    resolve |psi|^2 for N up to about 2990; a pdf that misses more than
+    1e-6 of the mass raises ValueError.
     """
     if n_per_angle < 1:
         raise ValueError(f"n_per_angle must be >= 1, got {n_per_angle}")
@@ -536,7 +536,10 @@ def synthesize_samples(state: FockState, angles, n_per_angle: int, seed: int) ->
 
 
 def save_samples(samples: QuadratureSamples, path) -> None:
-    """Write the angle,value CSV format (full round-trip precision)."""
+    """Write the angle,value CSV format (full round-trip precision).
+
+    Not through `cli._write_csv`, whose `np.unique` saves no `repr` on samples that are all distinct.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("angle,value\n")
         for angle, values in samples.records:

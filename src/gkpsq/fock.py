@@ -243,8 +243,8 @@ def displacement_blocks(shift: float, dim: int, sets: tuple[slice, ...]) -> list
     on the set's rows, with the column sign (-1)^n.  A parity set costs a
     quarter of the full product.  The sets share the table, about
     1.5 N^2 floats, freed before the products: a call peaks near 28 N^2
-    bytes, 0.11 GB at the default cap.  The trapezoid sum has no
-    catastrophic cancellation, unlike recurrence or Laguerre-series routes.
+    bytes.  The trapezoid sum has no catastrophic cancellation, unlike
+    recurrence or Laguerre-series routes.
 
     Exactness: each factor's Fourier transform is, up to a phase, the
     same Hermite function, so beyond sqrt(2N + 1) it has the same tail as
@@ -387,15 +387,14 @@ def quadrature_pdf(state: FockState, angles, q_grid: np.ndarray) -> list[Quadrat
     each angle has its own product with it.  No table of the whole grid is
     made: one block's float table and the complex copy, in a buffer sized
     for the widest block, take 24 N _PDF_BLOCK bytes on a grid of whole
-    blocks (49 MB at N = 1000 on the sampler's 8192 points) and less than
-    twice that on any grid.  With one BLAS thread a density has the bits
-    of one product with the whole table, since no block is narrower than
-    _PDF_BLOCK; a threaded BLAS splits each product by its width, so off
-    whole blocks the bits of either route follow the thread count.  A
-    result carries the probability mass captured by the grid, a trapezoid
-    over the whole density; `grid_too_narrow` flags a grid that misses
-    more than 1e-6 of it, or a mass that is not finite.  N is checked
-    against the cap first.
+    blocks and less than twice that on any grid.  With one BLAS thread a
+    density has the bits of one product with the whole table, since no
+    block is narrower than _PDF_BLOCK; a threaded BLAS splits each product
+    by its width, so off whole blocks the bits of either route follow the
+    thread count.  A result carries the probability mass captured by the
+    grid, a trapezoid over the whole density; `grid_too_narrow` flags a
+    grid that misses more than 1e-6 of it, or a mass that is not finite.
+    N is checked against the cap first.
     """
     dim = state.dim
     check_build_dim(dim)

@@ -182,10 +182,9 @@ class TruncatedOperator:
         """The dense complex `dim x dim` matrix, assembled on first read."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
         turned = not np.all(self.turn == 1.0)
-        for sel, block in zip(_invariant_blocks(self.grid), self.blocks):
-            u = self.turn[: len(range(self.dim)[sel])]
+        for sel, u, corner in _corners(self, self.dim):
             view = mat[sel, sel]
-            view[...] = block[: u.size, : u.size]
+            view[...] = corner
             if turned:  # in place, in the order (u_i block_ij) conj(u_j)
                 view *= u[:, None]
                 view *= u.conj()
@@ -236,12 +235,11 @@ def build_operators(grids, dim: int) -> Iterator[TruncatedOperator]:
     Rows of equal shift on the same number of invariant sets read one
     displacement table for the whole sequence: q1 reads q0's tables and s1
     reads s0's.  When all the sequence's lattices fit in one Hermite table
-    of at most 2^20 floats (8 MiB; N up to 371 for the five presets, 787
-    for one row length), one `hermite_functions` call tabulates them side
-    by side and every table is made up front: that table and its even and
-    odd parts add at most 16 MiB to the peak.  Otherwise each table is made
-    alone, before the first grid that reads it, and held only until the
-    last one is built, so the peak is that of one build.  Every block is
+    of at most 2^20 floats (8 MiB), one `hermite_functions` call tabulates
+    them side by side and every table is made up front: that table and its
+    even and odd parts add at most 16 MiB to the peak.  Otherwise each table
+    is made alone, before the first grid that reads it, and held only until
+    the last one is built, so the peak is that of one build.  Every block is
     bit-identical to a build of its grid alone.  Nothing outlives the
     generator.  `dim` is checked against the cap before any table.
     """

@@ -387,6 +387,37 @@ def test_fidelity_bounds():
         fidelity_bounds(1.1, g)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    f=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308])),
+        min_size=1,
+        max_size=100,
+    ).map(np.array),
+    g=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example(f=np.linspace(0.0, 1.0, 101), g=0.1)
+@example(f=np.array([5e-324, 1.0]), g=5e-324)
+@example(f=np.array([0.5]), g=1.7e308)  # pi g / 2 overflows: xi1 = 2
+def test_fidelity_bounds_on_an_array_match_each_scalar_call_bit_for_bit(f, g):
+    lower, upper = fidelity_bounds(f, g)
+    pairs = [fidelity_bounds(float(x), g) for x in f]
+    assert all(type(bound) is float for pair in pairs for bound in pair)
+    assert lower.tobytes() == np.array([lo for lo, _ in pairs]).tobytes()
+    assert upper.tobytes() == np.array([hi for _, hi in pairs]).tobytes()
+
+
+@pytest.mark.parametrize("f", [[0.5, -0.5, 2.0], [1.0, math.nan, -1.0], [0.0, 1.0, 1.0000000000000002], [-5e-324]])
+@pytest.mark.parametrize("g", [0.1, math.nan])
+def test_fidelity_bounds_on_an_array_name_the_first_bad_f_as_the_scalar_call_does(f, g):
+    first = next(x for x in f if not 0.0 <= x <= 1.0)
+    with pytest.raises(ValueError) as scalar:
+        fidelity_bounds(first, g)
+    with pytest.raises(ValueError) as array:
+        fidelity_bounds(np.array(f), g)
+    assert str(array.value) == str(scalar.value) == f"fidelity must be in [0, 1], got {first}"
+
+
 def test_channel_identity():
     ch = ChannelParams(eta=1.0, n_thermal=0.0)
     grid = preset_grid("general", a=0.8, b=1.1)

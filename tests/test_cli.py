@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gkpsq.analytic import THRESHOLDS
-from gkpsq import cli, estimator, fock
+from gkpsq import analytic, cli, estimator, fock
 from gkpsq.cli import main
 from gkpsq.estimator import (
     QuadratureSamples,
@@ -328,6 +328,26 @@ def test_fidelity_sweep(tmp_path):
     assert float(last[2]) == pytest.approx(xi1, abs=1e-12)
     assert float(last[3]) == pytest.approx(xi1, abs=1e-12)
     assert "classical_bound" in header and "gaussian_bound" in header
+
+
+@pytest.mark.parametrize("gs, error", [
+    (["0.1", "nan"], "error: fidelity must be in [0, 1], got -0.5\n"),
+    (["nan", "0.1"], "error: need finite g > 0, got nan\n"),
+])
+def test_fidelity_sweep_checks_each_g_before_its_fidelities(tmp_path, capsys, gs, error):
+    out = tmp_path / "f.csv"
+    assert main(["fidelity-sweep", "--g", *gs, "--fidelity-grid", "-0.5", "1", "3", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == error
+    assert not out.exists()
+
+
+def test_fidelity_sweep_works_out_the_exact_state_xi_per_g_not_per_row(tmp_path):
+    spy = mock.Mock(wraps=analytic.xi_approx_symmetric)
+    with mock.patch.object(cli, "xi_approx_symmetric", spy), mock.patch.object(analytic, "xi_approx_symmetric", spy):
+        code = main(["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1", "100000",
+                     "--output", str(tmp_path / "f.csv")])
+    assert code == 0
+    assert spy.call_count <= 2
 
 
 def test_channel_sweep(tmp_path):

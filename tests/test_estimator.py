@@ -415,6 +415,42 @@ def test_char_fn_matches_complex_exp_bit_for_bit(values, u):
     assert _bits(_char_fn(values, u)) == _bits(char_fn_complex_exp(values, u))
 
 
+def _phasor_moments_cos_sin(values, u):
+    """`estimator._phasor_moments` with each phasor part as np.cos(u q) and -np.sin(u q)."""
+    vals = np.asarray(values, dtype=float).reshape(-1)
+    parts = np.vstack([np.cos(u * vals), -np.sin(u * vals)])
+    cov = np.cov(parts, ddof=1) / vals.size if vals.size > 1 else np.full((2, 2), np.inf)
+    return complex(np.mean(parts[0]), np.mean(parts[1])), cov
+
+
+def _field_bytes(record) -> list[bytes]:
+    return [np.array(field).tobytes() for field in dataclasses.astuple(record)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.floats(-4e3, 4e3), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310])),
+        min_size=1,
+        max_size=300,
+    ).map(np.array),
+    u=st.one_of(st.floats(1e-3, 25.0), st.floats(-25.0, -1e-3)),
+)
+@example(values=np.zeros(7), u=2.0)  # |mean| = 1 exactly, zero covariance
+@example(values=np.array([-0.0, 0.0, 5e-324]), u=-1.0)
+@example(values=np.random.default_rng(5).normal(scale=4e3, size=20000), u=25.0)
+def test_phasor_moments_match_cos_sin_oracle_bit_for_bit(values, u):
+    # sin is odd and cos even to the bit, so exp(-i u q) read as exp(i (-u) q)
+    # keeps every field of both estimates
+    with warnings.catch_warnings():
+        # one sample's infinite covariance, or |mean| past 1 by rounding, warns on both routes
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = [estimate_displacement_mean(values, u), estimate_grid_squeezing(values, u)]
+        with mock.patch.object(estimator, "_phasor_moments", _phasor_moments_cos_sin):
+            want = [estimate_displacement_mean(values, u), estimate_grid_squeezing(values, u)]
+    assert [_field_bytes(record) for record in got] == [_field_bytes(record) for record in want]
+
+
 def _optimize_fields(res) -> list:
     grid = [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(res.best_grid)]
     return [grid, res.xi_opt.hex(), res.std_error.hex(), res.m_gkp.hex(), [a.hex() for a in res.angles_used]]

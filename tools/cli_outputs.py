@@ -4,7 +4,8 @@
 
 Each command runs in-process through `gkpsq.cli.main` and writes one file
 into OUTDIR: the five sweeps, a `fidelity-sweep` of 10001 rows that spans
-three of the CSV writer's blocks, `thresholds` (text and `--json`) for every
+three of the CSV writer's blocks and one of 3001 rows on each of four g
+(12004 rows, its block seams inside the g groups), `thresholds` (text and `--json`) for every
 preset and for one custom grid (rows of unequal length, nonzero offsets),
 and `estimate` plain, `--bootstrap 500 --seed 1`, `--optimize`,
 `--optimize --no-gkp-valid` and `--optimize --bootstrap 500 --seed 1` on
@@ -44,6 +45,9 @@ SWEEPS = {
     "peaks.csv": ["peaks-sweep", "--g", "0.05", "0.1", "0.2", "0.4", "--smax", "0", "1", "2", "3", "4", "5", "6"],
     # 10001 rows of 9 cells: three of the CSV writer's blocks, so a diff sees both seams
     "fidelity_blocks.csv": ["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1", "10001"],
+    # 12004 rows of 9 cells: the writer's block seams fall inside the g groups
+    "fidelity_multi_g.csv": ["fidelity-sweep", "--g", "0.05", "0.1", "0.2", "0.4",
+                             "--fidelity-grid", "0", "1", "3001"],
 }
 # A custom grid for `thresholds`: unequal row lengths put the symmetric
 # root away from every preset's.
