@@ -283,16 +283,16 @@ def estimate_grid_squeezing(values: np.ndarray, u: float) -> GridSqueezingEstima
 
     When the estimated magnitude is within three standard errors of zero the
     logarithm is unbounded, so the infinite-squeezing sentinel is returned
-    with reliable=False.
+    with reliable=False, as it is for one sample (a NaN standard error).
     """
     mean, cov = _phasor_moments(values, u)
     a, b = mean.real, mean.imag
+    (caa, cab), (_, cbb) = cov.tolist()  # floats, so inf * 0 gives NaN without a warning
     r_sq = a * a + b * b
     r = math.sqrt(r_sq)
-    # se of r = |mean| via the gradient (a, b)/r
-    var_r = (a * a * cov[0, 0] + b * b * cov[1, 1] + 2.0 * a * b * cov[0, 1]) / r_sq if r > 0 else math.inf
+    var_r = (a * a * caa + b * b * cbb + 2.0 * a * b * cab) / r_sq if r > 0 else math.inf  # gradient (a, b)/r of r
     se_r = math.sqrt(max(var_r, 0.0))
-    if r <= 3.0 * se_r:
+    if not r > 3.0 * se_r:
         return GridSqueezingEstimate(delta_sq=math.inf, std_error=math.inf, reliable=False)
     se = 4.0 / (u * u) * se_r / r  # d/dr of -ln r is -1/r
     return GridSqueezingEstimate(delta_sq=grid_squeezing(mean, u), std_error=se, reliable=True)

@@ -35,7 +35,6 @@ from .fock import (
     _support,
     _toeplitz,
     check_build_dim,
-    coherent_displacement,
     displacement_blocks,
     hermite_functions,
 )
@@ -165,7 +164,7 @@ class TruncatedOperator:
     """Grid operator on the first `dim` number states, held as its invariant blocks.
 
     Its entry (i, j) on set k of `_invariant_blocks` is turn_i blocks[k][i, j]
-    conj(turn_j) (see `build_operator`), read from the blocks' leading corner.
+    conj(turn_j) (see `build_operator`); the solves and expectations read it from the blocks' leading corner.
     """
 
     grid: GridSpec
@@ -179,7 +178,7 @@ class TruncatedOperator:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The dense complex `dim x dim` matrix, assembled on first read."""
+        """The dense complex `dim x dim` matrix, assembled on first read; no package computation reads it."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
         turned = not np.all(self.turn == 1.0)
         for sel, u, corner in _corners(self, self.dim):
@@ -222,11 +221,10 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
     return next(build_operators((grid,), dim))
 
 
-def _row_shifts(grid: GridSpec) -> Iterator[tuple[float, complex, float]]:
-    """Each row as (s, u, d): its term reads R, the real displacement by s, turned by u."""
-    for c1, c2, d in grid.rows():
-        alpha = math.sqrt(2.0) * complex(-c2, c1)
-        yield math.sqrt(2.0) * abs(alpha), alpha / abs(alpha), d
+def _row_shift(c1: float, c2: float) -> tuple[float, complex]:
+    """(s, u) of a row: e^{2i(c1 x + c2 p)} = diag(u^n) R diag(u^-n), R the real displacement by s; zero: (0, 1)."""
+    alpha = math.sqrt(2.0) * complex(-c2, c1)
+    return math.sqrt(2.0) * abs(alpha), alpha / abs(alpha) if alpha else 1.0
 
 
 def build_operators(grids, dim: int) -> Iterator[TruncatedOperator]:
@@ -248,7 +246,7 @@ def build_operators(grids, dim: int) -> Iterator[TruncatedOperator]:
     requests, keys = {}, []  # (shift, set count) -> sets; each grid's keys in row order
     for grid in grids:
         sets = _invariant_blocks(grid)
-        keys.append(dict.fromkeys((shift, len(sets)) for shift, _, _ in _row_shifts(grid)))
+        keys.append(dict.fromkeys((_row_shift(c1, c2)[0], len(sets)) for c1, c2, _ in grid.rows()))
         requests.update(dict.fromkeys(keys[-1], sets))
     last = {key: i for i, grid_keys in enumerate(keys) for key in grid_keys}
     tables: dict[tuple[float, int], list[np.ndarray]] = {}
@@ -273,7 +271,8 @@ def _build_from_tables(grid: GridSpec, dim: int, tables: dict) -> TruncatedOpera
     stride, size = sets[0].step or 1, len(range(dim)[sets[0]])
     # Rows of equal shift read one table, and their gap weights add.
     weights: dict[float, np.ndarray] = {}
-    for shift, u, d in _row_shifts(grid):
+    for c1, c2, d in grid.rows():
+        shift, u = _row_shift(c1, c2)
         powers = _powers(u * u if stride == 2 else u, size)
         h = powers * math.cos(2.0 * d)
         if stride == 1:
@@ -399,36 +398,35 @@ def ground_values(op: TruncatedOperator, dim: int | None = None) -> tuple[float,
     return _lowest_level(op, op.dim if dim is None else dim)[1:]
 
 
-def _mean(state: FockState | DensityMatrix, matrix: np.ndarray) -> complex:
-    """<psi|M|psi> for a pure state or Tr[rho M]."""
-    dim = matrix.shape[0]
+def _mean(state: FockState | DensityMatrix, sel: slice, turn: np.ndarray, block: np.ndarray) -> complex:
+    """<psi|M|psi> or Tr[rho M] on `sel`, M = diag(turn) block diag(conj turn): no M made, no real block upcast."""
     if isinstance(state, FockState):
-        if state.dim != dim:
-            raise ValueError(f"state dim {state.dim} != operator dim {dim}")
-        return complex(np.vdot(state.amplitudes, matrix @ state.amplitudes))
+        z = turn.conj() * state.amplitudes[sel]
+        bz = block @ z if np.iscomplexobj(block) else block @ z.real + 1j * (block @ z.imag)  # as in `wigner`
+        return complex(np.vdot(z, bz))
     if isinstance(state, DensityMatrix):
-        if state.dim != dim:
-            raise ValueError(f"density matrix dim {state.dim} != operator dim {dim}")
-        return complex(np.trace(state.entries @ matrix))
+        return complex(np.vdot(turn, np.einsum("ij,ji,j->i", state.entries[sel, sel], block, turn)))  # by rows
     raise TypeError(f"expected FockState or DensityMatrix, got {type(state)!r}")
 
 
 def expectation(op: TruncatedOperator, state: FockState | DensityMatrix) -> float:
-    """<Q> for a pure state or Tr[rho Q], imaginary dust clipped."""
-    return float(_mean(state, op.matrix).real)
+    """<Q> for a pure state or Tr[rho Q], imaginary dust clipped: `_mean` summed over the invariant blocks."""
+    if isinstance(state, (FockState, DensityMatrix)) and state.dim != op.dim:
+        kind = "state" if isinstance(state, FockState) else "density matrix"
+        raise ValueError(f"{kind} dim {state.dim} != operator dim {op.dim}")
+    return float(sum(_mean(state, sel, u, corner) for sel, u, corner in _corners(op, op.dim)).real)
 
 
 def sin2_expectation(state: FockState | DensityMatrix, c1: float, c2: float, d: float = 0.0) -> float:
     """<sin^2(c1*x + c2*p + d)> = (1 - Re<exp(2i(c1*x + c2*p + d))>)/2.
 
-    Uses the exact `coherent_displacement` block, whose real part comes
-    from the primitive `build_operator` reads, so it is exact for states
-    supported inside the truncation.
+    exp(2i(c1*x + c2*p)) = diag(u^n) R diag(u^-n), (s, u) = `_row_shift` and R the exact block by s, or I if zero.
     """
-    block = coherent_displacement(math.sqrt(2.0) * complex(-c2, c1), state.dim)
-    if d != 0.0:
-        block = block * complex(math.cos(2.0 * d), math.sin(2.0 * d))
-    return 0.5 * (1.0 - _mean(state, block).real)
+    check_build_dim(state.dim)
+    shift, u = _row_shift(c1, c2)
+    block = displacement_blocks(shift, state.dim, (slice(None),))[0] if shift else np.eye(state.dim)
+    mean = _mean(state, slice(None), _powers(u, state.dim), block) * complex(math.cos(2.0 * d), math.sin(2.0 * d))
+    return 0.5 * (1.0 - mean.real)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Nothing here may import computational routines from the package modules it
 checks; everything is built from scipy/numpy primitives or brute-force
 loops so the comparisons stay two-sided.  Two exceptions:
-`displaced_parity_wigner` uses the package's `coherent_displacement`, which
-`tests/test_fock.py` checks against `laguerre_displacement_element`, because
-the Laguerre series loses the digits a 1e-13 comparison needs at N = 300.
+`displaced_parity_wigner` and `dense_sin2_expectation` use the package's
+`coherent_displacement`, which `tests/test_fock.py` checks against
+`laguerre_displacement_element`, because the Laguerre series loses the
+digits a 1e-13 comparison needs at N = 300.
 For the same reason at N = 1000 and 2000, `trapezoid_displacement` and
 `chunked_trapezoid_real_block` tabulate with the package's
 `hermite_functions`, which `tests/test_fock.py` checks for orthonormality
@@ -159,6 +160,21 @@ def full_block_ground_state(grid, dim: int) -> tuple[float, np.ndarray, int]:
     tol = max(1e-8, 1e-8 * abs(xi_min))
     degeneracy = int(np.count_nonzero(np.concatenate(spectra) < xi_min + tol))
     return xi_min, states[lowest], degeneracy
+
+
+def dense_mean(state, matrix: np.ndarray) -> complex:
+    """<psi|M|psi> for a pure state or Tr[rho M] on a dense matrix: `np.vdot` of M psi, or the trace of rho M."""
+    if isinstance(state, FockState):
+        return complex(np.vdot(state.amplitudes, matrix @ state.amplitudes))
+    return complex(np.trace(state.entries @ matrix))
+
+
+def dense_sin2_expectation(state, c1: float, c2: float, d: float = 0.0) -> float:
+    """(1 - Re<e^{2id} D>)/2 from the dense `coherent_displacement` block D of the doubled row."""
+    block = coherent_displacement(math.sqrt(2.0) * complex(-c2, c1), state.dim)
+    if d != 0.0:
+        block = block * complex(math.cos(2.0 * d), math.sin(2.0 * d))
+    return 0.5 * (1.0 - dense_mean(state, block).real)
 
 
 def bootstrap_std_error_choice(records, rows, bootstrap: int, seed: int) -> float:

@@ -18,6 +18,7 @@ from gkpsq.analytic import ApproxGKPParams
 from gkpsq.estimator import (
     _SCAN,
     DEFAULT_ANGLE_TOLERANCE,
+    GridSqueezingEstimate,
     MAX_LOG_SCALE,
     SCAN_POINTS,
     QuadratureSamples,
@@ -278,6 +279,21 @@ def test_grid_squeezing_estimate_unreliable_flag(rng):
     est = estimate_grid_squeezing(values, 9.0)
     assert not est.reliable
     assert est.delta_sq == math.inf
+
+
+def test_grid_squeezing_estimate_of_one_sample_is_unreliable():
+    # one sample has an infinite covariance; the delta method's NaN standard error is no error bar
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_grid_squeezing(np.array([0.3]), 2.0)
+    assert est == GridSqueezingEstimate(delta_sq=math.inf, std_error=math.inf, reliable=False)
+
+
+def test_grid_squeezing_estimate_of_two_equal_samples_has_zero_error():
+    # a zero sample covariance is a finite error bar: r = 1 > 3 * 0
+    est = estimate_grid_squeezing(np.array([0.3, 0.3]), 2.0)
+    assert (est.delta_sq, est.std_error, est.reliable) == (0.0, 0.0, True)
+    assert math.copysign(1.0, est.delta_sq) == -1.0
 
 
 def test_optimizer_requires_two_angles():

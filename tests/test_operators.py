@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gkpsq import fock, operators
-from gkpsq.fock import DensityMatrix, FockState, ResourceCapError, displacement_blocks
+from gkpsq.fock import DensityMatrix, FockState, ResourceCapError, coherent_displacement, displacement_blocks
 from gkpsq.operators import (
     GKP_DET,
     KAPPA_MINUS,
@@ -36,6 +36,8 @@ from gkpsq.operators import (
 from gkpsq.analytic import ApproxGKPParams, channel_affine_xi, channel_output_xi, xi_finite_superposition
 from oracles import (
     binomial_shift_full_slices,
+    dense_mean,
+    dense_sin2_expectation,
     full_block_ground_state,
     full_block_operator,
     gauss_hermite_channel,
@@ -707,8 +709,118 @@ def test_expectation_linear_in_density_matrix(rng):
 
 def test_expectation_dimension_mismatch():
     op = build_operator(preset_grid("q0"), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^state dim 6 != operator dim 5$"):
         expectation(op, FockState.number_state(0, 6))
+    with pytest.raises(ValueError, match=r"^density matrix dim 6 != operator dim 5$"):
+        expectation(op, FockState.number_state(0, 6).density_matrix())
+    with pytest.raises(TypeError, match=r"^expected FockState or DensityMatrix, got <class 'numpy.ndarray'>$"):
+        expectation(op, np.eye(5) / 5.0)
+
+
+U = 2.0 ** -53  # unit roundoff of float64
+HEX_OFFSET = GridSpec(KAPPA_PLUS, -KAPPA_MINUS, -KAPPA_MINUS, KAPPA_PLUS, d1=0.3, d2=-0.7)  # one complex block
+CUSTOM = GridSpec(0.8, 0.3, -0.5, 2.1, d1=0.25, d2=-1.1)  # unsplit, rows of unequal length
+contraction_grids = st.sampled_from([preset_grid(n) for n in PRESET_NAMES] + [HEX_OFFSET, CUSTOM]) | reshaped_grids
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): the relative error of a product of k roundings."""
+    return k * U / (1.0 - k * U)
+
+
+def _random_state(seed: int, dim: int, mixed: bool):
+    rng = np.random.default_rng(seed)
+    if not mixed:
+        return FockState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    entries = vecs @ vecs.conj().T
+    return DensityMatrix(entries / np.trace(entries).real)
+
+
+def _contraction_bound(state, matrix: np.ndarray, turn_roundings: int = 0) -> float:
+    """Bound on |block contraction - dense contraction| of one mean, from both routes' rounding.
+
+    S is the sum of the magnitudes of the terms: sum |psi_i| |M_ij| |psi_j|,
+    or sum |rho_ij| |M_ji|.  A complex dot of length n errs by at most
+    gamma_{n+2} times the magnitudes of its terms (Higham, section 3.6), so
+    the dense route, M psi then `vdot` or the n diagonal dots of rho M then
+    their sum, errs by 2 gamma_{n+2} S.  The block route reads a real block
+    with a complex vector's two parts, sqrt(2) gamma_n per entry, then one
+    `vdot`: (sqrt(2) + 1) gamma_{n+5} S with slack for the turn's product;
+    or, on rho, one `einsum` row sum of at most n products of three factors
+    (two complex multiplications each), then a `vdot` with the turn:
+    2 gamma_{n+6} S.  Adding the blocks' means costs u S.  `turn_roundings`
+    r counts the roundings in the turns of either route, each entry's
+    relative error gamma_r.
+    """
+    n, mags = state.dim, np.abs(matrix)
+    if isinstance(state, FockState):
+        amps = np.abs(state.amplitudes)
+        scale, block_route = float(amps @ mags @ amps), (math.sqrt(2.0) + 1.0) * _gamma(n + 5)
+    else:
+        scale, block_route = float(np.sum(np.abs(state.entries) * mags.T)), 2.0 * _gamma(n + 6)
+    return (2.0 * _gamma(n + 2) + block_route + U + _gamma(turn_roundings)) * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=contraction_grids, dim=st.integers(1, 80), corner=st.none() | st.integers(1, 80),
+       seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+@example(grid=preset_grid("hex"), dim=80, corner=None, seed=1, mixed=True)
+@example(grid=HEX_OFFSET, dim=80, corner=None, seed=2, mixed=True)
+@example(grid=CUSTOM, dim=80, corner=37, seed=3, mixed=False)
+@example(grid=preset_grid("q0"), dim=1, corner=None, seed=4, mixed=True)
+def test_block_expectation_matches_dense_contraction(grid, dim, corner, seed, mixed):
+    # expectation reads the blocks, never `matrix`; the dense oracle reads it afterwards
+    op = build_operator(grid, dim)
+    if corner is not None:
+        op = dataclasses.replace(op, dim=min(corner, dim))
+    state = _random_state(seed, op.dim, mixed)
+    got = expectation(op, state)
+    assert "matrix" not in vars(op)
+    want = dense_mean(state, op.matrix).real
+    assert abs(got - want) <= _contraction_bound(state, op.matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c1=st.floats(-3.0, 3.0), c2=st.floats(-3.0, 3.0), d=st.floats(-4.0, 4.0) | st.just(0.0),
+       zero_row=st.booleans(), dim=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+@example(c1=0.0, c2=0.0, d=0.7, zero_row=True, dim=40, seed=5, mixed=True)
+@example(c1=SQRT_PI / 2.0, c2=0.0, d=0.0, zero_row=False, dim=80, seed=6, mixed=True)
+def test_sin2_expectation_matches_dense_coherent_displacement(c1, c2, d, zero_row, dim, seed, mixed):
+    if zero_row:
+        c1 = c2 = 0.0
+    state = _random_state(seed, dim, mixed)
+    with mock.patch.object(fock, "coherent_displacement", side_effect=AssertionError("dense block built")):
+        got = sin2_expectation(state, c1, c2, d)
+    dense = coherent_displacement(math.sqrt(2.0) * complex(-c2, c1), dim)
+    # the turns: powers of u, each of at most n factors rounded 6 times (|u| = 1 to 3 ulps, and the
+    # product), u^m conj(u^n) in one route against u^(m - n) in the other, and the offset's product
+    mean_bound = _contraction_bound(state, dense, turn_roundings=18 * dim + 10)
+    assert abs(got - dense_sin2_expectation(state, c1, c2, d)) <= 0.5 * mean_bound + 4.0 * U
+
+
+def test_sin2_expectation_never_reads_coherent_displacement():
+    assert not hasattr(operators, "coherent_displacement")
+    rho = FockState.normalized(np.arange(1.0, 11.0)).density_matrix()
+    with mock.patch.object(fock, "coherent_displacement", side_effect=AssertionError("dense block built")):
+        assert 0.0 <= sin2_expectation(rho, 0.4, -1.2, 0.3) <= 1.0
+
+
+@pytest.mark.parametrize("grid", [preset_grid("q0"), CUSTOM], ids=["q0", "custom"])
+def test_expectation_on_a_fresh_operator_holds_no_square_array(grid):
+    # pure: a few complex vectors of length N; mixed: also `einsum`'s buffers, one per operand and the output
+    n = 1000
+    op = build_operator(grid, n)
+    for mixed in (False, True):
+        state = _random_state(7, n, mixed)
+        tracemalloc.start()
+        try:
+            expectation(op, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 16 * n + mixed * 4 * 16 * np.getbufsize(), mixed
+    assert "matrix" not in vars(op)
 
 
 def test_two_displacement_routes_agree(rng):
