@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import build_dim_cap, check_build_dim
+from .fock import _SMALL_TABLE_FLOATS, build_dim_cap, check_build_dim
 from .operators import ChannelParams, GridSpec, preset_grid
 
 LN2 = math.log(2.0)
@@ -150,21 +150,26 @@ class ApproxGKPParams:
         The closed forms tabulate every pair of the 2 s_max + 1 peaks, so a
         peak count above `build_dim_cap()` raises ResourceCapError first.
         """
-        if self.s_max is None:
-            # every peak whose weight clears the cutoff, or past the cap if more
-            bound = math.sqrt(-2.0 * math.log(PEAK_WEIGHT_CUTOFF) / self.g)
-            s_max = max(1, math.ceil(min((bound / self.a + 1.0) / 2.0, build_dim_cap())))
-        else:
-            s_max = self.s_max
-        check_build_dim(2 * s_max + 1)
-        s = np.arange(-s_max, s_max + 1)
-        centers = (2.0 * s + (1.0 if self.logical_bit else 0.0)) * self.a
-        weights = np.exp(-0.5 * self.g * centers**2)
-        return centers, weights
+        centers = _peak_centers(self.a, self._s_max(), self.logical_bit)
+        return centers, np.exp(-0.5 * self.g * centers**2)
+
+    def _s_max(self) -> int:
+        """The largest peak index: `s_max`, or when None the count the weight cutoff sets."""
+        if self.s_max is not None:
+            return self.s_max
+        # every peak whose weight clears the cutoff, or past the cap if more
+        bound = math.sqrt(-2.0 * math.log(PEAK_WEIGHT_CUTOFF) / self.g)
+        return max(1, math.ceil(min((bound / self.a + 1.0) / 2.0, build_dim_cap())))
+
+
+def _peak_centers(a: float, s_max: int, bit: int) -> np.ndarray:
+    """Centres (2s + bit) * a for s = -s_max..s_max, after the cap check on their count."""
+    check_build_dim(2 * s_max + 1)
+    return (2.0 * np.arange(-s_max, s_max + 1) + (1.0 if bit else 0.0)) * a
 
 
 def approx_state_displacement_mean(params: ApproxGKPParams, c1: float, c2: float) -> complex:
-    """<exp(i(c1 x + c2 p))> on the peak superposition.
+    """<exp(i(c1 x + c2 p))> on the peak superposition, the one-state, one-shift case of `_peak_means`.
 
     By BCH, exp(i(c1 x + c2 p)) = e^{i c1 x} e^{i c2 p} e^{i c1 c2/2}.  The
     translation e^{i c2 p} moves each peak by -c2, and the midpoint phase of
@@ -172,37 +177,58 @@ def approx_state_displacement_mean(params: ApproxGKPParams, c1: float, c2: float
     (x_j, x_k) contributes
     exp(-c1^2 g/4 - (c2 + x_j - x_k)^2/(4g) + i c1 (x_j + x_k)/2).
     """
-    return _displacement_mean(params, _peak_table(params), c1, c2)
+    return _peak_means([params.g], params.a, [params._s_max()], params.logical_bit, [(c1, c2)])[0][0][0]
 
 
-def _peak_table(params: ApproxGKPParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Peak-pair centres x_j, x_k, weights w_j w_k and the state's norm."""
-    centers, weights = params.peak_centers_weights()
-    x1, x2 = np.meshgrid(centers, centers, indexing="ij")
-    ww = np.outer(weights, weights)
-    return x1, x2, ww, float(np.sum(ww * np.exp(-((x1 - x2) ** 2) / (4.0 * params.g))))
+def _peak_means(g_values, a: float, s_maxes, bit: int, shifts) -> list[list[list[complex]]]:
+    """Peak characteristic function at each shift (c1, c2), indexed [g][s_max][shift].
+
+    The pairs of the 2 S + 1 peaks at the largest s_max S make one table,
+    and each s_max sums its centred corner of 2 s_max + 1 rows, copied
+    contiguous so that it sums in the order of a table of its own.  The g
+    values share each table while G (2 S + 1)^2 fits `_SMALL_TABLE_FLOATS`
+    and take one at a time otherwise; the norm's table and then each shift's
+    are built and freed in turn.  Each prefactor exp(-c1^2 g/4) comes from
+    `math.exp`, as in a one-state form; `np.exp` rounds some of them apart.
+    """
+    top = max(s_maxes)
+    if len(g_values) > 1 and len(g_values) * (2 * top + 1) ** 2 > _SMALL_TABLE_FLOATS:
+        return [means for g in g_values for means in _peak_means([g], a, s_maxes, bit, shifts)]
+    x = _peak_centers(a, top, bit)
+    corners = [slice(top - s, top + s + 1) for s in s_maxes]
+    g = np.array(g_values, dtype=float)
+    x1, x2 = x[:, None], x[None, :]
+    with np.errstate(over="ignore"):  # a huge or a subnormal g sends exponents to -inf, their exact limit
+        w = np.exp(-0.5 * g[:, None] * x**2)
+        ww, g = w[:, :, None] * w[:, None, :], g[:, None, None]
+
+        def corner_sums(exponent: np.ndarray) -> list[np.ndarray]:
+            term = np.exp(exponent, out=exponent)
+            term *= ww
+            return [np.ascontiguousarray(term[:, c, c]).sum(axis=(1, 2)) for c in corners]
+
+        norms = np.array(corner_sums(-((x1 - x2) ** 2) / (4.0 * g)))
+        means = [np.array([math.exp(-c1 * c1 * gi / 4.0) for gi in g_values])
+                 * np.array(corner_sums(-((c2 + x1 - x2) ** 2) / (4.0 * g) + 0.5j * c1 * (x1 + x2))) / norms
+                 for c1, c2 in shifts]
+    return np.transpose(means, (2, 1, 0)).tolist()
 
 
-def _displacement_mean(params: ApproxGKPParams, table, c1: float, c2: float) -> complex:
-    x1, x2, ww, norm = table
-    val = math.exp(-c1 * c1 * params.g / 4.0) * np.sum(
-        ww * np.exp(-((c2 + x1 - x2) ** 2) / (4.0 * params.g) + 0.5j * c1 * (x1 + x2))
-    )
-    return complex(val / norm)
+def _superposition_xis(g_values, a: float, s_maxes, bit: int, grid: GridSpec) -> list[list[float]]:
+    """`xi_finite_superposition` of every (g, s_max) pair on `grid`, indexed [g][s_max], from one `_peak_means` call."""
+    rows = grid.rows()
+    means = _peak_means(g_values, a, s_maxes, bit, [(2.0 * c1, 2.0 * c2) for c1, c2, _ in rows])
+    phases = [complex(math.cos(2.0 * d), math.sin(2.0 * d)) for _, _, d in rows]
+    return [[2.0 - (phases[0] * m1).real - (phases[1] * m2).real for m1, m2 in by_s] for by_s in means]
 
 
 def xi_finite_superposition(params: ApproxGKPParams, grid: GridSpec) -> float:
-    """<Q_grid> on a finite peak superposition, for any grid.
+    """<Q_grid> on a finite peak superposition, for any grid: the one-state case of `_superposition_xis`.
 
     Each row (c1, c2, d) contributes 1 - Re(e^{2id} <exp(2i(c1 x + c2 p))>),
-    both rows from one peak table.
+    both rows' means from one `_peak_means` call.
     """
-    table = _peak_table(params)
-    xi = 2.0
-    for c1, c2, d in grid.rows():
-        mean = _displacement_mean(params, table, 2.0 * c1, 2.0 * c2)
-        xi -= (complex(math.cos(2.0 * d), math.sin(2.0 * d)) * mean).real
-    return xi
+    return _superposition_xis([params.g], params.a, [params._s_max()], params.logical_bit, grid)[0][0]
 
 
 def grid_squeezing(mean_disp: complex, u: float) -> float:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .analytic import (
     THRESHOLDS,
+    _superposition_xis,
     channel_affine_xi,
     classical_bound_grid,
     db,
@@ -32,7 +33,6 @@ from .analytic import (
     loss_to_noise_variance,
     min_eta_for_band,
     xi_approx_symmetric,
-    xi_finite_superposition,
     ApproxGKPParams,
 )
 from .estimator import (
@@ -228,10 +228,11 @@ def cmd_channel_sweep(args) -> int:
 
 
 def cmd_peaks_sweep(args) -> int:
-    grid = preset_grid("s0")
+    a = math.sqrt(math.pi / 2.0)
     pairs = [(g, s_max) for g in args.g for s_max in args.smax]
-    xi = [xi_finite_superposition(ApproxGKPParams(g=g, a=math.sqrt(math.pi / 2.0), s_max=s_max), grid)
-          for g, s_max in pairs]
+    for g, s_max in pairs:  # each pair's parameters, then its peak count, before any table
+        check_build_dim(2 * ApproxGKPParams(g=g, a=a, s_max=s_max).s_max + 1)
+    xi = [v for by_s in _superposition_xis(args.g, a, args.smax, 0, preset_grid("s0")) for v in by_s]
     _write_csv(args.output, ("g", "s_max", "xi"), (*zip(*pairs), xi))
     return EXIT_OK
 

@@ -389,6 +389,29 @@ def peak_superposition_xi_bruteforce(g: float, a: float, s_max: int, logical_bit
     return float(2.0 - (np.exp(2j * d1) * mx).real - (np.exp(2j * d2) * mp).real)
 
 
+def peak_superposition_xi_table(g: float, a: float, s_max: int, logical_bit: int, grid) -> float:
+    """<Q_grid> on the finite peak superposition from its own square table of peak pairs.
+
+    The closed form's operations in its order, so a value read off a corner
+    of a larger or stacked table must match these bits: each row (c1, c2, d)
+    at the shift (2 c1, 2 c2) sums w_j w_k exp(-(c2 + x_j - x_k)^2/(4g)
+    + i c1 (x_j + x_k)/2), takes the prefactor exp(-c1^2 g/4) by `math.exp`
+    and the norm's sum, and meets e^{2id} as a Python complex.
+    """
+    centers = (2.0 * np.arange(-s_max, s_max + 1) + (1.0 if logical_bit else 0.0)) * a
+    weights = np.exp(-0.5 * g * centers**2)
+    x1, x2 = np.meshgrid(centers, centers, indexing="ij")
+    ww = np.outer(weights, weights)
+    norm = float(np.sum(ww * np.exp(-((x1 - x2) ** 2) / (4.0 * g))))
+    xi = 2.0
+    for c1, c2, d in grid.rows():
+        c1, c2 = 2.0 * c1, 2.0 * c2
+        total = np.sum(ww * np.exp(-((c2 + x1 - x2) ** 2) / (4.0 * g) + 0.5j * c1 * (x1 + x2)))
+        mean = complex(math.exp(-c1 * c1 * g / 4.0) * total / norm)
+        xi -= (complex(math.cos(2.0 * d), math.sin(2.0 * d)) * mean).real
+    return xi
+
+
 def hermite_wavefunction_direct(n: int, q: np.ndarray) -> np.ndarray:
     """Oscillator eigenfunction via scipy Hermite polynomials (small n only)."""
     from scipy.special import eval_hermite

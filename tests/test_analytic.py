@@ -44,7 +44,12 @@ from gkpsq.operators import (
     expectation,
     preset_grid,
 )
-from oracles import peak_superposition_xi_bruteforce, symmetric_root_bisect, vacuum_sin2_integral
+from oracles import (
+    peak_superposition_xi_bruteforce,
+    peak_superposition_xi_table,
+    symmetric_root_bisect,
+    vacuum_sin2_integral,
+)
 from strategies import reshaped_grids
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
@@ -173,6 +178,29 @@ def test_finite_superposition_is_bit_identical_to_per_row_means(g, a, s_max, bit
         mean = approx_state_displacement_mean(params, 2.0 * c1, 2.0 * c2)
         expected -= (complex(math.cos(2.0 * d), math.sin(2.0 * d)) * mean).real
     assert float.hex(xi_finite_superposition(params, grid)) == float.hex(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g_values=st.lists(st.sampled_from([0.013, 0.1, 0.37, 1.2, 2.9]) | st.floats(0.01, 3.0), min_size=1, max_size=6),
+    s_maxes=st.lists(st.integers(0, 14), min_size=1, max_size=6),
+    a=st.floats(0.2, 3.0),
+    bit=st.sampled_from([0, 1]),
+    grid=st.one_of(reshaped_grids, custom_grids),
+    stacked=st.booleans(),
+)
+# a corner of 95^2 pairs: a strided sum of it takes another order than its own table's
+@example(g_values=[0.1, 0.4], s_maxes=[48, 47], a=SQRT_PI_2, bit=0, grid=preset_grid("s0"), stacked=True)
+def test_peak_table_corners_are_bit_identical_to_one_state_at_a_time(g_values, s_maxes, a, bit, grid, stacked):
+    # every (g, s_max) read off one table's corners, with the g values stacked
+    # or one at a time, keeps the bits of its own table
+    with mock.patch.object(analytic, "_SMALL_TABLE_FLOATS", analytic._SMALL_TABLE_FLOATS if stacked else 0):
+        got = analytic._superposition_xis(g_values, a, s_maxes, bit, grid)
+    one_at_a_time = [[xi_finite_superposition(ApproxGKPParams(g=g, a=a, s_max=s, logical_bit=bit), grid)
+                      for s in s_maxes] for g in g_values]
+    own_table = [[peak_superposition_xi_table(g, a, s, bit, grid) for s in s_maxes] for g in g_values]
+    hexes = [[[float.hex(v) for v in row] for row in xis] for xis in (got, one_at_a_time, own_table)]
+    assert hexes[0] == hexes[1] == hexes[2]
 
 
 def test_peak_count_past_the_cap_raises_before_any_array(monkeypatch):

@@ -439,6 +439,48 @@ def test_peaks_sweep_past_the_cap_exits_before_any_array(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("g_values, code, message", [
+    (["0.1", "-1"], 3, "dimension 200001 exceeds cap"),
+    (["-1", "0.1"], 2, "finite g > 0"),
+])
+def test_peaks_sweep_reports_the_first_bad_pair(tmp_path, capsys, g_values, code, message):
+    # every pair is checked in (g, s_max) order, the g first, then its peak count
+    out = tmp_path / "p.csv"
+    assert main(["peaks-sweep", "--g", *g_values, "--smax", "100000", "--output", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("g, xis", [
+    ("5e-324", ["1.0", "0.19999999999999996"]),  # each peak overlaps only itself
+    ("1e308", ["1.0", "1.0"]),  # only the peak at 0 keeps its weight
+])
+def test_peaks_sweep_at_an_extreme_g_warns_of_nothing(tmp_path, g, xis):
+    # the exponents overflow to -inf, whose exp is the exact limit
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["peaks-sweep", "--g", g, "--smax", "0", "2", "--output", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert [r[2] for r in rows] == xis
+
+
+def _peaks_sweep_peak(tmp_path, g_values) -> int:
+    tracemalloc.start()
+    try:
+        code = main(["peaks-sweep", "--g", *g_values, "--smax", "300", "--output", str(tmp_path / "p.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_peaks_sweep_takes_large_tables_one_g_at_a_time(tmp_path):
+    # 601^2 pairs for each of four g values exceed 2^20 floats, so no table stacks them
+    assert _peaks_sweep_peak(tmp_path, ["0.1", "0.2", "0.3", "0.4"]) <= 1.1 * _peaks_sweep_peak(tmp_path, ["0.1"])
+
+
 @pytest.mark.parametrize("argv, fits", [
     (["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1"], "1"),  # 9 cells per row
     (["fidelity-sweep", "--g", "0.1", "0.2", "--fidelity-grid", "0", "1"], None),

@@ -3,7 +3,8 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py OUTDIR
 
 Each command runs in-process through `gkpsq.cli.main` and writes one file
-into OUTDIR: the five sweeps, a `fidelity-sweep` of 10001 rows that spans
+into OUTDIR: the five sweeps, a `peaks-sweep` on unsorted and repeated
+`--g` and `--smax` values, a `fidelity-sweep` of 10001 rows that spans
 three of the CSV writer's blocks and one of 3001 rows on each of four g
 (12004 rows, its block seams inside the g groups), `thresholds` (text and `--json`) for every
 preset and for one custom grid (rows of unequal length, nonzero offsets),
@@ -43,6 +44,8 @@ SWEEPS = {
     "fidelity.csv": ["fidelity-sweep", "--g", "0.05", "0.1", "0.2", "0.4", "--fidelity-grid", "0", "1", "101"],
     "channel.csv": ["channel-sweep", "--eta", "1.0", "0.95", "0.9", "0.8", "--xi-in", "0", "2", "81"],
     "peaks.csv": ["peaks-sweep", "--g", "0.05", "0.1", "0.2", "0.4", "--smax", "0", "1", "2", "3", "4", "5", "6"],
+    # unsorted and repeated values: rows keep argument order, and each s_max reads a corner of the s_max = 12 table
+    "peaks_unsorted.csv": ["peaks-sweep", "--g", "0.4", "0.05", "0.4", "--smax", "6", "0", "3", "3", "12"],
     # 10001 rows of 9 cells: three of the CSV writer's blocks, so a diff sees both seams
     "fidelity_blocks.csv": ["fidelity-sweep", "--g", "0.1", "--fidelity-grid", "0", "1", "10001"],
     # 12004 rows of 9 cells: the writer's block seams fall inside the g groups
