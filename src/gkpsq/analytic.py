@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import _SMALL_TABLE_FLOATS, build_dim_cap, check_build_dim
+from .fock import build_dim_cap, check_build_dim
 from .operators import ChannelParams, GridSpec, preset_grid
 
 LN2 = math.log(2.0)
@@ -169,7 +169,7 @@ def _peak_centers(a: float, s_max: int, bit: int) -> np.ndarray:
 
 
 def approx_state_displacement_mean(params: ApproxGKPParams, c1: float, c2: float) -> complex:
-    """<exp(i(c1 x + c2 p))> on the peak superposition, the one-state, one-shift case of `_peak_means`.
+    """<exp(i(c1 x + c2 p))> on the peak superposition, the one-s_max, one-shift case of `_peak_means`.
 
     By BCH, exp(i(c1 x + c2 p)) = e^{i c1 x} e^{i c2 p} e^{i c1 c2/2}.  The
     translation e^{i c2 p} moves each peak by -c2, and the midpoint phase of
@@ -177,48 +177,45 @@ def approx_state_displacement_mean(params: ApproxGKPParams, c1: float, c2: float
     (x_j, x_k) contributes
     exp(-c1^2 g/4 - (c2 + x_j - x_k)^2/(4g) + i c1 (x_j + x_k)/2).
     """
-    return _peak_means([params.g], params.a, [params._s_max()], params.logical_bit, [(c1, c2)])[0][0][0]
+    return _peak_means(params.g, params.a, [params._s_max()], params.logical_bit, [(c1, c2)])[0][0]
 
 
-def _peak_means(g_values, a: float, s_maxes, bit: int, shifts) -> list[list[list[complex]]]:
-    """Peak characteristic function at each shift (c1, c2), indexed [g][s_max][shift].
+def _peak_means(g: float, a: float, s_maxes, bit: int, shifts) -> list[list[complex]]:
+    """Peak characteristic function of one g at each shift (c1, c2), indexed [s_max][shift].
 
     The pairs of the 2 S + 1 peaks at the largest s_max S make one table,
     and each s_max sums its centred corner of 2 s_max + 1 rows, copied
-    contiguous so that it sums in the order of a table of its own.  The g
-    values share each table while G (2 S + 1)^2 fits `_SMALL_TABLE_FLOATS`
-    and take one at a time otherwise; the norm's table and then each shift's
-    are built and freed in turn.  Each prefactor exp(-c1^2 g/4) comes from
-    `math.exp`, as in a one-state form; `np.exp` rounds some of them apart.
+    contiguous so that it sums in the order of a table of its own.  The
+    norm's table and then each shift's are built and freed in turn.  The
+    prefactor exp(-c1^2 g/4) comes from `math.exp`, as in a one-state form;
+    `np.exp` rounds some of them apart.
     """
     top = max(s_maxes)
-    if len(g_values) > 1 and len(g_values) * (2 * top + 1) ** 2 > _SMALL_TABLE_FLOATS:
-        return [means for g in g_values for means in _peak_means([g], a, s_maxes, bit, shifts)]
     x = _peak_centers(a, top, bit)
     corners = [slice(top - s, top + s + 1) for s in s_maxes]
-    g = np.array(g_values, dtype=float)
     x1, x2 = x[:, None], x[None, :]
     with np.errstate(over="ignore"):  # a huge or a subnormal g sends exponents to -inf, their exact limit
-        w = np.exp(-0.5 * g[:, None] * x**2)
-        ww, g = w[:, :, None] * w[:, None, :], g[:, None, None]
+        w = np.exp(-0.5 * g * x**2)
+        ww = w[:, None] * w[None, :]
 
-        def corner_sums(exponent: np.ndarray) -> list[np.ndarray]:
+        def corner_sums(exponent: np.ndarray) -> np.ndarray:
             term = np.exp(exponent, out=exponent)
             term *= ww
-            return [np.ascontiguousarray(term[:, c, c]).sum(axis=(1, 2)) for c in corners]
+            return np.array([np.ascontiguousarray(term[c, c]).sum() for c in corners])
 
-        norms = np.array(corner_sums(-((x1 - x2) ** 2) / (4.0 * g)))
-        means = [np.array([math.exp(-c1 * c1 * gi / 4.0) for gi in g_values])
-                 * np.array(corner_sums(-((c2 + x1 - x2) ** 2) / (4.0 * g) + 0.5j * c1 * (x1 + x2))) / norms
+        norms = corner_sums(-((x1 - x2) ** 2) / (4.0 * g))
+        means = [math.exp(-c1 * c1 * g / 4.0) * corner_sums(-((c2 + x1 - x2) ** 2) / (4.0 * g)
+                                                            + 0.5j * c1 * (x1 + x2)) / norms
                  for c1, c2 in shifts]
-    return np.transpose(means, (2, 1, 0)).tolist()
+    return np.transpose(means).tolist()
 
 
 def _superposition_xis(g_values, a: float, s_maxes, bit: int, grid: GridSpec) -> list[list[float]]:
-    """`xi_finite_superposition` of every (g, s_max) pair on `grid`, indexed [g][s_max], from one `_peak_means` call."""
+    """`xi_finite_superposition` of every (g, s_max) pair on `grid`, indexed [g][s_max], one `_peak_means` call per g."""
     rows = grid.rows()
-    means = _peak_means(g_values, a, s_maxes, bit, [(2.0 * c1, 2.0 * c2) for c1, c2, _ in rows])
+    shifts = [(2.0 * c1, 2.0 * c2) for c1, c2, _ in rows]
     phases = [complex(math.cos(2.0 * d), math.sin(2.0 * d)) for _, _, d in rows]
+    means = (_peak_means(g, a, s_maxes, bit, shifts) for g in g_values)
     return [[2.0 - (phases[0] * m1).real - (phases[1] * m2).real for m1, m2 in by_s] for by_s in means]
 
 

@@ -231,7 +231,8 @@ def cmd_peaks_sweep(args) -> int:
     a = math.sqrt(math.pi / 2.0)
     pairs = [(g, s_max) for g in args.g for s_max in args.smax]
     for g, s_max in pairs:  # each pair's parameters, then its peak count, before any table
-        check_build_dim(2 * ApproxGKPParams(g=g, a=a, s_max=s_max).s_max + 1)
+        ApproxGKPParams(g=g, a=a, s_max=s_max)
+        check_build_dim(2 * s_max + 1)
     xi = [v for by_s in _superposition_xis(args.g, a, args.smax, 0, preset_grid("s0")) for v in by_s]
     _write_csv(args.output, ("g", "s_max", "xi"), (*zip(*pairs), xi))
     return EXIT_OK

@@ -222,9 +222,14 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
 
 
 def _row_shift(c1: float, c2: float) -> tuple[float, complex]:
-    """(s, u) of a row: e^{2i(c1 x + c2 p)} = diag(u^n) R diag(u^-n), R the real displacement by s; zero: (0, 1)."""
+    """(s, u) of a row: e^{2i(c1 x + c2 p)} = diag(u^n) R diag(u^-n), R the real displacement by s; zero: (0, 1).
+
+    A subnormal alpha keeps too few bits for |u| = 1, so u is read off the
+    row scaled by 2^600 then: exact, and the same bits as an unscaled alpha.
+    """
     alpha = math.sqrt(2.0) * complex(-c2, c1)
-    return math.sqrt(2.0) * abs(alpha), alpha / abs(alpha) if alpha else 1.0
+    turn = alpha if abs(alpha) >= 2.0**-500 else math.sqrt(2.0) * (complex(-c2, c1) * 2.0**600)
+    return math.sqrt(2.0) * abs(alpha), turn / abs(turn) if alpha else 1.0
 
 
 def build_operators(grids, dim: int) -> Iterator[TruncatedOperator]:

@@ -393,7 +393,7 @@ def peak_superposition_xi_table(g: float, a: float, s_max: int, logical_bit: int
     """<Q_grid> on the finite peak superposition from its own square table of peak pairs.
 
     The closed form's operations in its order, so a value read off a corner
-    of a larger or stacked table must match these bits: each row (c1, c2, d)
+    of a larger table must match these bits: each row (c1, c2, d)
     at the shift (2 c1, 2 c2) sums w_j w_k exp(-(c2 + x_j - x_k)^2/(4g)
     + i c1 (x_j + x_k)/2), takes the prefactor exp(-c1^2 g/4) by `math.exp`
     and the norm's sum, and meets e^{2id} as a Python complex.

@@ -187,15 +187,12 @@ def test_finite_superposition_is_bit_identical_to_per_row_means(g, a, s_max, bit
     a=st.floats(0.2, 3.0),
     bit=st.sampled_from([0, 1]),
     grid=st.one_of(reshaped_grids, custom_grids),
-    stacked=st.booleans(),
 )
 # a corner of 95^2 pairs: a strided sum of it takes another order than its own table's
-@example(g_values=[0.1, 0.4], s_maxes=[48, 47], a=SQRT_PI_2, bit=0, grid=preset_grid("s0"), stacked=True)
-def test_peak_table_corners_are_bit_identical_to_one_state_at_a_time(g_values, s_maxes, a, bit, grid, stacked):
-    # every (g, s_max) read off one table's corners, with the g values stacked
-    # or one at a time, keeps the bits of its own table
-    with mock.patch.object(analytic, "_SMALL_TABLE_FLOATS", analytic._SMALL_TABLE_FLOATS if stacked else 0):
-        got = analytic._superposition_xis(g_values, a, s_maxes, bit, grid)
+@example(g_values=[0.1, 0.4], s_maxes=[48, 47], a=SQRT_PI_2, bit=0, grid=preset_grid("s0"))
+def test_peak_table_corners_are_bit_identical_to_one_state_at_a_time(g_values, s_maxes, a, bit, grid):
+    # every (g, s_max) read off a corner of its g's one table keeps the bits of its own table
+    got = analytic._superposition_xis(g_values, a, s_maxes, bit, grid)
     one_at_a_time = [[xi_finite_superposition(ApproxGKPParams(g=g, a=a, s_max=s, logical_bit=bit), grid)
                       for s in s_maxes] for g in g_values]
     own_table = [[peak_superposition_xi_table(g, a, s, bit, grid) for s in s_maxes] for g in g_values]

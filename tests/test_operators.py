@@ -786,6 +786,8 @@ def test_block_expectation_matches_dense_contraction(grid, dim, corner, seed, mi
        zero_row=st.booleans(), dim=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
 @example(c1=0.0, c2=0.0, d=0.7, zero_row=True, dim=40, seed=5, mixed=True)
 @example(c1=SQRT_PI / 2.0, c2=0.0, d=0.0, zero_row=False, dim=80, seed=6, mixed=True)
+# a subnormal row: |u| = 1 only if u is read off the row scaled up
+@example(c1=2.225073858507e-311, c2=2.225073858507e-311, d=0.0, zero_row=False, dim=2, seed=1, mixed=False)
 def test_sin2_expectation_matches_dense_coherent_displacement(c1, c2, d, zero_row, dim, seed, mixed):
     if zero_row:
         c1 = c2 = 0.0
