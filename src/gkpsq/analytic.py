@@ -145,13 +145,13 @@ class ApproxGKPParams:
             raise ValueError(f"logical_bit must be 0 or 1, got {self.logical_bit}")
 
     def peak_centers_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Peak centres (2s + bit) * a and Gaussian weights exp(-g/2 * centre^2).
+        """Peak centres (2s + bit) * a and their `_peak_weights`, exp(-g/2 (centre^2 - min centre^2)).
 
         The closed forms tabulate every pair of the 2 s_max + 1 peaks, so a
         peak count above `build_dim_cap()` raises ResourceCapError first.
         """
         centers = _peak_centers(self.a, self._s_max(), self.logical_bit)
-        return centers, np.exp(-0.5 * self.g * centers**2)
+        return centers, _peak_weights(self.g, centers)
 
     def _s_max(self) -> int:
         """The largest peak index: `s_max`, or when None the count the weight cutoff sets."""
@@ -166,6 +166,18 @@ def _peak_centers(a: float, s_max: int, bit: int) -> np.ndarray:
     """Centres (2s + bit) * a for s = -s_max..s_max, after the cap check on their count."""
     check_build_dim(2 * s_max + 1)
     return (2.0 * np.arange(-s_max, s_max + 1) + (1.0 if bit else 0.0)) * a
+
+
+def _peak_weights(g: float, x: np.ndarray) -> np.ndarray:
+    """exp(-g/2 (x^2 - m^2)), m = min |x|, of the centres x; the factor exp(g/2 m^2) cancels in every normalized use.
+
+    The nearest peaks weigh 1, so bit 1 stays finite at any g or a: x^2 - m^2
+    is taken as (x - m)(x + m), which overflows only to inf.  Bit 0 (m = 0)
+    keeps the unscaled bits.
+    """
+    m = np.abs(x).min()
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * g * ((x - m) * (x + m)))
 
 
 def approx_state_displacement_mean(params: ApproxGKPParams, c1: float, c2: float) -> complex:
@@ -194,9 +206,9 @@ def _peak_means(g: float, a: float, s_maxes, bit: int, shifts) -> list[list[comp
     x = _peak_centers(a, top, bit)
     corners = [slice(top - s, top + s + 1) for s in s_maxes]
     x1, x2 = x[:, None], x[None, :]
+    w = _peak_weights(g, x)
+    ww = w[:, None] * w[None, :]
     with np.errstate(over="ignore"):  # a huge or a subnormal g sends exponents to -inf, their exact limit
-        w = np.exp(-0.5 * g * x**2)
-        ww = w[:, None] * w[None, :]
 
         def corner_sums(exponent: np.ndarray) -> np.ndarray:
             term = np.exp(exponent, out=exponent)

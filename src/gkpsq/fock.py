@@ -10,15 +10,18 @@ exp(i(cx*x + cp*p)) = D(alpha) with alpha = (-cp + i*cx)/sqrt(2).  Every
 displacement matrix element comes from one primitive, `displacement_blocks`,
 exact for m, n < N, so an operator assembled from its blocks is the exact
 compression of the untruncated one onto the first N number states (the
-blocks are not unitary).  `wigner` needs no blocks.  Every Hermite table
-comes from `hermite_functions`, and it and every other dense entry point
-check the dimension cap (`GKPSQ_MAX_BUILD_DIM`, default 2000) first.
+blocks are not unitary).  `_whole_block` keeps recent whole blocks for the
+next call, within 2^20 floats of table.  `wigner` needs no blocks.  Every
+Hermite table comes from `hermite_functions`, and it and every other dense
+entry point check the dimension cap (`GKPSQ_MAX_BUILD_DIM`, default 2000)
+first.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,21 +196,29 @@ def coherent_displacement(alpha: complex, dim: int) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> for m, n < dim.
 
     The real block of the translation by s = sqrt(2)|alpha| comes from
-    `displacement_blocks`; the phases u^(m - n) below the diagonal and
-    conj(u)^(n - m) above it, u = alpha/|alpha| raised by `_powers` as in
-    `operators.build_operator`, give the direction.  The block holds the
-    untruncated operator's matrix elements, so expectations against states
-    supported inside the truncation carry no truncation error.  Raises
-    ResourceCapError when `dim` exceeds `build_dim_cap()`.
+    `_whole_block`, so a repeated (s, dim) reads its kept table; the phases
+    u^(m - n) below the diagonal and conj(u)^(n - m) above it, u = `_unit`
+    of alpha raised by `_powers` as in `operators.build_operator`, give the
+    direction.  The block holds the untruncated operator's matrix elements,
+    so expectations against states supported inside the truncation carry
+    no truncation error.  Raises ResourceCapError when `dim` exceeds
+    `build_dim_cap()`, before any table is read.
     """
     check_build_dim(dim)
     beta = complex(alpha)
-    r = abs(beta)
-    if r == 0.0:
+    if beta == 0.0:
         return np.eye(dim, dtype=complex)
-    [real_block] = displacement_blocks(math.sqrt(2.0) * r, dim, (slice(None),))
-    phases = _powers(beta / r, dim)
-    return _toeplitz(phases, phases.conj(), dim) * real_block
+    phases = _powers(_unit(beta), dim)
+    return _toeplitz(phases, phases.conj(), dim) * _whole_block(math.sqrt(2.0) * abs(beta), dim)
+
+
+def _unit(alpha: complex) -> complex:
+    """alpha/|alpha|, or 1 at zero; below |alpha| = 2^-500 that of alpha * 2^600, exactly scaled.
+
+    A subnormal alpha keeps too few bits for |u| = 1 in the quotient.
+    """
+    turn = alpha if abs(alpha) >= 2.0**-500 else alpha * 2.0**600
+    return turn / abs(turn) if alpha else 1.0
 
 
 def _powers(w: complex, count: int) -> np.ndarray:
@@ -257,6 +268,53 @@ def displacement_blocks(shift: float, dim: int, sets: tuple[slice, ...]) -> list
     """
     [blocks] = _lattice_blocks(((shift, sets),), dim)
     return blocks
+
+
+class _BlockMemo:
+    """Recent values by key, each charged a float count; the charges total at most `floats`, oldest out first."""
+
+    def __init__(self, floats: int):
+        self.floats, self.held, self.entries, self.lock = floats, 0, {}, threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            if key in self.entries:
+                self.entries[key] = self.entries.pop(key)  # a hit becomes newest
+                return self.entries[key][0]
+        return None
+
+    def put(self, key, value, charge: int) -> None:
+        with self.lock:
+            if charge > self.floats or key in self.entries:
+                return
+            self.entries[key] = value, charge
+            self.held += charge
+            while self.held > self.floats:
+                self.held -= self.entries.pop(next(iter(self.entries)))[1]
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.held = 0
+
+
+_WHOLE_BLOCKS = _BlockMemo(_SMALL_TABLE_FLOATS)
+
+
+def _whole_block(shift: float, dim: int) -> np.ndarray:
+    """Read-only `displacement_blocks(shift, dim, (slice(None),))[0]`, kept in a memo for the next call.
+
+    An entry is charged the dim x lattice floats of the Hermite table it
+    saves, 2^20 floats (8 MiB) in all, so no table past N = 787 is kept.
+    A hit has the bits of a fresh build.  `dim` is checked against the cap first.
+    """
+    check_build_dim(dim)
+    block = _WHOLE_BLOCKS.get((shift, dim))
+    if block is None:
+        [block] = displacement_blocks(shift, dim, (slice(None),))
+        block.flags.writeable = False
+        _WHOLE_BLOCKS.put((shift, dim), block, dim * _displacement_lattice(dim)[1].size)
+    return block
 
 
 def _displacement_lattice(dim: int) -> tuple[float, np.ndarray]:

@@ -34,6 +34,8 @@ from .fock import (
     _powers,
     _support,
     _toeplitz,
+    _unit,
+    _whole_block,
     check_build_dim,
     displacement_blocks,
     hermite_functions,
@@ -224,12 +226,10 @@ def build_operator(grid: GridSpec, dim: int) -> TruncatedOperator:
 def _row_shift(c1: float, c2: float) -> tuple[float, complex]:
     """(s, u) of a row: e^{2i(c1 x + c2 p)} = diag(u^n) R diag(u^-n), R the real displacement by s; zero: (0, 1).
 
-    A subnormal alpha keeps too few bits for |u| = 1, so u is read off the
-    row scaled by 2^600 then: exact, and the same bits as an unscaled alpha.
+    u is `_unit` of alpha, the rule `coherent_displacement` reads.
     """
     alpha = math.sqrt(2.0) * complex(-c2, c1)
-    turn = alpha if abs(alpha) >= 2.0**-500 else math.sqrt(2.0) * (complex(-c2, c1) * 2.0**600)
-    return math.sqrt(2.0) * abs(alpha), turn / abs(turn) if alpha else 1.0
+    return math.sqrt(2.0) * abs(alpha), _unit(alpha)
 
 
 def build_operators(grids, dim: int) -> Iterator[TruncatedOperator]:
@@ -426,10 +426,11 @@ def sin2_expectation(state: FockState | DensityMatrix, c1: float, c2: float, d: 
     """<sin^2(c1*x + c2*p + d)> = (1 - Re<exp(2i(c1*x + c2*p + d))>)/2.
 
     exp(2i(c1*x + c2*p)) = diag(u^n) R diag(u^-n), (s, u) = `_row_shift` and R the exact block by s, or I if zero.
+    R comes from `fock._whole_block` after the cap check, so a repeated (s, N) reads its kept table.
     """
     check_build_dim(state.dim)
     shift, u = _row_shift(c1, c2)
-    block = displacement_blocks(shift, state.dim, (slice(None),))[0] if shift else np.eye(state.dim)
+    block = _whole_block(shift, state.dim) if shift else np.eye(state.dim)
     mean = _mean(state, slice(None), _powers(u, state.dim), block) * complex(math.cos(2.0 * d), math.sin(2.0 * d))
     return 0.5 * (1.0 - mean.real)
 
@@ -571,8 +572,9 @@ def approx_gkp_state(params, dim: int) -> FockState:
     """Finite superposition of displaced squeezed peaks, as a Fock vector.
 
     `params` is an `analytic.ApproxGKPParams`; its `peak_centers_weights`
-    places peak s at (2s + bit) * a with Gaussian weight exp(-g/2 * center^2)
-    (all peaks above the weight cutoff when `s_max` is None), each of
+    places peak s at (2s + bit) * a with Gaussian weight exp(-g/2 * center^2),
+    scaled so that the nearest peaks weigh 1 (all peaks above the weight
+    cutoff when `s_max` is None), each of
     normalized quadrature variance g.  The wavefunction is projected onto
     the number basis by dense quadrature and renormalized after truncation,
     so `dim` must generously cover the state's support for the vector to be

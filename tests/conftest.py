@@ -13,3 +13,13 @@ import pytest  # noqa: E402
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def block_memo():
+    """`fock._WHOLE_BLOCKS`, the memo of whole displacement blocks, empty at the test's start and end."""
+    from gkpsq import fock
+
+    fock._WHOLE_BLOCKS.clear()
+    yield fock._WHOLE_BLOCKS
+    fock._WHOLE_BLOCKS.clear()

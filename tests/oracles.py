@@ -395,11 +395,13 @@ def peak_superposition_xi_table(g: float, a: float, s_max: int, logical_bit: int
     The closed form's operations in its order, so a value read off a corner
     of a larger table must match these bits: each row (c1, c2, d)
     at the shift (2 c1, 2 c2) sums w_j w_k exp(-(c2 + x_j - x_k)^2/(4g)
-    + i c1 (x_j + x_k)/2), takes the prefactor exp(-c1^2 g/4) by `math.exp`
-    and the norm's sum, and meets e^{2id} as a Python complex.
+    + i c1 (x_j + x_k)/2), w_j = exp(-g/2 (x_j - m)(x_j + m)), m = min |x|, takes the
+    prefactor exp(-c1^2 g/4) by `math.exp` and the norm's sum, and meets
+    e^{2id} as a Python complex.
     """
     centers = (2.0 * np.arange(-s_max, s_max + 1) + (1.0 if logical_bit else 0.0)) * a
-    weights = np.exp(-0.5 * g * centers**2)
+    nearest = np.min(np.abs(centers))
+    weights = np.exp(-0.5 * g * ((centers - nearest) * (centers + nearest)))
     x1, x2 = np.meshgrid(centers, centers, indexing="ij")
     ww = np.outer(weights, weights)
     norm = float(np.sum(ww * np.exp(-((x1 - x2) ** 2) / (4.0 * g))))

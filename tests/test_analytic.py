@@ -1,6 +1,8 @@
+import cmath
 import math
 import random
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -43,6 +45,7 @@ from gkpsq.operators import (
     build_operator,
     expectation,
     preset_grid,
+    sin2_expectation,
 )
 from oracles import (
     peak_superposition_xi_bruteforce,
@@ -147,6 +150,29 @@ def test_finite_superposition_matches_bruteforce_oracle():
         params = ApproxGKPParams(g=g, a=SQRT_PI_2, s_max=s_max, logical_bit=bit)
         oracle = peak_superposition_xi_bruteforce(g, SQRT_PI_2, s_max, bit, s0.c11, s0.c22)
         assert xi_finite_superposition(params, s0) == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("g, a", [(600.0, SQRT_PI_2), (1e5, SQRT_PI_2), (1e308, SQRT_PI_2), (0.1, 1e300)])
+def test_bit_one_peaks_stay_finite_at_large_g(g, a):
+    # unscaled, every weight exp(-g/2 x^2) of bit 1 underflows, or every x^2 overflows, and the norm is 0/0
+    s0 = preset_grid("s0")
+    c = 2.0 * SQRT_PI_2  # both rows' doubled coefficient
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s_max in (0, 2, None):
+            params = ApproxGKPParams(g=g, a=a, s_max=s_max, logical_bit=1)
+            xi = xi_finite_superposition(params, s0)
+            assert 0.0 <= xi <= 4.0
+            if s_max == 0 and a == SQRT_PI_2:  # one peak at a: 2 - exp(-c^2 g/4) cos(c a) - exp(-c^2/(4g))
+                assert xi == pytest.approx(2.0 - math.exp(-c * c * g / 4.0) * math.cos(c * a)
+                                           - math.exp(-c * c / (4.0 * g)), abs=1e-15)
+            assert cmath.isfinite(approx_state_displacement_mean(params, 1.0, 0.5))
+            try:
+                state = approx_gkp_state(params, 20)
+            except ResourceCapError as exc:  # its quadrature table would pass the float budget
+                assert (g == 1e308 or a == 1e300) and "quadrature points" in str(exc)
+            else:
+                assert 0.0 <= sin2_expectation(state, 1.0, 0.5) <= 1.0
 
 
 def test_finite_superposition_converges_to_closed_form():

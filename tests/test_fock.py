@@ -1,12 +1,14 @@
 import cmath
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -194,6 +196,90 @@ def test_every_dense_entry_point_checks_the_cap(monkeypatch, entry):
     monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "10")
     with pytest.raises(ResourceCapError, match="exceeds cap 10"):
         DENSE_ENTRY_POINTS[entry]()
+
+
+# dims 300, 500 and 600 charge 177900, 450500 and 631800 floats, so two or three of them overflow the memo
+_MEMO_CALLS = st.lists(st.tuples(st.sampled_from([0.3, 1.7, 2.5066282746310002, 5.0]),
+                                 st.integers(1, 30) | st.sampled_from([300, 500, 600])), min_size=1, max_size=6)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(calls=_MEMO_CALLS.map(lambda calls: calls + calls[::-1]))  # every key at least twice
+@example(calls=[(0.3, 600), (1.7, 500), (0.3, 600), (5.0, 3), (1.7, 500)])  # each big table evicts the other
+def test_whole_block_memo_returns_fresh_bits_within_its_charge(block_memo, calls):
+    block_memo.clear()
+    fresh = {key: displacement_blocks(*key, (slice(None),))[0].tobytes() for key in set(calls)}
+    for shift, dim in calls:
+        block = fock._whole_block(shift, dim)
+        assert block.tobytes() == fresh[shift, dim]
+        charges = [charge for _, charge in block_memo.entries.values()]
+        assert block_memo.held == sum(charges) <= fock._SMALL_TABLE_FLOATS
+        assert list(block_memo.entries)[-1] == (shift, dim)  # kept, and newest
+        assert block_memo.entries[shift, dim][0] is block
+
+
+def test_whole_block_is_read_only(block_memo):
+    for _ in range(2):  # a miss, then a hit
+        block = fock._whole_block(1.0, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
+
+
+def test_whole_block_memo_keeps_no_table_past_its_charge(block_memo):
+    # a table's charge is N times its lattice: 2^20 floats admit N = 787 and no more
+    def charge(dim):
+        return dim * fock._displacement_lattice(dim)[1].size
+
+    assert charge(787) <= fock._SMALL_TABLE_FLOATS < charge(788)
+    kept = fock._whole_block(1.0, 3)
+    fock._whole_block(1.0, 900)
+    assert list(block_memo.entries) == [(1.0, 3)] and block_memo.held == charge(3)  # nor does it evict
+    assert block_memo.entries[1.0, 3][0] is kept
+    # so a kept table's block, N^2 floats, is within its charge
+    assert all(dim * dim <= charge(dim) for dim in (1, 2, 30, 787))
+
+
+def test_block_memo_keeps_its_total_under_threads():
+    # more threads than cores, switching often, on a small memo that evicts at almost every put
+    memo = fock._BlockMemo(40)
+    wrong = []
+
+    def work(offset):
+        for i in range(5000):
+            key = (offset * i) % 23
+            value = memo.get(key)
+            if value is None:
+                memo.put(key, key, key % 7 + 1)
+            elif value != key:
+                wrong.append(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(1, 7)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert memo.held == sum(charge for _, charge in memo.entries.values()) <= 40
+
+
+def test_whole_block_memo_still_checks_the_cap(monkeypatch, block_memo):
+    state = FockState.normalized(np.arange(1.0, 21.0))
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "20")
+    warm = [lambda: fock._whole_block(1.0, 20), lambda: coherent_displacement(0.5, 20),
+            lambda: sin2_expectation(state, 1.0, 0.5)]
+    for call in warm:
+        call()
+    assert len(block_memo.entries) == 3
+    monkeypatch.setenv("GKPSQ_MAX_BUILD_DIM", "10")
+    for call in warm:
+        with pytest.raises(ResourceCapError, match="dimension 20 exceeds cap 10"):
+            call()
 
 
 def test_build_operator_checks_the_cap_before_any_array(monkeypatch):

@@ -786,8 +786,9 @@ def test_block_expectation_matches_dense_contraction(grid, dim, corner, seed, mi
        zero_row=st.booleans(), dim=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
 @example(c1=0.0, c2=0.0, d=0.7, zero_row=True, dim=40, seed=5, mixed=True)
 @example(c1=SQRT_PI / 2.0, c2=0.0, d=0.0, zero_row=False, dim=80, seed=6, mixed=True)
-# a subnormal row: |u| = 1 only if u is read off the row scaled up
+# subnormal rows: |u| = 1 only if u is read off the row scaled up, in the package and in the dense oracle
 @example(c1=2.225073858507e-311, c2=2.225073858507e-311, d=0.0, zero_row=False, dim=2, seed=1, mixed=False)
+@example(c1=5e-324, c2=5e-324, d=0.0, zero_row=False, dim=34, seed=1, mixed=False)
 def test_sin2_expectation_matches_dense_coherent_displacement(c1, c2, d, zero_row, dim, seed, mixed):
     if zero_row:
         c1 = c2 = 0.0
@@ -799,6 +800,38 @@ def test_sin2_expectation_matches_dense_coherent_displacement(c1, c2, d, zero_ro
     # product), u^m conj(u^n) in one route against u^(m - n) in the other, and the offset's product
     mean_bound = _contraction_bound(state, dense, turn_roundings=18 * dim + 10)
     assert abs(got - dense_sin2_expectation(state, c1, c2, d)) <= 0.5 * mean_bound + 4.0 * U
+
+
+@settings(max_examples=100, deadline=None)
+@given(c1=st.floats(-2.0**-500, 2.0**-500), c2=st.floats(-2.0**-500, 2.0**-500) | st.sampled_from([5e-324, -5e-324]))
+@example(c1=5e-324, c2=5e-324)
+@example(c1=2.225073858507e-311, c2=-5e-324)
+def test_phase_of_a_tiny_row_has_unit_modulus_on_both_routes(c1, c2):
+    # the u whose powers each route raises: sin2_expectation's through `_row_shift`, coherent_displacement's own
+    assume(c1 or c2)
+    state = FockState.normalized(np.arange(1.0, 4.0))
+    with mock.patch.object(operators, "_powers", wraps=operators._powers) as package:
+        sin2_expectation(state, c1, c2)
+    with mock.patch.object(fock, "_powers", wraps=fock._powers) as dense:
+        coherent_displacement(math.sqrt(2.0) * complex(-c2, c1), 3)
+    for spy in (package, dense):
+        [call] = spy.call_args_list
+        assert abs(abs(call.args[0]) - 1.0) <= 4.0 * U
+
+
+def test_sin2_expectation_reads_one_table_per_shift_and_dimension(block_memo):
+    # the criterion-6 recipe: 3 states x 3 etas x 2 rows, and each eta's one shift is shared by s0's rows
+    grid = preset_grid("s0")
+    rng = np.random.default_rng(424242)
+    states = [FockState.normalized((rng.normal(size=12) + 1j * rng.normal(size=12)) * np.exp(-np.arange(12) / 3.0))
+              for _ in range(3)]
+    with mock.patch.object(fock, "hermite_functions", wraps=fock.hermite_functions) as tables:
+        for state in states:
+            for eta in (0.95, 0.9, 0.8):
+                sin2_expectation(state, grid.c11 * math.sqrt(eta), 0.0)
+                sin2_expectation(state, 0.0, grid.c22 * math.sqrt(eta))
+    assert tables.call_count == 3
+    assert len(block_memo.entries) == 3
 
 
 def test_sin2_expectation_never_reads_coherent_displacement():
